@@ -19,10 +19,9 @@ from gameclust import (
     conflicted_games,
     find_pure_nash,
     ideal_load,
-    load_metric,
+    objectives,
     route_requests,
     select_strategies,
-    sse,
 )
 
 xs = [0.0, 0.4, 0.8, 1.2, 5.0] + [9.0 + 0.2 * i for i in range(15)]
@@ -31,7 +30,8 @@ clustering = Clustering.from_assignment(dataset, [0] * 4 + [1] + [2] * 15, 3)
 ideal = ideal_load(dataset.n, 3)
 
 print("loads:", clustering.loads.tolist(), " ideal load:", ideal, f"({float(ideal):.3f})")
-print("SSE:", round(sse(dataset, clustering), 3), " L:", round(load_metric(clustering.loads, ideal), 3))
+before = objectives(dataset, clustering, ideal)
+print("SSE:", round(before.sse, 3), " L:", round(before.load_metric, 3))
 
 roles = classify_roles(clustering, ideal)
 print("\nplayers (cluster, requested units): ", roles.players)
@@ -59,9 +59,10 @@ forgone = [p.strategies[i] for p, i in zip(game.participants, equilibrium.joint)
 print("units forgone:", forgone, "-> units transferred:",
       [p.request - f for p, f in zip(game.participants, forgone)])
 
-new_clustering, accepted = apply_and_evaluate(dataset, clustering, [(game, equilibrium)])
+new_clustering, accepted, after = apply_and_evaluate(dataset, clustering, before, [(game, equilibrium)])
 print("\nreallocation accepted?" , accepted)
 print("loads afterwards:", new_clustering.loads.tolist())
+print("SSE:", round(after.sse, 3), " L:", round(after.load_metric, 3))
 if not accepted:
     print("(the transfers would hurt compactness more than balance gains justify,")
     print(" so the engine rolled the reallocation back)")

@@ -38,7 +38,6 @@ from .errors import (
     CsvFormatError,
     GameclustError,
     InconsistentStateError,
-    InfeasibleTransferError,
     StructuralError,
     UndefinedIndexError,
 )
@@ -58,8 +57,6 @@ from .game_engine import (
     detect_conflict,
     find_pure_nash,
     generate_strategy_set,
-    payoff,
-    plan_transfer,
     route_requests,
     select_strategies,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "GameclustError",
     "ImprovementReport",
     "InconsistentStateError",
-    "InfeasibleTransferError",
     "IterationRecord",
     "KMeansConfig",
     "LocalGame",
@@ -116,8 +112,6 @@ __all__ = [
     "lloyd_iteration",
     "objectives",
     "paired_compare",
-    "payoff",
-    "plan_transfer",
     "route_requests",
     "run_algorithm",
     "run_gtkmeans",

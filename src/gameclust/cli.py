@@ -6,7 +6,7 @@ Subcommands:
 * ``bench`` -- full (algorithm x ns x k) grid over repeated paired seeds.
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
-Results are emitted as JSON (canonical, schema_version 1) or CSV (the
+Results are emitted as JSON (canonical, schema_version 2) or CSV (the
 means block only).  Identical invocations are byte-identical except for
 wall-time fields.  Exit status: 0 success, 2 usage or dataset/config
 failure, 3 internal error (nothing is written in that case).  When
@@ -28,7 +28,7 @@ from .drivers import ALGORITHMS, VariantSummary, paired_compare
 from .errors import GameclustError, UndefinedIndexError
 from .fairness import clamp_nonnegative, geometric_mean_index, jain_index
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "GAMECLUST_OUTPUT_DIR"
 
 
@@ -47,7 +47,6 @@ class CliInvocation:
     reps: int = 1
     out_path: Optional[str] = None
     out_format: str = "json"
-    timed_serial: bool = False
     gen: Optional[Ds1Config] = None
 
 
@@ -104,10 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ns", default="0", help="comma list of ns values, 0 disables selection")
     bench.add_argument("--seed", default="0", help="base seed or comma list of seeds")
     bench.add_argument("--reps", type=int, default=1, help="repetitions (seeds base..base+reps-1)")
-    bench.add_argument(
-        "--timed-serial", action="store_true",
-        help="force serial execution for interference-free timings",
-    )
 
     gen = sub.add_parser("gen", help="generate a synthetic blob dataset CSV")
     gen.add_argument("--out", required=True, help="CSV file to write")
@@ -171,7 +166,6 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         reps=reps,
         out_path=args.out,
         out_format=args.format,
-        timed_serial=getattr(args, "timed_serial", False),
     )
 
 
@@ -245,7 +239,6 @@ def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
             invocation.seeds,
             invocation.ns_values,
             algorithms=invocation.algorithms,
-            timed_serial=invocation.timed_serial,
         )
         for summary in summaries:
             rows.append(_row(summary))
@@ -262,7 +255,6 @@ def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
             "ns_values": [0 if v is None else v for v in invocation.ns_values],
             "seeds": list(invocation.seeds),
             "reps": invocation.reps,
-            "timed_serial": invocation.timed_serial,
         },
         "rows": rows,
         "raw": raw,

@@ -96,8 +96,8 @@ class Clustering:
             empty = int(np.flatnonzero(loads == 0)[0])
             raise StructuralError(f"cluster {empty} is empty")
         centers = np.empty((k, dataset.dim), dtype=np.float64)
-        for c in range(k):
-            centers[c] = dataset.points[a == c].mean(axis=0)
+        for d in range(dataset.dim):
+            centers[:, d] = np.bincount(a, weights=dataset.points[:, d], minlength=k) / loads
         return Clustering(assignment=a, k=k, centers=centers, loads=loads)
 
     def members(self, cluster_id: int) -> np.ndarray:
@@ -159,16 +159,14 @@ def sse(dataset: Dataset, clustering: Clustering) -> float:
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:
     """Sum of squared deviations of cluster loads from the ideal load.
 
-    Evaluated in exact rational arithmetic and rounded once at the end.
+    Evaluated exactly as sum((q*l - p)^2) / q^2 in integers, where p/q
+    is the ideal, and rounded once by the final division.
     """
     if len(loads) == 0:
         raise ConfigError("loads must be nonempty")
     ideal_f = Fraction(ideal)
-    total = Fraction(0)
-    for l in loads:
-        d = Fraction(int(l)) - ideal_f
-        total += d * d
-    return float(total)
+    p, q = ideal_f.numerator, ideal_f.denominator
+    return sum((q * int(l) - p) ** 2 for l in loads) / (q * q)
 
 
 def improvement_pct(initial: float, final: float) -> float:

@@ -124,50 +124,62 @@ def _balanced(clustering: Clustering, ideal: Fraction) -> bool:
 def _play_games(
     dataset: Dataset,
     clustering: Clustering,
-    ideal: Fraction,
+    pre: ObjectiveState,
+    index: int,
     ns: Optional[int],
-) -> Tuple[Clustering, bool, Optional[float], List[GameRecord]]:
+) -> Tuple[Clustering, ObjectiveState, IterationRecord]:
     """Formulate, solve and apply the game phase of one iteration.
 
-    Conflicted resources play their games; the requests routed to every
-    other resource are covered by its spare units and served in full.
-    ``apply_and_evaluate`` keeps or drops each resource's transfers on
-    their own.  Returns the (possibly new) clustering, whether any
-    transfers were kept, the combined score of the kept reallocation
-    relative to the pre-game state (None when not computable), and game
-    records.
+    ``pre`` holds the objectives of ``clustering``, the post-Lloyd state.
+    A balanced clustering plays no games.  Otherwise conflicted resources
+    play their games; the requests routed to every other resource are
+    covered by its spare units and served in full.  ``apply_and_evaluate``
+    keeps or drops each resource's transfers on their own.  Returns the
+    end state, its objectives and the iteration's record, whose
+    reallocation score is the combined score of the kept reallocation
+    relative to ``pre`` (None when nothing was kept or a pre-game term is
+    zero).
     """
-    roles = classify_roles(clustering, ideal)
-    if not roles.players or not roles.resources:
-        return clustering, False, None, []
-    routing = route_requests(roles, clustering)
-    games = conflicted_games(clustering, roles, routing, ns)
-    in_game = {game.resource_id for game in games}
-    covered = {rid: routed for rid, routed in routing.items() if routed and rid not in in_game}
-    solved: List[Tuple[LocalGame, EquilibriumResult]] = []
+    end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
-    for game in games:
-        tensor = build_payoff_tensor(dataset, clustering, game)
-        eq = find_pure_nash(tensor)
-        solved.append((game, eq))
-        records.append(
-            GameRecord(
-                resource_id=game.resource_id,
-                player_ids=tuple(p.player_id for p in game.participants),
-                requests=tuple(p.request for p in game.participants),
-                set_sizes=tuple(len(p.strategies) for p in game.participants),
-                joint_entries=tensor.joint_count,
-                feasible_fraction=float(tensor.feasible.mean()),
-                equilibrium_kind=eq.kind,
+    roles = None if _balanced(clustering, pre.ideal_load) else classify_roles(clustering, pre.ideal_load)
+    if roles is not None and roles.players and roles.resources:
+        routing = route_requests(roles, clustering)
+        games = conflicted_games(clustering, roles, routing, ns)
+        in_game = {game.resource_id for game in games}
+        covered = {rid: routed for rid, routed in routing.items() if routed and rid not in in_game}
+        solved: List[Tuple[LocalGame, EquilibriumResult]] = []
+        for game in games:
+            tensor = build_payoff_tensor(dataset, clustering, game)
+            eq = find_pure_nash(tensor)
+            solved.append((game, eq))
+            records.append(
+                GameRecord(
+                    resource_id=game.resource_id,
+                    player_ids=tuple(p.player_id for p in game.participants),
+                    requests=tuple(p.request for p in game.participants),
+                    set_sizes=tuple(len(p.strategies) for p in game.participants),
+                    joint_entries=tensor.joint_count,
+                    feasible_fraction=float(tensor.feasible.mean()),
+                    equilibrium_kind=eq.kind,
+                )
             )
-        )
-    pre = objectives(dataset, clustering, ideal)
-    new_clustering, accepted = apply_and_evaluate(dataset, clustering, solved, covered)
+        end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, solved, covered)
     score = None
     if accepted and pre.sse > 0 and pre.load_metric > 0:
-        post = objectives(dataset, new_clustering, ideal)
-        score = post.sse / pre.sse + post.load_metric / pre.load_metric
-    return new_clustering, accepted, score, records
+        score = end.sse / pre.sse + end.load_metric / pre.load_metric
+    record = IterationRecord(
+        index=index,
+        sse_before_games=pre.sse,
+        l_before_games=pre.load_metric,
+        games=tuple(records),
+        accepted=accepted,
+        reallocation_score=score,
+        sse_end=end.sse,
+        l_end=end.load_metric,
+        loads_end=tuple(int(l) for l in end_clustering.loads),
+    )
+    return end_clustering, end, record
 
 
 def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
@@ -189,44 +201,28 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
     ideal = ideal_load(dataset.n, config.k)
     centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     trace: List[IterationRecord] = []
-    ends: List[Clustering] = []  # end state of every iteration, in order
+    ends: List[Tuple[Clustering, ObjectiveState]] = []  # end state of every iteration, in order
     seen: Dict[bytes, int] = {}  # post-Lloyd assignment -> index of its iteration in ends
     prev_assignment: Optional[np.ndarray] = None
     initial: Optional[ObjectiveState] = None
     clustering: Optional[Clustering] = None
+    final: Optional[ObjectiveState] = None
     termination = "budget"
     outer = 0
     for it in range(1, config.max_outer_iterations + 1):
         outer = it
         clustering = lloyd_iteration(dataset, centers)
+        pre = objectives(dataset, clustering, ideal)
         if initial is None:
-            initial = objectives(dataset, clustering, ideal)
+            initial = pre
         lloyd_stable = prev_assignment is not None and np.array_equal(
             clustering.assignment, prev_assignment
         )
         post_lloyd = clustering.assignment.tobytes()
-        pre = objectives(dataset, clustering, ideal)
-        accepted = False
-        score: Optional[float] = None
-        records: List[GameRecord] = []
-        if not _balanced(clustering, ideal):
-            clustering, accepted, score, records = _play_games(dataset, clustering, ideal, config.ns)
-        end = objectives(dataset, clustering, ideal) if accepted else pre
-        trace.append(
-            IterationRecord(
-                index=it,
-                sse_before_games=pre.sse,
-                l_before_games=pre.load_metric,
-                games=tuple(records),
-                accepted=accepted,
-                reallocation_score=score,
-                sse_end=end.sse,
-                l_end=end.load_metric,
-                loads_end=tuple(int(l) for l in clustering.loads),
-            )
-        )
-        ends.append(clustering)
-        if not accepted and lloyd_stable:
+        clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
+        trace.append(record)
+        ends.append((clustering, final))
+        if not record.accepted and lloyd_stable:
             termination = "converged"
             break
         if post_lloyd in seen:
@@ -237,13 +233,12 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
                 key=lambda i: _ratio(trace[i].sse_end, initial.sse)
                 + _ratio(trace[i].l_end, initial.load_metric),
             )
-            clustering = ends[best]
+            clustering, final = ends[best]
             break
         seen[post_lloyd] = len(ends) - 1
         prev_assignment = clustering.assignment
         centers = clustering.centers
-    assert clustering is not None and initial is not None
-    final = objectives(dataset, clustering, ideal)
+    assert clustering is not None and initial is not None and final is not None
     return _report(
         "gtkmeans", config, initial, final, trace, outer, outer, termination,
         time.perf_counter() - t0, clustering,
@@ -274,28 +269,9 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
         clustering, kmeans_iterations = first, 1
     termination = "converged" if kmeans_iterations < config.max_outer_iterations else "budget"
     pre = objectives(dataset, clustering, ideal)
-    accepted = False
-    score: Optional[float] = None
-    records: List[GameRecord] = []
-    if not _balanced(clustering, ideal):
-        clustering, accepted, score, records = _play_games(dataset, clustering, ideal, config.ns)
-    end = objectives(dataset, clustering, ideal) if accepted else pre
-    trace = (
-        IterationRecord(
-            index=1,
-            sse_before_games=pre.sse,
-            l_before_games=pre.load_metric,
-            games=tuple(records),
-            accepted=accepted,
-            reallocation_score=score,
-            sse_end=end.sse,
-            l_end=end.load_metric,
-            loads_end=tuple(int(l) for l in clustering.loads),
-        ),
-    )
-    final = objectives(dataset, clustering, ideal)
+    clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
     return _report(
-        "pkgame", config, initial, final, list(trace), 1, kmeans_iterations, termination,
+        "pkgame", config, initial, final, [record], 1, kmeans_iterations, termination,
         time.perf_counter() - t0, clustering,
     )
 
@@ -369,18 +345,15 @@ def paired_compare(
     ns_values: Sequence[Optional[int]],
     algorithms: Sequence[str] = ALGORITHMS,
     max_outer_iterations: int = 100,
-    timed_serial: bool = True,
 ) -> List[VariantSummary]:
     """Run every (algorithm, ns) variant over the same seeds and average the metrics.
 
     All variants of a seed start from the identical seeded center
     initialization, so initial objectives match across variants.  Runs
-    execute serially; ``timed_serial`` is accepted for interface
-    stability and documents that timings here are interference-free.
+    execute serially, so their timings do not interfere.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    del timed_serial  # execution is serial either way
     summaries: List[VariantSummary] = []
     for algorithm in algorithms:
         for ns in ns_values:

@@ -13,10 +13,6 @@ class StructuralError(GameclustError, ValueError):
     """Structurally inconsistent inputs (shape/dimension mismatches, bad assignments)."""
 
 
-class InfeasibleTransferError(GameclustError, ValueError):
-    """A requested point transfer would empty or overdraw a cluster."""
-
-
 class InconsistentStateError(GameclustError, RuntimeError):
     """A role configuration that cannot arise from a consistent clustering."""
 

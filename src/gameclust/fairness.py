@@ -26,11 +26,20 @@ def _validated(values: Sequence[float]) -> List[float]:
 
 
 def jain_index(values: Sequence[float]) -> float:
-    """(sum x)^2 / (n * sum x^2), in [1/n, 1]; undefined when all values are zero."""
+    """(sum x)^2 / (n * sum x^2), in [1/n, 1]; undefined when all values are zero.
+
+    The values are first scaled by the power of two that brings the
+    largest into [0.5, 1).  That scaling is exact, so it changes no result
+    except where squares would leave the normal float range: tiny values
+    whose squares lose precision as subnormals, or huge ones that overflow.
+    """
     xs = _validated(values)
-    square_sum = sum(x * x for x in xs)
-    if square_sum == 0:
+    largest = max(xs)
+    if largest == 0:
         raise UndefinedIndexError("Jain's index is undefined for all-zero values")
+    shift = math.frexp(largest)[1]
+    xs = [math.ldexp(x, -shift) for x in xs]
+    square_sum = sum(x * x for x in xs)
     total = sum(xs)
     return (total * total) / (len(xs) * square_sum)
 

@@ -15,10 +15,15 @@ payoff tensors multiplicatively.
 Payoffs are costs (lower is better).  For participant i under a joint
 strategy, the cost is the geometric mean of two losses: the absolute SSE
 change over the clusters touched by the rivals' transfers, and the
-distance of i's own resulting load from the ideal.  Transfers implied by
-a joint strategy are simulated on a scratch copy in ascending player-id
-order against the input clustering's centers; the input is never
-modified.
+distance of i's own resulting load from the ideal.
+
+Transfers are simulated in ascending player id against the input
+clustering's centers, and the input is never modified: each player takes
+the resource points nearest its center that no earlier player took, ties
+to the lowest point index.  One kernel codes that rule
+(``_nearest_first`` orders the resource's points, ``_take_free`` takes
+the first free ones), for the payoff tensor and for applied transfers
+alike.
 
 Each resource's transfers (its equilibrium, or its covered requests) are
 kept or dropped on their own: ``apply_and_evaluate`` takes resources in
@@ -35,10 +40,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset, Rational, ideal_load
-from .core import load_metric as _load_metric
-from .core import sse as _sse
-from .errors import ConfigError, InconsistentStateError, InfeasibleTransferError, StructuralError
+from .core import Clustering, Dataset, ObjectiveState, Rational, ideal_load, objectives
+from .errors import ConfigError, InconsistentStateError, StructuralError
 
 PURE_NASH = "pure-nash"
 FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
@@ -79,7 +82,6 @@ class LocalGame:
     resource_id: int
     resource_load: int
     participants: Tuple[Participant, ...]
-    selection_granularity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.participants:
@@ -237,120 +239,28 @@ def conflicted_games(
                 resource_id=rid,
                 resource_load=int(clustering.loads[rid]),
                 participants=tuple(participants),
-                selection_granularity=ns,
             )
         )
     return games
 
 
-def _nearest_member_order(dataset: Dataset, clustering: Clustering, resource_id: int, player_id: int) -> np.ndarray:
-    """Resource member point indices ordered by (distance to player's center, point index)."""
-    member = clustering.members(resource_id)
+def _nearest_first(dataset: Dataset, clustering: Clustering, member: np.ndarray, player_id: int) -> List[int]:
+    """Positions into ``member`` ordered by (distance to the player's center, point index)."""
     d2 = ((dataset.points[member] - clustering.centers[player_id]) ** 2).sum(axis=1)
-    return member[np.lexsort((member, d2))]
+    return np.lexsort((member, d2)).tolist()
 
 
-def plan_transfer(
-    dataset: Dataset, clustering: Clustering, resource_id: int, player_id: int, count: int
-) -> List[int]:
-    """The ``count`` points in the resource nearest to the player's center.
-
-    Ties break to the lowest point index; the result is ordered nearest
-    first.  The resource must keep at least one point.
-    """
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
-    load = int(clustering.loads[resource_id])
-    if count > load - 1:
-        raise InfeasibleTransferError(
-            f"cannot take {count} of {load} points from cluster {resource_id}: it would be emptied"
-        )
-    if count == 0:
-        return []
-    return [int(i) for i in _nearest_member_order(dataset, clustering, resource_id, player_id)[:count]]
-
-
-def _execute_transfers(
-    dataset: Dataset,
-    clustering: Clustering,
-    moves: Sequence[Tuple[int, int, int]],
-) -> Optional[np.ndarray]:
-    """Apply (resource, player, count) moves in order on a scratch assignment.
-
-    Each move takes the points currently in the resource that are nearest
-    to the player's center in the *input* clustering; centers are not
-    recomputed mid-way.  Returns the new assignment, or None when a move
-    would empty a resource.
-    """
-    assignment = clustering.assignment.copy()
-    loads = clustering.loads.copy()
-    for resource_id, player_id, count in moves:
-        if count == 0:
-            continue
-        if count > loads[resource_id] - 1:
-            return None
-        member = np.flatnonzero(assignment == resource_id)
-        d2 = ((dataset.points[member] - clustering.centers[player_id]) ** 2).sum(axis=1)
-        chosen = member[np.lexsort((member, d2))[:count]]
-        assignment[chosen] = player_id
-        loads[resource_id] -= count
-        loads[player_id] += count
-    return assignment
-
-
-def _cluster_sse(dataset: Dataset, assignment: np.ndarray, cluster_id: int) -> float:
-    member = np.flatnonzero(assignment == cluster_id)
-    pts = dataset.points[member]
-    center = pts.mean(axis=0)
-    diff = pts - center
-    return float(np.sum(diff * diff))
-
-
-def payoff(
-    dataset: Dataset,
-    clustering: Clustering,
-    game: LocalGame,
-    joint: Sequence[int],
-) -> Tuple[float, ...]:
-    """Cost per participant for one joint strategy (indices into the strategy sets).
-
-    Simulates the implied transfers on a scratch copy and returns, for
-    each participant, sqrt(|SSE change over clusters touched by rivals|
-    times |own load after - ideal|).  Raises InfeasibleTransferError when
-    the transfers would empty the resource; the input clustering is
-    never modified.
-    """
-    joint = tuple(int(j) for j in joint)
-    if len(joint) != len(game.participants):
-        raise ConfigError(f"joint strategy has {len(joint)} entries for {len(game.participants)} participants")
-    for j, p in zip(joint, game.participants):
-        if not (0 <= j < len(p.strategies)):
-            raise ConfigError(f"strategy index {j} out of bounds for {p.strategies}")
-    ideal = ideal_load(dataset.n, clustering.k)
-    moves = [
-        (game.resource_id, p.player_id, p.request - p.strategies[j])
-        for p, j in zip(game.participants, joint)
-    ]
-    after = _execute_transfers(dataset, clustering, moves)
-    if after is None:
-        raise InfeasibleTransferError("joint strategy overdraws the resource")
-    rid = game.resource_id
-    involved = [rid] + [p.player_id for p in game.participants]
-    before_sse = {c: _cluster_sse(dataset, clustering.assignment, c) for c in involved}
-    after_sse = {c: _cluster_sse(dataset, after, c) for c in involved}
-    loads_after = {p.player_id: int(np.sum(after == p.player_id)) for p in game.participants}
-    costs = []
-    for i, p in enumerate(game.participants):
-        if len(game.participants) >= 2:
-            touched = [rid] + [q.player_id for j, q in enumerate(game.participants) if j != i]
-            dsse = abs(
-                sum(after_sse[c] for c in touched) - sum(before_sse[c] for c in touched)
-            )
-        else:
-            dsse = 0.0  # no rivals: nothing they touched
-        balance = float(abs(Fraction(loads_after[p.player_id]) - ideal))
-        costs.append(math.sqrt(dsse * balance))
-    return tuple(costs)
+def _take_free(order: Sequence[int], taken: List[bool], count: int) -> List[int]:
+    """The first ``count`` positions of ``order`` not yet taken, now marked taken."""
+    chosen: List[int] = []
+    if count > 0:
+        for pos in order:
+            if not taken[pos]:
+                taken[pos] = True
+                chosen.append(pos)
+                if len(chosen) == count:
+                    break
+    return chosen
 
 
 def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGame) -> PayoffTensor:
@@ -373,10 +283,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     dim = dataset.dim
 
     member = clustering.members(rid)
-    orders = []  # per participant: member positions ordered by (distance, point index)
-    for p in parts:
-        d2 = ((pts[member] - clustering.centers[p.player_id]) ** 2).sum(axis=1)
-        orders.append([int(i) for i in np.lexsort((member, d2))])
+    orders = [_nearest_first(dataset, clustering, member, p.player_id) for p in parts]
     x_rows = [tuple(float(v) for v in row) for row in pts[member]]
     x_sq = [sum(v * v for v in row) for row in x_rows]
 
@@ -440,21 +347,14 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
             new_total = total + t
             if new_total > cap:
                 continue  # this branch (and only it) stays infeasible
-            chosen = []
+            chosen = _take_free(order, taken, t)
             d_s = [0.0] * dim
             d_q = 0.0
-            if t > 0:
-                for pos in order:
-                    if not taken[pos]:
-                        chosen.append(pos)
-                        row = x_rows[pos]
-                        for dd in range(dim):
-                            d_s[dd] += row[dd]
-                        d_q += x_sq[pos]
-                        if len(chosen) == t:
-                            break
-                for pos in chosen:
-                    taken[pos] = True
+            for pos in chosen:
+                row = x_rows[pos]
+                for dd in range(dim):
+                    d_s[dd] += row[dd]
+                d_q += x_sq[pos]
             p_after[j] = ([base_s[dd] + d_s[dd] for dd in range(dim)], base_q + d_q, base_n + t)
             own_balance[j] = balance[j][si]
             descend(
@@ -503,71 +403,73 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
 def apply_and_evaluate(
     dataset: Dataset,
     clustering: Clustering,
+    pre: ObjectiveState,
     games: Sequence[Tuple[LocalGame, EquilibriumResult]],
     covered: Optional[Mapping[int, Sequence[Tuple[int, int]]]] = None,
-) -> Tuple[Clustering, bool]:
+) -> Tuple[Clustering, bool, ObjectiveState]:
     """Execute each resource's transfers on a copy and keep those that pay.
 
+    ``pre`` holds the objectives of ``clustering``, the pre-game state.
     A resource's transfers are the equilibrium of its local game or, for a
     resource in ``covered`` (resource id -> routed (player id, request)
     pairs that its spare units cover), every routed request in full, in
-    ascending player id.  Resources are taken in ascending id, and one's
+    ascending player id.  They are simulated as in ``build_payoff_tensor``:
+    each player takes the resource's points nearest its input center that
+    no earlier player took.  Resources are taken in ascending id, and one's
     transfers are kept only when they lower SSE/SSE_pre + L/L_pre below
     the score of the transfers already kept, which starts at 2 for the
     pre-game state; so every accepted reallocation scores below 2.  When a
     pre-game term is zero, the new term must stay zero and the other
     objective must not worsen against the transfers already kept.
     Transfers that would empty their resource are dropped.  Returns the
-    input clustering itself when nothing is kept.
+    kept state, whether anything was kept (the input clustering itself is
+    returned when not), and the kept state's objectives.
     """
-    transfers: Dict[int, List[Tuple[int, int, int]]] = {}
+    transfers: Dict[int, List[Tuple[int, int]]] = {}
     for game, eq in games:
         if len(eq.joint) != len(game.participants):
             raise ConfigError("equilibrium joint does not match game participants")
         transfers[game.resource_id] = [
-            (game.resource_id, p.player_id, p.request - p.strategies[si])
-            for p, si in zip(game.participants, eq.joint)
+            (p.player_id, p.request - p.strategies[si]) for p, si in zip(game.participants, eq.joint)
         ]
     for rid, routed in (covered or {}).items():
         if rid in transfers:
             raise ConfigError(f"resource {rid} is both covered and in a game")
-        transfers[rid] = [(rid, pid, request) for pid, request in sorted(routed)]
-    ideal = ideal_load(dataset.n, clustering.k)
-    pre = (_sse(dataset, clustering), _load_metric(clustering.loads, ideal))
-    kept, kept_objectives = clustering, pre
+        transfers[rid] = sorted(routed)
+    kept, kept_state = clustering, pre
     for rid in sorted(transfers):
-        moves = transfers[rid]
-        if sum(count for _, _, count in moves) == 0:
-            continue
-        # Moves only take points from their own resource, so each resource's
-        # transfers are planned against the input clustering alone.
-        after = _execute_transfers(dataset, clustering, moves)
-        if after is None:
-            continue  # they would empty the resource
-        moved = after != clustering.assignment
+        total = sum(count for _, count in transfers[rid])
+        if total == 0 or total > clustering.loads[rid] - 1:
+            continue  # nothing to move, or it would empty the resource
+        # Points only leave their own resource, so its members are the same
+        # in the kept state as in the input clustering.
+        member = clustering.members(rid)
+        taken = [False] * len(member)
         assignment = kept.assignment.copy()
-        assignment[moved] = after[moved]
+        for pid, count in transfers[rid]:
+            if count > 0:
+                chosen = _take_free(_nearest_first(dataset, clustering, member, pid), taken, count)
+                assignment[member[chosen]] = pid
         candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
-        candidate_objectives = (_sse(dataset, candidate), _load_metric(candidate.loads, ideal))
-        if _improves(pre, kept_objectives, candidate_objectives):
-            kept, kept_objectives = candidate, candidate_objectives
-    return kept, kept is not clustering
+        state = objectives(dataset, candidate, pre.ideal_load)
+        if _improves(pre, kept_state, state):
+            kept, kept_state = candidate, state
+    return kept, kept is not clustering, kept_state
 
 
-def _improves(
-    pre: Tuple[float, float], kept: Tuple[float, float], new: Tuple[float, float]
-) -> bool:
-    """True when the (SSE, L) pair ``new`` scores below ``kept`` relative to ``pre``.
+def _improves(pre: ObjectiveState, kept: ObjectiveState, new: ObjectiveState) -> bool:
+    """True when ``new`` scores below ``kept`` relative to ``pre``.
 
     A zero pre-game term stays zero in every kept state, so it is compared
     by convention: the new term must be zero too and the other objective
     must not worsen.
     """
-    (sse_pre, l_pre), (sse_kept, l_kept), (sse_new, l_new) = pre, kept, new
-    if sse_pre > 0 and l_pre > 0:
-        return sse_new / sse_pre + l_new / l_pre < sse_kept / sse_pre + l_kept / l_pre
-    if sse_pre == 0 and l_pre == 0:
-        return sse_new == 0 and l_new == 0
-    if l_pre == 0:
-        return l_new == 0 and sse_new <= sse_kept
-    return sse_new == 0 and l_new <= l_kept
+    if pre.sse > 0 and pre.load_metric > 0:
+        return new.sse / pre.sse + new.load_metric / pre.load_metric < (
+            kept.sse / pre.sse + kept.load_metric / pre.load_metric
+        )
+    if pre.sse == 0 and pre.load_metric == 0:
+        return new.sse == 0 and new.load_metric == 0
+    if pre.load_metric == 0:
+        return new.load_metric == 0 and new.sse <= kept.sse
+    return new.sse == 0 and new.load_metric <= kept.load_metric

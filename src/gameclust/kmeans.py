@@ -28,13 +28,10 @@ class KMeansConfig:
 
     k: int
     seed: int
-    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

@@ -32,34 +32,49 @@ def cluster_sse(points, assignment, cluster_id):
     return sum(sum((x - c) ** 2 for x, c in zip(m, center)) for m in members)
 
 
+def simulate_transfers(points, assignment, resource_id, moves):
+    """Reference simulation of (player_id, count) moves out of one resource.
+
+    Moves apply in order; each takes the points still in the resource
+    that are nearest to the player's center in the *input* assignment,
+    ties to the lowest point index.  Returns the new assignment list, or
+    None when a move would empty the resource.
+    """
+    n = len(points)
+    assign = list(assignment)
+
+    def dist2(i, center):
+        return sum((x - c) ** 2 for x, c in zip(points[i], center))
+
+    for pid, count in moves:
+        center = cluster_mean(points, assignment, pid)
+        pool = [i for i in range(n) if assign[i] == resource_id]
+        if count > len(pool) - 1:
+            return None
+        chosen = sorted(pool, key=lambda i: (dist2(i, center), i))[:count]
+        for i in chosen:
+            assign[i] = pid
+    return assign
+
+
 def payoff_costs(points, assignment, k, resource_id, participants, joint):
     """Reference payoff evaluation for one joint strategy.
 
     ``participants`` is a list of (player_id, request, strategies).
     Returns the per-participant cost list, or None when the implied
     transfers would empty the resource.  Transfers apply in participant
-    order; each takes the points still in the resource that are nearest
-    to the player's center in the *input* assignment, ties to the lowest
-    point index.
+    order, as in ``simulate_transfers``.
     """
-    n = len(points)
-    ideal = Fraction(n, k)
-    assign = list(assignment)
+    ideal = Fraction(len(points), k)
     involved = [resource_id] + [pid for pid, _, _ in participants]
-    centers0 = {c: cluster_mean(points, assign, c) for c in involved}
-    before = {c: cluster_sse(points, assign, c) for c in involved}
-
-    def dist2(i, center):
-        return sum((x - c) ** 2 for x, c in zip(points[i], center))
-
-    for (pid, request, strategies), si in zip(participants, joint):
-        transfer = request - strategies[si]
-        pool = [i for i in range(n) if assign[i] == resource_id]
-        if transfer > len(pool) - 1:
-            return None
-        chosen = sorted(pool, key=lambda i: (dist2(i, centers0[pid]), i))[:transfer]
-        for i in chosen:
-            assign[i] = pid
+    before = {c: cluster_sse(points, assignment, c) for c in involved}
+    moves = [
+        (pid, request - strategies[si])
+        for (pid, request, strategies), si in zip(participants, joint)
+    ]
+    assign = simulate_transfers(points, assignment, resource_id, moves)
+    if assign is None:
+        return None
 
     after = {c: cluster_sse(points, assign, c) for c in involved}
     costs = []

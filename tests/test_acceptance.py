@@ -63,7 +63,7 @@ def grid():
     for k in K_VALUES:
         for ns in NS_ARMS:
             (summary,) = paired_compare(
-                dataset, k, RUN_SEEDS, [ns], algorithms=("gtkmeans",), timed_serial=True
+                dataset, k, RUN_SEEDS, [ns], algorithms=("gtkmeans",)
             )
             rows[(k, ns)] = summary
     grid_runtime = time.perf_counter() - t0

@@ -14,8 +14,11 @@ from gameclust import (
     find_pure_nash,
     ideal_load,
     load_metric,
+    objectives,
     sse,
 )
+
+from oracles import simulate_transfers
 
 
 def forced_eq(game):
@@ -26,7 +29,7 @@ def forced_eq(game):
 class TestApplyAndEvaluate:
     def test_no_games_means_no_change(self, line20):
         ds, c = line20
-        new, accepted = apply_and_evaluate(ds, c, [])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [])
         assert accepted is False
         assert new is c
 
@@ -39,7 +42,7 @@ class TestApplyAndEvaluate:
             participants=(Participant(1, 1, (0,)),),
         )
         before_sse, before_l = sse(ds, c), load_metric(c.loads, 2)
-        new, accepted = apply_and_evaluate(ds, c, [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
         assert accepted is True
         assert new.loads.tolist() == [2, 2]
         assert new.assignment.tolist() == [0, 0, 1, 1]
@@ -56,7 +59,7 @@ class TestApplyAndEvaluate:
             resource_id=0, resource_load=2,
             participants=(Participant(1, 1, (0,)),),
         )
-        new, accepted = apply_and_evaluate(ds, c, [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
         assert accepted is False
         assert new is c
         assert np.array_equal(new.assignment, c.assignment)
@@ -69,7 +72,7 @@ class TestApplyAndEvaluate:
             resource_id=1, resource_load=2,
             participants=(Participant(0, 1, (0,)),),
         )
-        new, accepted = apply_and_evaluate(ds, c, [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
         assert accepted is False
         assert new is c
 
@@ -81,7 +84,7 @@ class TestApplyAndEvaluate:
             resource_id=2, resource_load=2,
             participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
         )
-        new, accepted = apply_and_evaluate(ds, c, [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
         assert accepted is False
         assert new is c
 
@@ -96,7 +99,7 @@ class TestApplyAndEvaluate:
         )
         tensor = build_payoff_tensor(ds, c, game)
         eq = find_pure_nash(tensor)
-        new, accepted = apply_and_evaluate(ds, c, [(game, eq)])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, eq)])
         assert int(new.loads.sum()) == ds.n
         assert new.loads.min() >= 1
         if accepted:
@@ -114,7 +117,7 @@ class TestApplyAndEvaluate:
             participants=(Participant(1, 6, (0, 1, 2, 3, 4, 5)),),
         )
         tensor = build_payoff_tensor(ds, c, game)
-        apply_and_evaluate(ds, c, [(game, find_pure_nash(tensor))])
+        apply_and_evaluate(ds, c, objectives(ds, c), [(game, find_pure_nash(tensor))])
         assert np.array_equal(c.assignment, snapshot)
 
     def test_covered_request_served_in_full(self):
@@ -122,7 +125,7 @@ class TestApplyAndEvaluate:
         # no game, and the player receives both points nearest its center
         ds = Dataset(points=[[0.0], [0.1], [0.2], [0.3], [0.4], [4.5], [5.0], [10.0], [10.1], [10.2]])
         c = Clustering.from_assignment(ds, [0] * 7 + [1] * 3, 2)
-        new, accepted = apply_and_evaluate(ds, c, [], covered={0: [(1, 2)]})
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [], covered={0: [(1, 2)]})
         assert accepted is True
         assert new.assignment.tolist() == [0] * 5 + [1] * 5
         assert np.array_equal(c.assignment, [0] * 7 + [1] * 3)
@@ -140,10 +143,10 @@ class TestApplyAndEvaluate:
         def score(state):
             return sse(ds, state) / sse(ds, c) + load_metric(state.loads, ideal) / load_metric(c.loads, ideal)
 
-        alone, accepted = apply_and_evaluate(ds, c, [(draining, forced_eq(draining))])
+        alone, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(draining, forced_eq(draining))])
         assert accepted is False and alone is c
-        new, accepted = apply_and_evaluate(
-            ds, c, [(draining, forced_eq(draining)), (paying, forced_eq(paying))]
+        new, accepted, _ = apply_and_evaluate(
+            ds, c, objectives(ds, c), [(draining, forced_eq(draining)), (paying, forced_eq(paying))]
         )
         assert accepted is True
         assert new.loads.tolist() == [6, 2, 4, 4]
@@ -155,4 +158,34 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0, 0, 0, 1], 2)
         game = LocalGame(resource_id=0, resource_load=3, participants=(Participant(1, 1, (0,)),))
         with pytest.raises(ConfigError):
-            apply_and_evaluate(ds, c, [(game, forced_eq(game))], covered={0: [(1, 1)]})
+            apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))], covered={0: [(1, 1)]})
+
+    def test_moves_exactly_the_oracle_points(self):
+        # ties in distance, two players sharing one resource, every joint
+        rng = np.random.default_rng(20240)
+        kept = 0
+        for _ in range(6):
+            loads = [int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(8, 12))]
+            points = [
+                [float(rng.integers(0, 3)) + 1.5 * cid, float(rng.integers(0, 3))]
+                for cid, load in enumerate(loads) for _ in range(load)
+            ]
+            assignment = [cid for cid, load in enumerate(loads) for _ in range(load)]
+            ds = Dataset(points=points)
+            c = Clustering.from_assignment(ds, assignment, 3)
+            game = LocalGame(
+                resource_id=2, resource_load=loads[2],
+                participants=(Participant(0, 4, (0, 1, 2, 3)), Participant(1, 5, (0, 1, 2, 3, 4))),
+            )
+            for joint in np.ndindex(*game.shape):
+                eq = EquilibriumResult(joint=joint, kind=PURE_NASH, costs=())
+                new, accepted, state = apply_and_evaluate(ds, c, objectives(ds, c), [(game, eq)])
+                moves = [(0, 4 - joint[0]), (1, 5 - joint[1])]
+                expected = simulate_transfers(points, assignment, 2, moves)
+                if not accepted:
+                    assert new is c
+                    continue
+                kept += 1
+                assert new.assignment.tolist() == expected
+                assert state == objectives(ds, new)
+        assert kept > 0

@@ -112,7 +112,7 @@ class TestExecute:
         )
         assert status == 0
         table = json.loads(out.read_text())
-        assert table["schema_version"] == 1
+        assert table["schema_version"] == 2
         assert len(table["rows"]) == 1
         assert len(table["raw"]) == 1
         row = table["rows"][0]
@@ -196,13 +196,13 @@ class TestExecute:
     def test_stdout_when_no_out_path(self, capsys):
         assert main(["run", "--ds1", "--k", "4", "--seed", "1"]) == 0
         printed = capsys.readouterr().out
-        assert json.loads(printed)["schema_version"] == 1
+        assert json.loads(printed)["schema_version"] == 2
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(tmp_path))
         assert main(["run", "--ds1", "--k", "4", "--seed", "1"]) == 0
         table = json.loads((tmp_path / "results.json").read_text())
-        assert table["schema_version"] == 1
+        assert table["schema_version"] == 2
 
 
 class TestDeterminism:

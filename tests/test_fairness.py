@@ -21,6 +21,11 @@ class TestJainIndex:
     def test_single_nonzero_value(self):
         assert jain_index([1, 0]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_equal_values_outside_the_normal_square_range(self):
+        # squares of these are subnormal or overflow; equal values still score 1
+        assert jain_index([2.1742709344686157e-157] * 2) == pytest.approx(1.0, abs=1e-12)
+        assert jain_index([1e200, 1e200]) == pytest.approx(1.0, abs=1e-12)
+
     def test_all_zero_undefined(self):
         with pytest.raises(UndefinedIndexError):
             jain_index([0.0, 0.0])

@@ -9,16 +9,20 @@ from gameclust import (
     ConfigError,
     Dataset,
     InconsistentStateError,
-    InfeasibleTransferError,
+    LocalGame,
+    Participant,
     RoleAssignment,
+    build_payoff_tensor,
     classify_roles,
     conflicted_games,
     detect_conflict,
     generate_strategy_set,
-    plan_transfer,
     route_requests,
     select_strategies,
 )
+from gameclust.game_engine import _nearest_first, _take_free
+
+from oracles import payoff_costs
 
 
 def clustering_with_loads(loads, gap=100.0):
@@ -179,7 +183,17 @@ class TestConflictedGames:
         assert conflicted_games(c, roles, routing) == []
 
 
+def plan_transfer(ds, c, resource_id, player_id, count, taken=None):
+    """Point indices the nearest-first kernel hands a player from a resource."""
+    member = c.members(resource_id)
+    taken = [False] * len(member) if taken is None else taken
+    order = _nearest_first(ds, c, member, player_id)
+    return member[_take_free(order, taken, count)].tolist()
+
+
 class TestPlanTransfer:
+    """One transfer planned by the nearest-first kernel that tensors and apply share."""
+
     def test_zero_count_empty(self, line20):
         ds, c = line20
         assert plan_transfer(ds, c, 2, 1, 0) == []
@@ -190,6 +204,13 @@ class TestPlanTransfer:
         chosen = plan_transfer(ds, c, 1, 0, 2)
         assert chosen == [1, 2]  # the points at 5 and 6
 
+    def test_taken_points_are_skipped(self):
+        ds = Dataset(points=[[4.0], [5.0], [6.0], [9.0]])
+        c = Clustering.from_assignment(ds, [0, 1, 1, 1], 2)
+        taken = [True, False, False]  # the point at 5 already went to an earlier player
+        assert plan_transfer(ds, c, 1, 0, 2, taken) == [2, 3]
+        assert taken == [True, True, True]
+
     def test_tie_breaks_to_lowest_index(self):
         ds = Dataset(points=[[0.0], [1.0], [-1.0], [5.0]])
         c = Clustering.from_assignment(ds, [0, 1, 1, 1], 2)
@@ -197,7 +218,18 @@ class TestPlanTransfer:
 
     def test_emptying_resource_rejected(self, line20):
         ds, c = line20
-        with pytest.raises(InfeasibleTransferError):
-            plan_transfer(ds, c, 1, 0, 1)  # resource 1 has a single point
-        with pytest.raises(InfeasibleTransferError):
-            plan_transfer(ds, c, 2, 0, 15)
+        points, assignment = ds.points.tolist(), c.assignment.tolist()
+        # resource 1 has a single point: no transfer out of it is feasible
+        lone = LocalGame(resource_id=1, resource_load=1, participants=(Participant(0, 1, (0,)),))
+        assert not build_payoff_tensor(ds, c, lone).feasible.any()
+        assert payoff_costs(points, assignment, 3, 1, [(0, 1, (0,))], (0,)) is None
+        # resource 2 has 15 points: taking all 15 is infeasible, 14 is not
+        drain = LocalGame(
+            resource_id=2, resource_load=15,
+            participants=(Participant(0, 15, generate_strategy_set(15)),),
+        )
+        tensor = build_payoff_tensor(ds, c, drain)
+        assert tensor.feasible.tolist() == [False] + [True] * 14
+        participants = [(0, 15, tuple(range(15)))]
+        assert payoff_costs(points, assignment, 3, 2, participants, (0,)) is None
+        assert payoff_costs(points, assignment, 3, 2, participants, (1,)) is not None

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from gameclust import (
+    PURE_NASH,
     Clustering,
     Dataset,
-    InfeasibleTransferError,
+    EquilibriumResult,
     LocalGame,
     Participant,
+    apply_and_evaluate,
     build_payoff_tensor,
     generate_strategy_set,
-    payoff,
+    objectives,
     select_strategies,
 )
 
@@ -43,6 +45,9 @@ GOLDEN_LINE20 = {
 }
 
 
+LINE20_PARTICIPANTS = [(0, 3, tuple(range(3))), (1, 6, tuple(range(6)))]
+
+
 def line20_game():
     return LocalGame(
         resource_id=2,
@@ -64,8 +69,7 @@ class TestPayoffGolden:
 
     def test_frozen_values_still_match_oracle(self, line20):
         ds, c = line20
-        participants = [(0, 3, tuple(range(3))), (1, 6, tuple(range(6)))]
-        table = payoff_table(ds.points.tolist(), c.assignment.tolist(), 3, 2, participants)
+        table = payoff_table(ds.points.tolist(), c.assignment.tolist(), 3, 2, LINE20_PARTICIPANTS)
         for joint, expected in GOLDEN_LINE20.items():
             assert table[joint] == pytest.approx(expected, rel=1e-12)
 
@@ -74,9 +78,10 @@ class TestPayoffGolden:
         game = line20_game()
         tensor = build_payoff_tensor(ds, c, game)
         for joint in [(0, 0), (1, 3), (2, 5)]:
-            assert payoff(ds, c, game, joint) == pytest.approx(
-                tuple(tensor.costs[joint]), rel=1e-9
+            expected = payoff_costs(
+                ds.points.tolist(), c.assignment.tolist(), 3, 2, LINE20_PARTICIPANTS, joint
             )
+            assert tuple(tensor.costs[joint]) == pytest.approx(tuple(expected), rel=1e-9)
 
     def test_max_forgone_joint_moves_fewest_units(self, line20):
         ds, c = line20
@@ -86,9 +91,12 @@ class TestPayoffGolden:
             for joint in itertools.product(range(3), range(6))
         }
         assert min(moved, key=lambda j: (moved[j], j)) == (2, 5)
-        assert payoff(ds, c, line20_game(), (2, 5)) == pytest.approx(
-            GOLDEN_LINE20[(2, 5)], rel=1e-9
+        expected = payoff_costs(
+            ds.points.tolist(), c.assignment.tolist(), 3, 2, LINE20_PARTICIPANTS, (2, 5)
         )
+        assert tuple(expected) == pytest.approx(GOLDEN_LINE20[(2, 5)], rel=1e-9)
+        tensor = build_payoff_tensor(ds, c, line20_game())
+        assert tuple(tensor.costs[(2, 5)]) == pytest.approx(GOLDEN_LINE20[(2, 5)], rel=1e-9)
 
 
 class TestSingleParticipant:
@@ -126,7 +134,6 @@ class TestTensorShape:
                 Participant(0, 3, select_strategies(generate_strategy_set(3), 2)),
                 Participant(1, 6, select_strategies(generate_strategy_set(6), 2)),
             ),
-            selection_granularity=2,
         )
         tensor = build_payoff_tensor(ds, c, game)
         assert tensor.shape == (2, 4)
@@ -142,7 +149,6 @@ class TestTensorShape:
                     Participant(p.player_id, p.request, select_strategies(p.strategies, ns))
                     for p in line20_game().participants
                 ),
-                selection_granularity=ns,
             )
             pruned = build_payoff_tensor(ds, c, pruned_game)
             assert pruned.joint_count <= full.joint_count
@@ -168,8 +174,9 @@ class TestInfeasibleJoints:
 
     def test_point_payoff_raises_on_infeasible(self):
         ds, c, game = self.make_overdrawn()
-        with pytest.raises(InfeasibleTransferError):
-            payoff(ds, c, game, (0, 0))
+        participants = [(p.player_id, p.request, p.strategies) for p in game.participants]
+        assert payoff_costs(ds.points.tolist(), c.assignment.tolist(), 3, 2, participants, (0, 0)) is None
+        assert not build_payoff_tensor(ds, c, game).feasible[0, 0]
 
     def test_sentinel_above_every_feasible_cost(self):
         # requests big enough that large-transfer joints overdraw the resource
@@ -211,7 +218,8 @@ class TestPurity:
         assignment_before = c.assignment.copy()
         centers_before = c.centers.copy()
         build_payoff_tensor(ds, c, line20_game())
-        payoff(ds, c, line20_game(), (1, 2))
+        eq = EquilibriumResult(joint=(1, 2), kind=PURE_NASH, costs=())
+        apply_and_evaluate(ds, c, objectives(ds, c), [(line20_game(), eq)])
         assert np.array_equal(ds.points, points_before)
         assert np.array_equal(c.assignment, assignment_before)
         assert np.array_equal(c.centers, centers_before)
