@@ -39,6 +39,7 @@ from .errors import (
     GameclustError,
     InconsistentStateError,
     StructuralError,
+    TensorTooLargeError,
     UndefinedIndexError,
 )
 from .fairness import clamp_nonnegative, geometric_mean_index, jain_index
@@ -89,6 +90,7 @@ __all__ = [
     "RunReport",
     "TERMINATIONS",
     "StructuralError",
+    "TensorTooLargeError",
     "UndefinedIndexError",
     "VariantSummary",
     "apply_and_evaluate",

@@ -17,6 +17,10 @@ class InconsistentStateError(GameclustError, RuntimeError):
     """A role configuration that cannot arise from a consistent clustering."""
 
 
+class TensorTooLargeError(GameclustError, ValueError):
+    """A local game whose payoff tensor would exceed the size limit."""
+
+
 class UndefinedIndexError(GameclustError, ValueError):
     """A fairness index is undefined for the given values."""
 

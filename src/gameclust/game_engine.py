@@ -20,10 +20,12 @@ distance of i's own resulting load from the ideal.
 Transfers are simulated in ascending player id against the input
 clustering's centers, and the input is never modified: each player takes
 the resource points nearest its center that no earlier player took, ties
-to the lowest point index.  One kernel codes that rule
-(``_nearest_first`` orders the resource's points, ``_take_free`` takes
-the first free ones), for the payoff tensor and for applied transfers
-alike.
+to the lowest point index.  One kernel codes that rule: ``_nearest_first``
+orders the resource's points for each player, and ``_first_free`` takes
+the first points of that order still free in each of many states at
+once.  ``build_payoff_tensor`` runs it over a whole frontier of joint
+strategy prefixes per level, and ``apply_and_evaluate`` over the one
+state it executes.
 
 Each resource's transfers (its equilibrium, or its covered requests) are
 kept or dropped on their own: ``apply_and_evaluate`` takes resources in
@@ -33,7 +35,9 @@ combined score of both objectives relative to the pre-game state.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -41,10 +45,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Clustering, Dataset, ObjectiveState, Rational, ideal_load, objectives
-from .errors import ConfigError, InconsistentStateError, StructuralError
+from .errors import ConfigError, InconsistentStateError, StructuralError, TensorTooLargeError
 
 PURE_NASH = "pure-nash"
 FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
+
+# Largest payoff tensor a game may ask for, in bytes: 8 per cost and 1 per
+# feasibility flag, for each joint.
+MAX_TENSOR_BYTES = 256 * 2**20
+
+# The tensor build expands at most this many children at once, so its
+# working memory does not grow with the joint count.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -244,134 +256,176 @@ def conflicted_games(
     return games
 
 
-def _nearest_first(dataset: Dataset, clustering: Clustering, member: np.ndarray, player_id: int) -> List[int]:
-    """Positions into ``member`` ordered by (distance to the player's center, point index)."""
-    d2 = ((dataset.points[member] - clustering.centers[player_id]) ** 2).sum(axis=1)
-    return np.lexsort((member, d2)).tolist()
+def _nearest_first(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each center's order over ``points``, nearest first: an (n_centers, m) array of positions.
+
+    Positions are ordered by (squared distance, position), so ties go to
+    the lowest point index when ``points`` are in ascending index order.
+    """
+    d2 = ((points - centers[:, None, :]) ** 2).sum(axis=-1)
+    return d2.argsort(axis=-1, kind="stable")
 
 
-def _take_free(order: Sequence[int], taken: List[bool], count: int) -> List[int]:
-    """The first ``count`` positions of ``order`` not yet taken, now marked taken."""
-    chosen: List[int] = []
-    if count > 0:
-        for pos in order:
-            if not taken[pos]:
-                taken[pos] = True
-                chosen.append(pos)
-                if len(chosen) == count:
-                    break
-    return chosen
+def _first_free(taken: np.ndarray, order: np.ndarray, count: int, most_taken: int) -> np.ndarray:
+    """The first ``count`` positions of ``order`` that each row of ``taken`` leaves free.
+
+    ``taken`` is (rows, m), one row of taken flags per state, and no row
+    has more than ``most_taken`` points taken; ``count`` is at most m.
+    Returns a (rows, count) array of positions.  A row with fewer than
+    ``count`` free points is padded with taken ones, which only a
+    transfer that would empty the resource could reach.
+    """
+    window = order[: count + most_taken]  # every row has ``count`` free entries here, or all of its free ones
+    # a stable sort puts each row's free entries first, in the order's order
+    return window.take(taken.take(window, axis=1).argsort(axis=1, kind="stable")[:, :count])
+
+
+def _square_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, added one dimension at a time."""
+    total = v[..., 0] * v[..., 0]
+    for d in range(1, v.shape[-1]):
+        total = total + v[..., d] * v[..., d]
+    return total
 
 
 def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGame) -> PayoffTensor:
     """Evaluate every joint strategy of a local game.
 
-    Enumerates joints depth-first so that infeasible sub-blocks (where a
-    prefix of transfers already overdraws the resource) are skipped
-    wholesale.  Cluster SSEs are maintained incrementally through
-    per-cluster running sums (SSE = sum of squares - squared sum / n),
-    in plain Python floats to keep the per-joint cost tiny.  Infeasible
-    joints get a sentinel cost of 1 + the maximum feasible cost.
+    Raises ``TensorTooLargeError`` before allocating anything when the
+    tensor (8 bytes per cost and 1 per feasibility flag, for each joint)
+    would exceed ``MAX_TENSOR_BYTES``.  A one-player game has no rival,
+    so every cost is 0 and only the resource's ``load - 1`` cap decides
+    feasibility.
+
+    Other games are built breadth-first, one participant per level, over
+    a frontier of feasible prefixes; a prefix that already overdraws the
+    resource gets no children, so infeasible sub-blocks are skipped
+    wholesale.  A frontier row holds which resource points are taken and,
+    packed in one float row, the running sum, sum of squares and count of
+    the resource and of each participant, and the strategy index of each
+    participant already placed.  A level takes each row's first free
+    points in the participant's nearest-first order (``_first_free``),
+    accumulates them point by point, and keeps the (row, strategy)
+    children that leave the resource at least one point.  A level
+    expands at most ``_BLOCK`` children at once (or one prefix, when a
+    participant has more strategies), so working memory does not grow
+    with the joint count.
+
+    Cluster SSEs come from the running sums (SSE = sum of squares -
+    squared sum / n), and every joint's floats are formed in one fixed
+    order: points added nearest first, squares added one dimension at a
+    time, and the after-SSEs of the resource and then each participant
+    summed in turn.  Infeasible joints get a sentinel cost of 1 + the
+    maximum feasible cost.
     """
-    pts = dataset.points
-    ideal = ideal_load(dataset.n, clustering.k)
-    rid = game.resource_id
     parts = game.participants
+    sizes = tuple(len(p.strategies) for p in parts)
     n_p = len(parts)
-    sizes = game.shape
-    cap = int(clustering.loads[rid]) - 1
+    joint_count = math.prod(sizes)
+    tensor_bytes = joint_count * (8 * n_p + 1)
+    if tensor_bytes > MAX_TENSOR_BYTES:
+        raise TensorTooLargeError(
+            f"the game on resource {game.resource_id} has {joint_count} joints for {n_p} players: "
+            f"a {tensor_bytes}-byte payoff tensor, above the limit of {MAX_TENSOR_BYTES}"
+        )
+    loads = clustering.loads.tolist()
+    rid = game.resource_id
+    m = loads[rid]
+    transfer = np.array([p.request - v for p in parts for v in p.strategies])  # each at least 1
+    if n_p == 1:
+        feasible = transfer < m
+        return PayoffTensor(costs=np.where(feasible, 0.0, 1.0)[:, None], feasible=feasible)
+
+    # [sum, sum of squares, count] of the resource, then of each participant,
+    # over each cluster's points in ascending index order
     dim = dataset.dim
+    width = dim + 2
+    pids = [p.player_id for p in parts]
+    by_cluster = clustering.assignment.argsort(kind="stable")
+    grouped = dataset.points.take(by_cluster, axis=0)
+    squares = grouped * grouped
+    ends = list(itertools.accumulate(loads))
+    base: List[float] = []
+    before: List[float] = []
+    for cid in (rid, *pids):
+        lo, hi = ends[cid] - loads[cid], ends[cid]
+        s = grouped[lo:hi].sum(axis=0).tolist()
+        q = float(squares[lo:hi].sum())
+        base += [*s, q, loads[cid]]
+        before.append(q - sum(v * v for v in s) / loads[cid])
+    before_total = before[0] + sum(before[1:])
+    before_rest = before_total - np.array(before[1:])
+    # own-balance term |load + request - v - ideal|, exact in integers over ideal = num/den
+    ideal = ideal_load(dataset.n, clustering.k)
+    num, den = ideal.numerator, ideal.denominator
+    balance = np.array(
+        [abs(den * (loads[p.player_id] + p.request - v) - num) / den for p in parts for v in p.strategies]
+    )
 
-    member = clustering.members(rid)
-    orders = [_nearest_first(dataset, clustering, member, p.player_id) for p in parts]
-    x_rows = [tuple(float(v) for v in row) for row in pts[member]]
-    x_sq = [sum(v * v for v in row) for row in x_rows]
-
-    def stats(cluster_id: int) -> Tuple[List[float], float, int]:
-        m = clustering.members(cluster_id)
-        p = pts[m]
-        return [float(v) for v in p.sum(axis=0)], float((p * p).sum()), int(m.size)
-
-    def sse_of(s: Sequence[float], q: float, n: int) -> float:
-        return q - sum(v * v for v in s) / n
-
-    base_r = stats(rid)
-    base_p = [stats(p.player_id) for p in parts]
-    before_p = [sse_of(*b) for b in base_p]
-    before_total = sse_of(*base_r) + sum(before_p)
-
-    # per participant: own-balance term and transfer size, per strategy
-    balance = [
-        [float(abs(Fraction(int(clustering.loads[p.player_id]) + p.request - v) - ideal)) for v in p.strategies]
-        for p in parts
+    x = grouped[ends[rid] - m: ends[rid]]
+    orders = _nearest_first(x, clustering.centers.take(pids, axis=0))
+    # per resource point: coordinates, squared norm and a count of 1
+    xq = np.empty((m, width))
+    xq[:, :dim] = x
+    xq[:, dim] = _square_sum(x)
+    xq[:, dim + 1] = 1.0
+    # per level: the participant's transfers and the index of each one's
+    # running sum, how many nearest free points it may take (no feasible
+    # transfer is larger) and their ranks, and the most points taken before it
+    offsets = [0, *itertools.accumulate(sizes)]
+    counts = [min(p.request, m - 1) for p in parts]
+    taken_before = [min(m - 1, prior) for prior in itertools.accumulate([0, *counts[:-1]])]
+    sum_index = transfer - 1
+    levels = [
+        (transfer[lo:hi], sum_index[lo:hi], count, np.arange(count), most_taken)
+        for lo, hi, count, most_taken in zip(offsets, offsets[1:], counts, taken_before)
     ]
-    transfer = [[p.request - v for v in p.strategies] for p in parts]
+    starts = np.array(offsets[:-1])
+    strides = np.array([joint_count // prefix for prefix in itertools.accumulate(sizes, operator.mul)])
 
-    joint_count = 1
-    for s in sizes:
-        joint_count *= s
-    costs_flat = np.zeros(joint_count * n_p, dtype=np.float64)
-    feasible_flat = np.zeros(joint_count, dtype=bool)
-    strides = [0] * n_p
-    acc = 1
-    for j in range(n_p - 1, -1, -1):
-        strides[j] = acc
-        acc *= sizes[j]
+    # frontier row: ``width`` statistics columns for the resource and for each
+    # participant, then one strategy index per participant
+    s_col = (n_p + 1) * width
+    costs = np.zeros((joint_count, n_p))
+    feasible = np.zeros(joint_count, dtype=bool)
 
-    taken = [False] * len(member)
-    p_after: List[Tuple[List[float], float, int]] = [([], 0.0, 0)] * n_p
-    own_balance = [0.0] * n_p
+    def expand(j: int, rows: np.ndarray, taken: np.ndarray) -> None:
+        tv, tv_index, count, ranks, most_taken = levels[j]
+        step = max(1, _BLOCK // len(tv))
+        for lo in range(0, len(rows), step):
+            block, block_taken = rows[lo: lo + step], taken[lo: lo + step]
+            pos = _first_free(block_taken, orders[j], count, most_taken)
+            r, si = (tv < block[:, dim + 1, None]).nonzero()  # the children that leave a point
+            k = tv_index.take(si)
+            moved = xq.take(pos, axis=0).cumsum(axis=1)[r, k]
+            child = block.take(r, axis=0)
+            child[:, :width] -= moved
+            child[:, (j + 1) * width: (j + 2) * width] += moved
+            child[:, s_col + j] = si
+            if j + 1 < n_p:
+                child_taken = block_taken.take(r, axis=0)
+                new = ranks <= k[:, None]
+                child_taken[new.nonzero()[0], pos.take(r, axis=0)[new]] = True
+                expand(j + 1, child, child_taken)
+                continue
+            stats = child[:, :s_col].reshape(len(child), n_p + 1, width)
+            after = stats[..., dim] - _square_sum(stats[..., :dim]) / stats[..., dim + 1]
+            after_total = after[:, 0]
+            for i in range(1, n_p + 1):
+                after_total = after_total + after[:, i]
+            dsse = abs((after_total[:, None] - after[:, 1:]) - before_rest)
+            joint = child[:, s_col:].astype(np.intp)
+            flat = joint @ strides
+            costs[flat] = np.sqrt(dsse * balance.take(joint + starts))
+            feasible[flat] = True
 
-    def descend(j: int, total: int, flat: int, r_s: List[float], r_q: float, r_n: int) -> None:
-        if j == n_p:
-            after_total = r_q - sum(v * v for v in r_s) / r_n
-            after_each = []
-            for s, q, n in p_after:
-                a = q - sum(v * v for v in s) / n
-                after_each.append(a)
-                after_total += a
-            feasible_flat[flat] = True
-            if n_p >= 2:
-                base = flat * n_p
-                for i in range(n_p):
-                    dsse = (after_total - after_each[i]) - (before_total - before_p[i])
-                    if dsse < 0.0:
-                        dsse = -dsse
-                    costs_flat[base + i] = math.sqrt(dsse * own_balance[i])
-            return
-        order = orders[j]
-        stride = strides[j]
-        base_s, base_q, base_n = base_p[j]
-        for si in range(len(parts[j].strategies)):
-            t = transfer[j][si]
-            new_total = total + t
-            if new_total > cap:
-                continue  # this branch (and only it) stays infeasible
-            chosen = _take_free(order, taken, t)
-            d_s = [0.0] * dim
-            d_q = 0.0
-            for pos in chosen:
-                row = x_rows[pos]
-                for dd in range(dim):
-                    d_s[dd] += row[dd]
-                d_q += x_sq[pos]
-            p_after[j] = ([base_s[dd] + d_s[dd] for dd in range(dim)], base_q + d_q, base_n + t)
-            own_balance[j] = balance[j][si]
-            descend(
-                j + 1, new_total, flat + si * stride,
-                [r_s[dd] - d_s[dd] for dd in range(dim)], r_q - d_q, r_n - t,
-            )
-            for pos in chosen:
-                taken[pos] = False
+    root = np.zeros((1, s_col + n_p))
+    root[0, :s_col] = base
+    expand(0, root, np.zeros((1, m), dtype=bool))
 
-    descend(0, 0, 0, list(base_r[0]), base_r[1], base_r[2])
-
-    costs = costs_flat.reshape(sizes + (n_p,))
-    feasible = feasible_flat.reshape(sizes)
     if not feasible.all():
-        max_feasible = float(costs[feasible].max()) if feasible.any() else 0.0
-        costs[~feasible] = max_feasible + 1.0
-    return PayoffTensor(costs=costs, feasible=feasible)
+        costs[~feasible] = costs.max(initial=0.0, where=feasible[:, None]) + 1.0
+    return PayoffTensor(costs=costs.reshape(sizes + (n_p,)), feasible=feasible.reshape(sizes))
 
 
 def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
@@ -444,12 +498,16 @@ def apply_and_evaluate(
         # Points only leave their own resource, so its members are the same
         # in the kept state as in the input clustering.
         member = clustering.members(rid)
-        taken = [False] * len(member)
+        moves = transfers[rid]
+        orders = _nearest_first(dataset.points[member], clustering.centers[[pid for pid, _ in moves]])
+        taken = np.zeros((1, len(member)), dtype=bool)
         assignment = kept.assignment.copy()
-        for pid, count in transfers[rid]:
-            if count > 0:
-                chosen = _take_free(_nearest_first(dataset, clustering, member, pid), taken, count)
-                assignment[member[chosen]] = pid
+        done = 0
+        for (pid, count), order in zip(moves, orders):
+            chosen = _first_free(taken, order, count, done)[0]
+            taken[0, chosen] = True
+            assignment[member[chosen]] = pid
+            done += count
         candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
         state = objectives(dataset, candidate, pre.ideal_load)
         if _improves(pre, kept_state, state):

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written straight-line over plain Python
 lists, without reusing any engine code paths, so tests can compare the
-engine against genuinely independent computations.
+engine against genuinely independent computations.  The depth-first
+payoff tensor calls numpy only for the cluster sums and distance orders
+whose floats the engine must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def sse_with_centers(points, assignment, centers):
@@ -136,3 +140,100 @@ def tensor_as_dict(costs_array):
         joint: [float(costs_array[joint + (i,)]) for i in range(costs_array.shape[-1])]
         for joint in itertools.product(*(range(s) for s in sizes))
     }
+
+
+def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
+    """Reference payoff tensor: the depth-first build, one joint at a time.
+
+    ``points`` is an (n, dim) float array, ``assignment`` the cluster id of
+    each point, ``centers`` the (k, dim) cluster centers the players take
+    their nearest points by, ``participants`` a list of (player_id,
+    request, strategies).
+    Returns (costs, feasible) with the shapes of ``PayoffTensor``.  Every
+    float is computed in the order the engine must reproduce bit for bit:
+    cluster sums with numpy's ``sum(axis=0)`` and ``(p * p).sum()``, squares
+    added one dimension at a time, transfers accumulated point by point
+    nearest first, and each leaf's SSE totals summed in participant order.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    assign = np.asarray(assignment)
+    ideal = Fraction(len(pts), len(centers))
+    n_p = len(participants)
+    sizes = tuple(len(s) for _, _, s in participants)
+    member = np.flatnonzero(assign == resource_id)
+    cap = int(member.size) - 1
+    dim = pts.shape[1]
+
+    def nearest_first(pid):
+        d2 = ((pts[member] - np.asarray(centers)[pid]) ** 2).sum(axis=1)
+        return np.lexsort((member, d2)).tolist()
+
+    def stats(cluster_id):
+        p = pts[assign == cluster_id]
+        return [float(v) for v in p.sum(axis=0)], float((p * p).sum()), int(p.shape[0])
+
+    def sse_of(s, q, n):
+        return q - sum(v * v for v in s) / n
+
+    orders = [nearest_first(pid) for pid, _, _ in participants]
+    x_rows = [tuple(float(v) for v in row) for row in pts[member]]
+    x_sq = [sum(v * v for v in row) for row in x_rows]
+    base_r = stats(resource_id)
+    base_p = [stats(pid) for pid, _, _ in participants]
+    before_p = [sse_of(*b) for b in base_p]
+    before_total = sse_of(*base_r) + sum(before_p)
+    balance = [
+        [float(abs(Fraction(int(np.count_nonzero(assign == pid)) + request - v) - ideal)) for v in strategies]
+        for pid, request, strategies in participants
+    ]
+    transfer = [[request - v for v in strategies] for _, request, strategies in participants]
+
+    costs = np.zeros(sizes + (n_p,))
+    feasible = np.zeros(sizes, dtype=bool)
+    taken = [False] * len(member)
+    p_after = [None] * n_p
+    own_balance = [0.0] * n_p
+    joint = [0] * n_p
+
+    def descend(j, total, r_s, r_q, r_n):
+        if j == n_p:
+            after_total = r_q - sum(v * v for v in r_s) / r_n
+            after_each = []
+            for s, q, n in p_after:
+                a = q - sum(v * v for v in s) / n
+                after_each.append(a)
+                after_total += a
+            feasible[tuple(joint)] = True
+            if n_p >= 2:
+                for i in range(n_p):
+                    dsse = abs((after_total - after_each[i]) - (before_total - before_p[i]))
+                    costs[tuple(joint) + (i,)] = math.sqrt(dsse * own_balance[i])
+            return
+        base_s, base_q, base_n = base_p[j]
+        for si, t in enumerate(transfer[j]):
+            if total + t > cap:
+                continue
+            chosen = []
+            for pos in orders[j]:
+                if len(chosen) == t:
+                    break
+                if not taken[pos]:
+                    taken[pos] = True
+                    chosen.append(pos)
+            d_s = [0.0] * dim
+            d_q = 0.0
+            for pos in chosen:
+                for dd in range(dim):
+                    d_s[dd] += x_rows[pos][dd]
+                d_q += x_sq[pos]
+            p_after[j] = ([base_s[dd] + d_s[dd] for dd in range(dim)], base_q + d_q, base_n + t)
+            own_balance[j] = balance[j][si]
+            joint[j] = si
+            descend(j + 1, total + t, [r_s[dd] - d_s[dd] for dd in range(dim)], r_q - d_q, r_n - t)
+            for pos in chosen:
+                taken[pos] = False
+
+    descend(0, 0, list(base_r[0]), base_r[1], base_r[2])
+    if not feasible.all():
+        costs[~feasible] = (float(costs[feasible].max()) if feasible.any() else 0.0) + 1.0
+    return costs, feasible

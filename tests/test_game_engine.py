@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from gameclust import (
     route_requests,
     select_strategies,
 )
-from gameclust.game_engine import _nearest_first, _take_free
+from gameclust.game_engine import _first_free, _nearest_first
 
 from oracles import payoff_costs
 
@@ -184,11 +185,18 @@ class TestConflictedGames:
 
 
 def plan_transfer(ds, c, resource_id, player_id, count, taken=None):
-    """Point indices the nearest-first kernel hands a player from a resource."""
+    """Point indices the nearest-first kernel hands a player from a resource.
+
+    ``taken`` flags resource positions already handed out; the chosen
+    positions are flagged in it too.
+    """
     member = c.members(resource_id)
     taken = [False] * len(member) if taken is None else taken
-    order = _nearest_first(ds, c, member, player_id)
-    return member[_take_free(order, taken, count)].tolist()
+    (order,) = _nearest_first(ds.points[member], c.centers[[player_id]])
+    chosen = _first_free(np.array([taken]), order, count, sum(taken))[0]
+    for pos in chosen:
+        taken[pos] = True
+    return member[chosen].tolist()
 
 
 class TestPlanTransfer:

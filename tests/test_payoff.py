@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from gameclust import (
     EquilibriumResult,
     LocalGame,
     Participant,
+    TensorTooLargeError,
     apply_and_evaluate,
     build_payoff_tensor,
     generate_strategy_set,
     objectives,
     select_strategies,
 )
+from gameclust import game_engine
+from gameclust.cli import main
 
-from oracles import payoff_costs, payoff_table
+from oracles import payoff_costs, payoff_table, payoff_tensor_dfs
 
 # Reference costs for the 20-point line instance (loads [4, 1, 15],
 # ideal 20/3): players request 3 and 6 from the 15-point resource.
@@ -261,3 +265,119 @@ class TestRandomCrossCheck:
                 else:
                     assert tensor.feasible[joint]
                     assert tensor.costs[joint] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def reference_tensor(ds, c, game):
+    """The depth-first reference build of one game."""
+    return payoff_tensor_dfs(
+        ds.points, c.assignment, c.centers, game.resource_id,
+        [(p.player_id, p.request, p.strategies) for p in game.participants],
+    )
+
+
+class TestTensorMatchesDepthFirstReference:
+    """The breadth-first build reproduces the depth-first reference bit for bit."""
+
+    # largest request per player count, so the reference stays quick
+    MAX_REQUEST = {1: 16, 2: 12, 3: 8, 4: 6, 5: 5}
+
+    def random_game(self, rng, dim, grid, n_players, pruned):
+        m = int(rng.integers(2, 14))
+        loads = [m] + rng.integers(1, 4, size=n_players).tolist()
+        k = len(loads)
+        if grid:
+            # few distinct coordinates: many points at equal distance from a center
+            points = rng.integers(0, 3, size=(sum(loads), dim)).astype(float)
+        else:
+            offsets = np.repeat(rng.normal(0.0, 3.0, size=(k, dim)), loads, axis=0)
+            points = rng.normal(size=(sum(loads), dim)) + offsets
+        assignment = rng.permutation(np.repeat(np.arange(k), loads))  # clusters interleave
+        ds = Dataset(points=points)
+        c = Clustering.from_assignment(ds, assignment, k)
+        participants = []
+        for pid in range(1, k):
+            request = int(rng.integers(1, self.MAX_REQUEST[n_players] + 1))
+            strategies = generate_strategy_set(request)
+            if pruned:
+                strategies = select_strategies(strategies, int(rng.integers(2, 5)))
+            participants.append(Participant(pid, request, strategies))
+        return ds, c, LocalGame(resource_id=0, resource_load=m, participants=tuple(participants))
+
+    @staticmethod
+    def leaves_too_few_points(game):
+        """True when a feasible prefix leaves fewer free points than a later player's largest transfer."""
+        m = game.resource_load
+        prior = 0
+        for p in game.participants:
+            if min(m - 1, prior) > m - p.request:
+                return True
+            prior += p.request
+        return False
+
+    def test_random_games_bit_identical(self):
+        rng = np.random.default_rng(20240611)
+        short = 0
+        for dim, grid, n_players, pruned in itertools.product(
+            (1, 2, 3), (False, True), (1, 2, 3, 4, 5), (False, True)
+        ):
+            ds, c, game = self.random_game(rng, dim, grid, n_players, pruned)
+            tensor = build_payoff_tensor(ds, c, game)
+            costs, feasible = reference_tensor(ds, c, game)
+            case = (dim, grid, n_players, pruned, game.shape)
+            assert np.array_equal(tensor.feasible, feasible), case
+            assert np.array_equal(tensor.costs, costs), case
+            short += self.leaves_too_few_points(game)
+        assert short >= 10  # the padded first-free rows are exercised
+
+    def test_game_larger_than_a_block(self):
+        rng = np.random.default_rng(7)
+        loads = [70, 3, 4, 5]
+        points = rng.normal(size=(sum(loads), 2)) + np.repeat([[0, 0], [4, 0], [0, 4], [4, 4]], loads, axis=0)
+        ds = Dataset(points=points)
+        c = Clustering.from_assignment(ds, np.repeat(np.arange(4), loads), 4)
+        game = LocalGame(
+            resource_id=0, resource_load=70,
+            participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in (1, 2, 3)),
+        )
+        tensor = build_payoff_tensor(ds, c, game)
+        assert tensor.joint_count > game_engine._BLOCK
+        costs, feasible = reference_tensor(ds, c, game)
+        assert np.array_equal(tensor.feasible, feasible)
+        assert np.array_equal(tensor.costs, costs)
+
+
+class TestSizeGuard:
+    def huge_game(self):
+        # twenty players with twenty strategies each: 20**20 joints
+        loads = [50] + [1] * 20
+        ds = Dataset(points=[[float(cid)] for cid, load in enumerate(loads) for _ in range(load)])
+        c = Clustering.from_assignment(ds, np.repeat(np.arange(21), loads), 21)
+        game = LocalGame(
+            resource_id=0, resource_load=50,
+            participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in range(1, 21)),
+        )
+        return ds, c, game
+
+    def test_huge_game_raises_before_allocating(self):
+        ds, c, game = self.huge_game()
+        assert np.prod(game.shape, dtype=object) == 20**20
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorTooLargeError):
+                build_payoff_tensor(ds, c, game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_limit_admits_the_largest_acceptance_game(self):
+        # ds1, k=8, run seed 0 plays a (12, 6, 7, 11, 5, 12, 4) game
+        assert 1_330_560 * (8 * 7 + 1) <= game_engine.MAX_TENSOR_BYTES
+
+    def test_cli_exits_2_on_a_game_above_the_limit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(game_engine, "MAX_TENSOR_BYTES", 100)
+        out = tmp_path / "r.json"
+        status = main(["run", "--ds1", "--k", "8", "--seed", "1", "--out", str(out)])
+        assert status == 2
+        assert "payoff tensor" in capsys.readouterr().err
+        assert not out.exists()
