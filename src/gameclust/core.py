@@ -149,6 +149,26 @@ def _check_consistent(dataset: Dataset, clustering: Clustering) -> None:
         )
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and of ``b``: a (len(a), len(b)) array.
+
+    The squares are added one dimension at a time, in dimension order,
+    into one output array, with one scratch array for each dimension's
+    differences; no (len(a), len(b), dim) temporary is built.  Up to 7
+    dimensions this is bit-identical to ``((a[:, None] - b[None]) ** 2).sum(-1)``;
+    from 8 on numpy's ``sum`` adds 8-way unrolled, so the last bits of
+    that form can differ from this one.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.multiply(out, out, out=out)
+    scratch = np.empty_like(out)
+    for d in range(1, a.shape[1]):
+        np.subtract.outer(a[:, d], b[:, d], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    return out
+
+
 def sse(dataset: Dataset, clustering: Clustering) -> float:
     """Sum of squared Euclidean distances from points to their assigned centers."""
     _check_consistent(dataset, clustering)

@@ -117,8 +117,9 @@ class RunReport:
 
 
 def _balanced(clustering: Clustering, ideal: Fraction) -> bool:
-    """Integer-feasible balance: every load within one unit of the ideal."""
-    return all(abs(Fraction(int(l)) - ideal) < 1 for l in clustering.loads)
+    """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
+    p, q = ideal.numerator, ideal.denominator
+    return all(abs(q * l - p) < q for l in clustering.loads.tolist())
 
 
 def _play_games(

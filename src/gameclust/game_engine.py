@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset, ObjectiveState, Rational, ideal_load, objectives
+from .core import Clustering, Dataset, ObjectiveState, Rational, ideal_load, objectives, squared_distances
 from .errors import ConfigError, InconsistentStateError, StructuralError, TensorTooLargeError
 
 PURE_NASH = "pure-nash"
@@ -123,7 +123,8 @@ class PayoffTensor:
         f = np.asarray(self.feasible, dtype=bool)
         if c.ndim < 2 or c.shape[:-1] != f.shape:
             raise StructuralError("costs must have shape (*joint_shape, n_participants)")
-        if not np.all(np.isfinite(c)) or c.min(initial=0.0) < 0:
+        # two reductions, no temporary per cost; NaN fails the first comparison
+        if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0))):
             raise StructuralError("costs must be finite and nonnegative")
         c.flags.writeable = False
         f.flags.writeable = False
@@ -157,17 +158,19 @@ def classify_roles(clustering: Clustering, ideal: Rational) -> RoleAssignment:
 
     Requests round up and spare units round down, so transfers stay whole
     points and the split biases toward reaching balance.  Clusters at the
-    ideal load are neither.
+    ideal load are neither.  With ideal = p/q, every test and rounding is
+    done exactly in integers on q * load - p.
     """
     ideal_f = Fraction(ideal)
+    p, q = ideal_f.numerator, ideal_f.denominator
     players: List[Tuple[int, int]] = []
     resources: List[Tuple[int, int]] = []
-    for cid, load in enumerate(clustering.loads):
-        load_f = Fraction(int(load))
-        if load_f < ideal_f:
-            players.append((cid, int(math.ceil(ideal_f - load_f))))
-        elif load_f > ideal_f:
-            resources.append((cid, int(math.floor(load_f - ideal_f))))
+    for cid, load in enumerate(clustering.loads.tolist()):
+        excess = q * load - p  # q * (load - ideal), exact in integers
+        if excess < 0:
+            players.append((cid, (q - 1 - excess) // q))
+        elif excess > 0:
+            resources.append((cid, excess // q))
     return RoleAssignment(players=tuple(players), resources=tuple(resources))
 
 
@@ -183,11 +186,11 @@ def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, L
     if not roles.players:
         return routing
     resource_ids = np.array([rid for rid, _ in roles.resources], dtype=np.int64)
-    resource_centers = clustering.centers[resource_ids]
-    for pid, request in roles.players:
-        d2 = ((resource_centers - clustering.centers[pid]) ** 2).sum(axis=1)
-        nearest = int(resource_ids[np.argmin(d2)])  # first minimum == lowest resource id
-        routing[nearest].append((pid, request))
+    player_ids = np.array([pid for pid, _ in roles.players], dtype=np.int64)
+    d2 = squared_distances(clustering.centers[player_ids], clustering.centers[resource_ids])
+    nearest = resource_ids[d2.argmin(axis=1)].tolist()  # first minimum == lowest resource id
+    for (pid, request), rid in zip(roles.players, nearest):
+        routing[rid].append((pid, request))
     return routing
 
 
@@ -262,8 +265,7 @@ def _nearest_first(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Positions are ordered by (squared distance, position), so ties go to
     the lowest point index when ``points`` are in ascending index order.
     """
-    d2 = ((points - centers[:, None, :]) ** 2).sum(axis=-1)
-    return d2.argsort(axis=-1, kind="stable")
+    return squared_distances(centers, points).argsort(axis=-1, kind="stable")
 
 
 def _first_free(taken: np.ndarray, order: np.ndarray, count: int, most_taken: int) -> np.ndarray:

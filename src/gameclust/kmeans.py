@@ -9,6 +9,15 @@ Determinism contract: the seeded generator is numpy's PCG64 (via
 points drawn without replacement with ``Generator.choice``.  Points
 equidistant to several centers go to the lowest cluster index, so a
 fixed (dataset, seed, k) reproduces the same run bit for bit.
+
+Distances come from ``core.squared_distances``, the one pairwise
+distance kernel that every nearest-center query in the package uses.
+It adds the squared differences one dimension at a time, in dimension
+order, the order ``game_engine`` also uses for the sums of squares in
+its payoffs.  Up to 7 dimensions its distances are bit-identical to the
+broadcast ``((x[:, None] - c[None]) ** 2).sum(-1)``; from 8 dimensions
+on, numpy's ``sum`` adds 8-way unrolled, so the last bits can differ
+from that form (the nearest centers matched in every trial).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset
+from .core import Clustering, Dataset, squared_distances
 from .errors import ConfigError, StructuralError
 
 
@@ -66,19 +75,20 @@ def lloyd_iteration(dataset: Dataset, centers: Sequence[Sequence[float]]) -> Clu
     """
     c = _as_centers(dataset, centers)
     k = c.shape[0]
-    d2 = ((dataset.points[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    d2 = squared_distances(dataset.points, c)
     assignment = np.argmin(d2, axis=1)  # first minimum == lowest cluster index
     loads = np.bincount(assignment, minlength=k)
-    own_d2 = d2[np.arange(dataset.n), assignment]
-    for empty in np.flatnonzero(loads == 0):
+    empties = np.flatnonzero(loads == 0)
+    if empties.size:
+        own_d2 = d2[np.arange(dataset.n), assignment]
+    for empty in empties:
         donors = np.flatnonzero(loads[assignment] >= 2)
         if donors.size == 0:
             raise StructuralError("cannot repair empty cluster: no cluster can spare a point")
         move = donors[np.argmax(own_d2[donors])]  # first max == lowest point index
         loads[assignment[move]] -= 1
         assignment[move] = empty
-        loads[empty] += 1
-        own_d2[move] = 0.0  # now alone at its new center's seed position
+        loads[empty] += 1  # 1: the moved point is never a donor again
     return Clustering.from_assignment(dataset, assignment, k)
 
 

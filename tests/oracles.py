@@ -3,8 +3,8 @@
 Everything here is deliberately written straight-line over plain Python
 lists, without reusing any engine code paths, so tests can compare the
 engine against genuinely independent computations.  The depth-first
-payoff tensor calls numpy only for the cluster sums and distance orders
-whose floats the engine must reproduce bit for bit.
+payoff tensor and the broadcast distance form call numpy only for the
+sums and distances whose floats the engine must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,37 @@ def cluster_sse(points, assignment, cluster_id):
     members = [p for p, a in zip(points, assignment) if a == cluster_id]
     center = cluster_mean(points, assignment, cluster_id)
     return sum(sum((x - c) ** 2 for x, c in zip(m, center)) for m in members)
+
+
+def squared_distances_broadcast(a, b):
+    """Pairwise squared distances through one (len(a), len(b), dim) temporary, summed by numpy.
+
+    Below 8 dimensions numpy adds the last axis one dimension at a time,
+    in order, which the engine's per-dimension kernel must match bit for bit.
+    """
+    return ((np.asarray(a)[:, None, :] - np.asarray(b)[None, :, :]) ** 2).sum(axis=-1)
+
+
+def roles_fraction(loads, ideal):
+    """(players, resources) from Fraction arithmetic, one Fraction per cluster.
+
+    A cluster below the ideal is a player requesting ceil(ideal - load)
+    units; one above it is a resource sparing floor(load - ideal).
+    """
+    ideal = Fraction(ideal)
+    players, resources = [], []
+    for cid, load in enumerate(loads):
+        load = Fraction(load)
+        if load < ideal:
+            players.append((cid, math.ceil(ideal - load)))
+        elif load > ideal:
+            resources.append((cid, math.floor(load - ideal)))
+    return tuple(players), tuple(resources)
+
+
+def balanced_fraction(loads, ideal):
+    """True when every load lies within one unit of the ideal, in Fraction arithmetic."""
+    return all(abs(Fraction(load) - Fraction(ideal)) < 1 for load in loads)
 
 
 def simulate_transfers(points, assignment, resource_id, moves):

@@ -17,8 +17,9 @@ from gameclust import (
     objectives,
     sse,
 )
+from gameclust.core import squared_distances
 
-from oracles import sse_with_centers
+from oracles import squared_distances_broadcast, sse_with_centers
 
 
 class TestIdealLoad:
@@ -177,3 +178,57 @@ class TestDatasetAndClustering:
         ds = Dataset(points=[[0.0], [1.0]])
         with pytest.raises(StructuralError):
             Clustering.from_assignment(ds, [0, 2], 2)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_bitwise_equal_to_broadcast_form(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 400)), int(rng.integers(1, 21))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a = rng.normal(size=(n, dim)) * scale + rng.normal(size=dim) * scale
+            b = rng.normal(size=(k, dim)) * scale
+            got = squared_distances(a, b)
+            assert got.shape == (n, k)
+            assert np.array_equal(got, squared_distances_broadcast(a, b))
+
+    def test_full_size_instance(self):
+        rng = np.random.default_rng(3000)
+        a, b = rng.uniform(-1e3, 1e3, size=(3000, 2)), rng.uniform(-1e3, 1e3, size=(20, 2))
+        assert np.array_equal(squared_distances(a, b), squared_distances_broadcast(a, b))
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_integer_grid_with_ties(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        a = rng.integers(-4, 5, size=(200, dim)).astype(float) * 0.5
+        b = rng.integers(-4, 5, size=(9, dim)).astype(float) * 0.5
+        got = squared_distances(a, b)
+        expected = squared_distances_broadcast(a, b)
+        assert np.array_equal(got, expected)
+        # the grid makes rows with several nearest centers; the first wins in both
+        assert any(np.count_nonzero(row == row.min()) > 1 for row in got)
+        assert np.array_equal(got.argmin(axis=1), expected.argmin(axis=1))
+
+    def test_one_center_and_one_point(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(50, 3)), rng.normal(size=(1, 3))
+        assert np.array_equal(squared_distances(a, b), squared_distances_broadcast(a, b))
+        assert np.array_equal(squared_distances(b, a), squared_distances_broadcast(b, a))
+        assert squared_distances(b, b).tolist() == [[0.0]]
+
+    def test_argmin_ties_go_to_lowest_center(self):
+        points = np.array([[0.0, 0.0], [1.0, 1.0]])
+        centers = np.array([[2.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        d2 = squared_distances(points, centers)
+        assert d2.tolist() == [[5.0, 1.0, 1.0, 1.0], [1.0, 5.0, 1.0, 1.0]]
+        assert d2.argmin(axis=1).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("dim", [8, 9, 16])
+    def test_eight_dimensions_and_more_within_rounding(self, dim):
+        # numpy's sum adds 8 or more terms unrolled, so only the last bits may differ
+        rng = np.random.default_rng(dim)
+        a, b = rng.normal(size=(300, dim)), rng.normal(size=(12, dim))
+        got, expected = squared_distances(a, b), squared_distances_broadcast(a, b)
+        assert np.allclose(got, expected, rtol=dim * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(got.argmin(axis=1), expected.argmin(axis=1))

@@ -21,9 +21,10 @@ from gameclust import (
     route_requests,
     select_strategies,
 )
+from gameclust.drivers import _balanced
 from gameclust.game_engine import _first_free, _nearest_first
 
-from oracles import payoff_costs
+from oracles import balanced_fraction, payoff_costs, roles_fraction
 
 
 def clustering_with_loads(loads, gap=100.0):
@@ -62,6 +63,19 @@ class TestClassifyRoles:
         roles = classify_roles(c, Fraction(20, 3))
         assert roles.players == ((0, 3), (1, 6))
         assert roles.resources == ((2, 8),)
+
+    @given(
+        st.lists(st.integers(1, 120), min_size=1, max_size=12),
+        st.integers(1, 2000),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_rules_match_fraction_reference(self, loads, n, k):
+        ideal = Fraction(n, k)
+        _, c = clustering_with_loads(loads)
+        roles = classify_roles(c, ideal)
+        assert (roles.players, roles.resources) == roles_fraction(loads, ideal)
+        assert _balanced(c, ideal) == balanced_fraction(loads, ideal)
 
 
 class TestRouteRequests:

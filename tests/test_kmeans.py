@@ -74,6 +74,19 @@ class TestLloydIteration:
         # lowest point index (0) moves into the empty cluster
         assert c.assignment.tolist() == [2, 0, 1, 1]
 
+    def test_two_empty_clusters_repaired_in_turn(self):
+        # points 0-2 sit around center 0 (distances 1, 0, 1), points 3-4
+        # around center 1 (distances 9, 4); centers 2 and 3 attract nothing
+        ds = Dataset(points=[[0.0], [1.0], [2.0], [8.0], [13.0]])
+        c = lloyd_iteration(ds, [[1.0], [11.0], [100.0], [200.0]])
+        # cluster 2 takes the farthest point, 3; that leaves cluster 1 one
+        # point and point 3 alone in cluster 2, so neither can be taken
+        # again, and cluster 3 takes the farthest point left in cluster 0,
+        # the lowest index of the tie at distance 1
+        assert c.assignment.tolist() == [3, 0, 0, 2, 1]
+        assert c.loads.tolist() == [2, 1, 1, 1]
+        assert c.centers.ravel().tolist() == [1.5, 13.0, 8.0, 0.0]
+
     def test_sse_non_increasing(self, ds1):
         centers = init_centers(ds1, KMeansConfig(k=6, seed=11))
         previous = None

@@ -11,6 +11,8 @@ from gameclust import (
     EquilibriumResult,
     LocalGame,
     Participant,
+    PayoffTensor,
+    StructuralError,
     TensorTooLargeError,
     apply_and_evaluate,
     build_payoff_tensor,
@@ -120,6 +122,21 @@ class TestSingleParticipant:
         assert tensor.costs[(0, 0)] == pytest.approx(expected[0], abs=1e-12)
         # without rivals nothing they touched changes, so the cost is zero
         assert tensor.costs[(0, 0)] == 0.0
+
+
+class TestPayoffTensorValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_non_finite_or_negative_cost_rejected(self, bad):
+        costs = np.ones((3, 2, 2))
+        costs[1, 0, 1] = bad
+        with pytest.raises(StructuralError):
+            PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
+
+    def test_zero_and_finite_costs_accepted(self):
+        costs = np.zeros((3, 2, 2))
+        costs[2, 1, 0] = np.finfo(float).max
+        tensor = PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
+        assert tensor.shape == (3, 2)
 
 
 class TestTensorShape:
