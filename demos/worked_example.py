@@ -55,11 +55,13 @@ print(f"\npayoff tensor: {tensor.shape} joints x {tensor.n_participants} costs "
       f"({tensor.joint_count} entries)")
 equilibrium = find_pure_nash(tensor)
 print("equilibrium:", equilibrium.kind, "at joint", equilibrium.joint)
-forgone = [p.strategies[i] for p, i in zip(game.participants, equilibrium.joint)]
-print("units forgone:", forgone, "-> units transferred:",
-      [p.request - f for p, f in zip(game.participants, forgone)])
+print("units forgone:", [p.strategies[i] for p, i in zip(game.participants, equilibrium.joint)])
+transfers = game.transfers(equilibrium.joint)
+print("units transferred (player, units):", transfers)
 
-new_clustering, accepted, after = apply_and_evaluate(dataset, clustering, before, [(game, equilibrium)])
+new_clustering, accepted, after = apply_and_evaluate(
+    dataset, clustering, before, {game.resource_id: transfers}
+)
 print("\nreallocation accepted?" , accepted)
 print("loads afterwards:", new_clustering.loads.tolist())
 print("SSE:", round(after.sse, 3), " L:", round(after.load_metric, 3))

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``run``   -- one algorithm, one k, one seed; emits a one-row table.
+* ``run``   -- one algorithm, one k, one ns, one seed; emits a one-row table.
 * ``bench`` -- full (algorithm x ns x k) grid over repeated paired seeds.
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
@@ -144,6 +144,10 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
             parser.error(f"--ns: values must be >= 0, got {v}")
     ns_values = tuple(None if v == 0 else v for v in ns_raw)
     seed_list = _parse_int_list(str(args.seed), "--seed", parser)
+    if args.subcommand == "run":
+        for flag, values in (("--k", k_values), ("--algo", algorithms), ("--ns", ns_raw), ("--seed", seed_list)):
+            if len(values) > 1:
+                parser.error(f"{flag}: run takes one value, got {len(values)}; use bench for a grid")
     reps = getattr(args, "reps", 1)
     if reps < 1:
         parser.error(f"--reps: must be >= 1, got {reps}")

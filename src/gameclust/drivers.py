@@ -29,8 +29,6 @@ from .core import (
 )
 from .errors import ConfigError
 from .game_engine import (
-    EquilibriumResult,
-    LocalGame,
     apply_and_evaluate,
     build_payoff_tensor,
     classify_roles,
@@ -132,28 +130,26 @@ def _play_games(
     """Formulate, solve and apply the game phase of one iteration.
 
     ``pre`` holds the objectives of ``clustering``, the post-Lloyd state.
-    A balanced clustering plays no games.  Otherwise conflicted resources
-    play their games; the requests routed to every other resource are
-    covered by its spare units and served in full.  ``apply_and_evaluate``
-    keeps or drops each resource's transfers on their own.  Returns the
-    end state, its objectives and the iteration's record, whose
-    reallocation score is the combined score of the kept reallocation
-    relative to ``pre`` (None when nothing was kept or a pre-game term is
-    zero).
+    A balanced clustering plays no games.  Otherwise (it then has both
+    players and resources, as the loads' excesses over the ideal sum to
+    zero) one transfer plan starts from the routing, every request served
+    in full, and takes each conflicted resource's transfers from its
+    game's equilibrium.  ``apply_and_evaluate`` executes the plan, keeping
+    or dropping each resource's transfers on their own.  Returns the end
+    state, its objectives and the iteration's record, whose reallocation
+    score is the combined score of the kept reallocation relative to
+    ``pre`` (None when nothing was kept or a pre-game term is zero).
     """
     end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
-    roles = None if _balanced(clustering, pre.ideal_load) else classify_roles(clustering, pre.ideal_load)
-    if roles is not None and roles.players and roles.resources:
+    if not _balanced(clustering, pre.ideal_load):
+        roles = classify_roles(clustering, pre.ideal_load)
         routing = route_requests(roles, clustering)
-        games = conflicted_games(clustering, roles, routing, ns)
-        in_game = {game.resource_id for game in games}
-        covered = {rid: routed for rid, routed in routing.items() if routed and rid not in in_game}
-        solved: List[Tuple[LocalGame, EquilibriumResult]] = []
-        for game in games:
+        plan = dict(routing)
+        for game in conflicted_games(clustering, roles, routing, ns):
             tensor = build_payoff_tensor(dataset, clustering, game)
             eq = find_pure_nash(tensor)
-            solved.append((game, eq))
+            plan[game.resource_id] = game.transfers(eq.joint)
             records.append(
                 GameRecord(
                     resource_id=game.resource_id,
@@ -165,7 +161,7 @@ def _play_games(
                     equilibrium_kind=eq.kind,
                 )
             )
-        end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, solved, covered)
+        end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
     score = None
     if accepted and pre.sse > 0 and pre.load_metric > 0:
         score = end.sse / pre.sse + end.load_metric / pre.load_metric
@@ -345,7 +341,6 @@ def paired_compare(
     seeds: Sequence[int],
     ns_values: Sequence[Optional[int]],
     algorithms: Sequence[str] = ALGORITHMS,
-    max_outer_iterations: int = 100,
 ) -> List[VariantSummary]:
     """Run every (algorithm, ns) variant over the same seeds and average the metrics.
 
@@ -361,10 +356,7 @@ def paired_compare(
             reports = [
                 run_algorithm(
                     dataset,
-                    RunConfig(
-                        k=k, seed=int(s), ns=ns,
-                        max_outer_iterations=max_outer_iterations, algorithm=algorithm,
-                    ),
+                    RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm),
                 )
                 for s in seeds
             ]

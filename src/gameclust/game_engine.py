@@ -27,10 +27,12 @@ once.  ``build_payoff_tensor`` runs it over a whole frontier of joint
 strategy prefixes per level, and ``apply_and_evaluate`` over the one
 state it executes.
 
-Each resource's transfers (its equilibrium, or its covered requests) are
-kept or dropped on their own: ``apply_and_evaluate`` takes resources in
-ascending id and keeps a resource's transfers only when they lower the
-combined score of both objectives relative to the pre-game state.
+The game phase decides each resource's transfers once, in a plan of
+resource id -> (player id, units) pairs: covered requests in full, or a
+game's equilibrium (``LocalGame.transfers``).  ``apply_and_evaluate``
+executes a plan, taking resources in ascending id and keeping a
+resource's transfers only when they lower the combined score of both
+objectives relative to the pre-game state.
 """
 
 from __future__ import annotations
@@ -104,6 +106,15 @@ class LocalGame:
     @property
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(p.strategies) for p in self.participants)
+
+    def transfers(self, joint: Sequence[int]) -> List[Tuple[int, int]]:
+        """(player id, units moved) per participant at ``joint``, indices into the strategy sets.
+
+        A participant moves its request minus the units its strategy forgoes.
+        """
+        if len(joint) != len(self.participants):
+            raise ConfigError(f"joint {tuple(joint)} does not match {len(self.participants)} participants")
+        return [(p.player_id, p.request - p.strategies[si]) for p, si in zip(self.participants, joint)]
 
 
 @dataclass(frozen=True)
@@ -343,16 +354,12 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     dim = dataset.dim
     width = dim + 2
     pids = [p.player_id for p in parts]
-    by_cluster = clustering.assignment.argsort(kind="stable")
-    grouped = dataset.points.take(by_cluster, axis=0)
-    squares = grouped * grouped
-    ends = list(itertools.accumulate(loads))
     base: List[float] = []
     before: List[float] = []
-    for cid in (rid, *pids):
-        lo, hi = ends[cid] - loads[cid], ends[cid]
-        s = grouped[lo:hi].sum(axis=0).tolist()
-        q = float(squares[lo:hi].sum())
+    members = {cid: dataset.points[clustering.members(cid)] for cid in (rid, *pids)}
+    for cid, points in members.items():
+        s = points.sum(axis=0).tolist()
+        q = float((points * points).sum())
         base += [*s, q, loads[cid]]
         before.append(q - sum(v * v for v in s) / loads[cid])
     before_total = before[0] + sum(before[1:])
@@ -364,7 +371,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         [abs(den * (loads[p.player_id] + p.request - v) - num) / den for p in parts for v in p.strategies]
     )
 
-    x = grouped[ends[rid] - m: ends[rid]]
+    x = members[rid]
     orders = _nearest_first(x, clustering.centers.take(pids, axis=0))
     # per resource point: coordinates, squared norm and a count of 1
     xq = np.empty((m, width))
@@ -460,18 +467,17 @@ def apply_and_evaluate(
     dataset: Dataset,
     clustering: Clustering,
     pre: ObjectiveState,
-    games: Sequence[Tuple[LocalGame, EquilibriumResult]],
-    covered: Optional[Mapping[int, Sequence[Tuple[int, int]]]] = None,
+    plan: Mapping[int, Sequence[Tuple[int, int]]],
 ) -> Tuple[Clustering, bool, ObjectiveState]:
-    """Execute each resource's transfers on a copy and keep those that pay.
+    """Execute each resource's planned transfers on a copy and keep those that pay.
 
     ``pre`` holds the objectives of ``clustering``, the pre-game state.
-    A resource's transfers are the equilibrium of its local game or, for a
-    resource in ``covered`` (resource id -> routed (player id, request)
-    pairs that its spare units cover), every routed request in full, in
-    ascending player id.  They are simulated as in ``build_payoff_tensor``:
-    each player takes the resource's points nearest its input center that
-    no earlier player took.  Resources are taken in ascending id, and one's
+    ``plan`` maps a resource id to its transfers, (player id, units)
+    pairs: the equilibrium of its local game (``LocalGame.transfers``)
+    or its covered requests in full.  They are executed in ascending
+    player id and simulated as in ``build_payoff_tensor``: each player
+    takes the resource's points nearest its input center that no earlier
+    player took.  Resources are taken in ascending id, and one's
     transfers are kept only when they lower SSE/SSE_pre + L/L_pre below
     the score of the transfers already kept, which starts at 2 for the
     pre-game state; so every accepted reallocation scores below 2.  When a
@@ -481,26 +487,15 @@ def apply_and_evaluate(
     kept state, whether anything was kept (the input clustering itself is
     returned when not), and the kept state's objectives.
     """
-    transfers: Dict[int, List[Tuple[int, int]]] = {}
-    for game, eq in games:
-        if len(eq.joint) != len(game.participants):
-            raise ConfigError("equilibrium joint does not match game participants")
-        transfers[game.resource_id] = [
-            (p.player_id, p.request - p.strategies[si]) for p, si in zip(game.participants, eq.joint)
-        ]
-    for rid, routed in (covered or {}).items():
-        if rid in transfers:
-            raise ConfigError(f"resource {rid} is both covered and in a game")
-        transfers[rid] = sorted(routed)
     kept, kept_state = clustering, pre
-    for rid in sorted(transfers):
-        total = sum(count for _, count in transfers[rid])
+    for rid in sorted(plan):
+        moves = sorted(plan[rid])
+        total = sum(count for _, count in moves)
         if total == 0 or total > clustering.loads[rid] - 1:
             continue  # nothing to move, or it would empty the resource
         # Points only leave their own resource, so its members are the same
         # in the kept state as in the input clustering.
         member = clustering.members(rid)
-        moves = transfers[rid]
         orders = _nearest_first(dataset.points[member], clustering.centers[[pid for pid, _ in moves]])
         taken = np.zeros((1, len(member)), dtype=bool)
         assignment = kept.assignment.copy()

@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from gameclust import (
     Clustering,
-    ConfigError,
     Dataset,
     EquilibriumResult,
     LocalGame,
@@ -26,10 +24,15 @@ def forced_eq(game):
     return EquilibriumResult(joint=(0,) * len(game.participants), kind=PURE_NASH, costs=())
 
 
+def plan(*solved):
+    """The transfer plan of (game, equilibrium) pairs: each game's resource -> its equilibrium's transfers."""
+    return {game.resource_id: game.transfers(eq.joint) for game, eq in solved}
+
+
 class TestApplyAndEvaluate:
     def test_no_games_means_no_change(self, line20):
         ds, c = line20
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), {})
         assert accepted is False
         assert new is c
 
@@ -42,7 +45,7 @@ class TestApplyAndEvaluate:
             participants=(Participant(1, 1, (0,)),),
         )
         before_sse, before_l = sse(ds, c), load_metric(c.loads, 2)
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is True
         assert new.loads.tolist() == [2, 2]
         assert new.assignment.tolist() == [0, 0, 1, 1]
@@ -59,7 +62,7 @@ class TestApplyAndEvaluate:
             resource_id=0, resource_load=2,
             participants=(Participant(1, 1, (0,)),),
         )
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
         assert new is c
         assert np.array_equal(new.assignment, c.assignment)
@@ -72,7 +75,7 @@ class TestApplyAndEvaluate:
             resource_id=1, resource_load=2,
             participants=(Participant(0, 1, (0,)),),
         )
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
         assert new is c
 
@@ -84,7 +87,7 @@ class TestApplyAndEvaluate:
             resource_id=2, resource_load=2,
             participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
         )
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
         assert new is c
 
@@ -99,7 +102,7 @@ class TestApplyAndEvaluate:
         )
         tensor = build_payoff_tensor(ds, c, game)
         eq = find_pure_nash(tensor)
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(game, eq)])
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, eq)))
         assert int(new.loads.sum()) == ds.n
         assert new.loads.min() >= 1
         if accepted:
@@ -117,7 +120,7 @@ class TestApplyAndEvaluate:
             participants=(Participant(1, 6, (0, 1, 2, 3, 4, 5)),),
         )
         tensor = build_payoff_tensor(ds, c, game)
-        apply_and_evaluate(ds, c, objectives(ds, c), [(game, find_pure_nash(tensor))])
+        apply_and_evaluate(ds, c, objectives(ds, c), plan((game, find_pure_nash(tensor))))
         assert np.array_equal(c.assignment, snapshot)
 
     def test_covered_request_served_in_full(self):
@@ -125,7 +128,7 @@ class TestApplyAndEvaluate:
         # no game, and the player receives both points nearest its center
         ds = Dataset(points=[[0.0], [0.1], [0.2], [0.3], [0.4], [4.5], [5.0], [10.0], [10.1], [10.2]])
         c = Clustering.from_assignment(ds, [0] * 7 + [1] * 3, 2)
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [], covered={0: [(1, 2)]})
+        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), {0: [(1, 2)]})
         assert accepted is True
         assert new.assignment.tolist() == [0] * 5 + [1] * 5
         assert np.array_equal(c.assignment, [0] * 7 + [1] * 3)
@@ -143,22 +146,15 @@ class TestApplyAndEvaluate:
         def score(state):
             return sse(ds, state) / sse(ds, c) + load_metric(state.loads, ideal) / load_metric(c.loads, ideal)
 
-        alone, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), [(draining, forced_eq(draining))])
+        alone, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((draining, forced_eq(draining))))
         assert accepted is False and alone is c
         new, accepted, _ = apply_and_evaluate(
-            ds, c, objectives(ds, c), [(draining, forced_eq(draining)), (paying, forced_eq(paying))]
+            ds, c, objectives(ds, c), plan((draining, forced_eq(draining)), (paying, forced_eq(paying)))
         )
         assert accepted is True
         assert new.loads.tolist() == [6, 2, 4, 4]
         assert new.assignment[12] == 3  # the point at 12.0 moved to the player at 13
         assert score(new) < 2.0
-
-    def test_resource_in_a_game_cannot_also_be_covered(self):
-        ds = Dataset(points=[[0.0], [1.0], [5.0], [10.0]])
-        c = Clustering.from_assignment(ds, [0, 0, 0, 1], 2)
-        game = LocalGame(resource_id=0, resource_load=3, participants=(Participant(1, 1, (0,)),))
-        with pytest.raises(ConfigError):
-            apply_and_evaluate(ds, c, objectives(ds, c), [(game, forced_eq(game))], covered={0: [(1, 1)]})
 
     def test_moves_exactly_the_oracle_points(self):
         # ties in distance, two players sharing one resource, every joint
@@ -179,7 +175,7 @@ class TestApplyAndEvaluate:
             )
             for joint in np.ndindex(*game.shape):
                 eq = EquilibriumResult(joint=joint, kind=PURE_NASH, costs=())
-                new, accepted, state = apply_and_evaluate(ds, c, objectives(ds, c), [(game, eq)])
+                new, accepted, state = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, eq)))
                 moves = [(0, 4 - joint[0]), (1, 5 - joint[1])]
                 expected = simulate_transfers(points, assignment, 2, moves)
                 if not accepted:

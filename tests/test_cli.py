@@ -42,6 +42,21 @@ class TestParseInvocation:
         assert inv.ns_values == (3,)
         assert inv.reps == 1
 
+    @pytest.mark.parametrize(
+        "grid", ["--k 4,8", "--algo gtkmeans,pkgame", "--ns 0,3", "--seed 1,2", "--k 4..6", "--seed 0..3"]
+    )
+    def test_run_with_several_values_is_usage_error(self, grid):
+        with pytest.raises(SystemExit) as err:
+            parse_invocation(f"run --ds1 --k 4 {grid}".split())
+        assert err.value.code == 2
+
+    def test_run_with_a_list_exits_2_without_output(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(f"run --ds1 --k 4,8 --algo gtkmeans,pkgame --ns 0,3 --seed 1,2 --out {out}".split())
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_k_zero_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_invocation("run --ds1 --k 0".split())

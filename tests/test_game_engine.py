@@ -18,6 +18,7 @@ from gameclust import (
     conflicted_games,
     detect_conflict,
     generate_strategy_set,
+    ideal_load,
     route_requests,
     select_strategies,
 )
@@ -76,6 +77,17 @@ class TestClassifyRoles:
         roles = classify_roles(c, ideal)
         assert (roles.players, roles.resources) == roles_fraction(loads, ideal)
         assert _balanced(c, ideal) == balanced_fraction(loads, ideal)
+
+    @given(st.lists(st.integers(1, 120), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_unbalanced_loads_have_players_and_resources(self, loads):
+        # with ideal p/q = n/k, the excesses q * load - p sum to q * n - k * p = 0,
+        # so an excess of q or more in size has one of the other sign beside it
+        _, c = clustering_with_loads(loads)
+        ideal = ideal_load(sum(loads), len(loads))
+        if not _balanced(c, ideal):
+            roles = classify_roles(c, ideal)
+            assert roles.players and roles.resources
 
 
 class TestRouteRequests:

@@ -7,6 +7,7 @@ import pytest
 from gameclust import (
     PURE_NASH,
     Clustering,
+    ConfigError,
     Dataset,
     EquilibriumResult,
     LocalGame,
@@ -63,6 +64,30 @@ def line20_game():
             Participant(1, 6, generate_strategy_set(6)),
         ),
     )
+
+
+class TestLocalGameTransfers:
+    def test_full_transfers_at_joint_zero(self):
+        assert line20_game().transfers((0, 0)) == [(0, 3), (1, 6)]
+
+    def test_transfers_read_pruned_strategy_sets(self):
+        game = line20_game()
+        pruned = LocalGame(
+            resource_id=game.resource_id,
+            resource_load=game.resource_load,
+            participants=tuple(
+                Participant(p.player_id, p.request, select_strategies(p.strategies, 2))
+                for p in game.participants
+            ),
+        )
+        # strategies (0, 2) and (0, 2, 4, 5): index 1 forgoes 2 of 3, index 3 forgoes 5 of 6
+        assert pruned.transfers((1, 3)) == [(0, 1), (1, 1)]
+        assert pruned.transfers((0, 2)) == [(0, 3), (1, 2)]
+
+    @pytest.mark.parametrize("joint", [(), (0,), (0, 0, 0)])
+    def test_joint_of_wrong_length_rejected(self, joint):
+        with pytest.raises(ConfigError):
+            line20_game().transfers(joint)
 
 
 class TestPayoffGolden:
@@ -240,7 +265,8 @@ class TestPurity:
         centers_before = c.centers.copy()
         build_payoff_tensor(ds, c, line20_game())
         eq = EquilibriumResult(joint=(1, 2), kind=PURE_NASH, costs=())
-        apply_and_evaluate(ds, c, objectives(ds, c), [(line20_game(), eq)])
+        game = line20_game()
+        apply_and_evaluate(ds, c, objectives(ds, c), {game.resource_id: game.transfers(eq.joint)})
         assert np.array_equal(ds.points, points_before)
         assert np.array_equal(c.assignment, assignment_before)
         assert np.array_equal(c.centers, centers_before)
