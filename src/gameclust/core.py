@@ -95,10 +95,7 @@ class Clustering:
         if np.any(loads == 0):
             empty = int(np.flatnonzero(loads == 0)[0])
             raise StructuralError(f"cluster {empty} is empty")
-        centers = np.empty((k, dataset.dim), dtype=np.float64)
-        for d in range(dataset.dim):
-            centers[:, d] = np.bincount(a, weights=dataset.points[:, d], minlength=k) / loads
-        return Clustering(assignment=a, k=k, centers=centers, loads=loads)
+        return Clustering(assignment=a, k=k, centers=mean_centers(dataset.points, a, loads), loads=loads)
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Indices of the points assigned to ``cluster_id``, ascending."""
@@ -167,6 +164,20 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(scratch, scratch, out=scratch)
         out += scratch
     return out
+
+
+def mean_centers(points: np.ndarray, assignment: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """The mean of each cluster's points, one weighted ``bincount`` per dimension.
+
+    ``loads`` must be ``bincount(assignment)`` with no zero entry.  The
+    sums run in point order, so a given assignment always gives the same
+    bits.
+    """
+    k = loads.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    for d in range(points.shape[1]):
+        centers[:, d] = np.bincount(assignment, weights=points[:, d], minlength=k) / loads
+    return centers
 
 
 def sse(dataset: Dataset, clustering: Clustering) -> float:

@@ -250,9 +250,10 @@ def _ratio(value: float, reference: float) -> float:
 def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     """One-shot engine: full Lloyd convergence, then a single game phase.
 
-    The termination is ``converged`` when Lloyd stopped before its budget
-    of ``max_outer_iterations`` steps and ``budget`` otherwise; the game
-    phase itself always completes.
+    The termination is ``converged`` when Lloyd's final clustering is a
+    fixed point (one more Lloyd step would not change it), also when the
+    last step of its ``max_outer_iterations`` budget reached it, and
+    ``budget`` otherwise; the game phase itself always completes.
     """
     t0 = time.perf_counter()
     ideal = ideal_load(dataset.n, config.k)
@@ -264,7 +265,10 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
         kmeans_iterations = 1 + inner
     else:
         clustering, kmeans_iterations = first, 1
-    termination = "converged" if kmeans_iterations < config.max_outer_iterations else "budget"
+    converged = kmeans_iterations < config.max_outer_iterations or np.array_equal(
+        lloyd_iteration(dataset, clustering.centers).assignment, clustering.assignment
+    )
+    termination = "converged" if converged else "budget"
     pre = objectives(dataset, clustering, ideal)
     clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
     return _report(

@@ -3,8 +3,9 @@
 Everything here is deliberately written straight-line over plain Python
 lists, without reusing any engine code paths, so tests can compare the
 engine against genuinely independent computations.  The depth-first
-payoff tensor and the broadcast distance form call numpy only for the
-sums and distances whose floats the engine must reproduce bit for bit.
+payoff tensor, the broadcast distance form and the stepwise Lloyd loop
+call numpy only for the sums and distances whose floats the engine must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -268,3 +269,52 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
     if not feasible.all():
         costs[~feasible] = (float(costs[feasible].max()) if feasible.any() else 0.0) + 1.0
     return costs, feasible
+
+
+def lloyd_full_stepwise(points, centers, max_iterations):
+    """Reference Lloyd run: every step assigns every point, with no bounds.
+
+    Each step builds the (n, k) squared distances one dimension at a time,
+    in dimension order (the floats the engine's kernel must reproduce),
+    assigns each point to its first nearest center, repairs empty clusters
+    (ascending id: the farthest point from its own center among clusters
+    that can spare one, ties to the lowest point index) and recomputes the
+    means with one weighted ``bincount`` per dimension.  It stops when the
+    assignment repeats, when the means equal the centers they came from,
+    or after ``max_iterations`` steps.
+    Returns (assignment, centers, loads, iterations).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    current = np.asarray(centers, dtype=np.float64)
+    n, dim = pts.shape
+    k = current.shape[0]
+    previous = None
+    iterations = 0
+    while True:
+        d2 = np.zeros((n, k))
+        for d in range(dim):
+            diff = pts[:, d, None] - current[None, :, d]
+            d2 += diff * diff
+        assignment = [int(np.argmin(row)) for row in d2]
+        loads = [assignment.count(c) for c in range(k)]
+        for empty in range(k):
+            if loads[empty]:
+                continue
+            move = None
+            for i in range(n):
+                if loads[assignment[i]] >= 2 and (move is None or d2[i, assignment[i]] > d2[move, assignment[move]]):
+                    move = i
+            if move is None:
+                raise ValueError("no cluster can spare a point")
+            loads[assignment[move]] -= 1
+            assignment[move] = empty
+            loads[empty] += 1
+        a = np.asarray(assignment, dtype=np.int64)
+        means = np.empty((k, dim))
+        for d in range(dim):
+            means[:, d] = np.bincount(a, weights=pts[:, d], minlength=k) / np.asarray(loads)
+        iterations += 1
+        if iterations == max_iterations or assignment == previous or np.array_equal(means, current):
+            return a, means, np.asarray(loads, dtype=np.int64), iterations
+        previous = assignment
+        current = means

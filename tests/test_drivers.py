@@ -144,6 +144,14 @@ class TestRunPkgame:
         km, _ = lloyd_full(ds, init_centers(ds, KMeansConfig(k=2, seed=1)), 100)
         assert report.final == objectives(ds, km)
 
+    def test_converged_on_the_last_allowed_step(self, ds1):
+        # Lloyd from run seed 1 reaches its fixed point on step 7 and sees
+        # the assignment repeat on step 8; a budget of 6 stops short of it
+        for budget, termination in ((6, "budget"), (7, "converged"), (8, "converged")):
+            report = run_pkgame(ds1, RunConfig(k=4, seed=1, max_outer_iterations=budget, algorithm="pkgame"))
+            assert report.kmeans_iterations == budget
+            assert report.termination == termination
+
     def test_single_game_phase_by_construction(self, ds1):
         report = run_pkgame(ds1, RunConfig(k=8, seed=1, algorithm="pkgame"))
         assert report.outer_iterations == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gameclust import (
     ConfigError,
@@ -11,6 +13,7 @@ from gameclust import (
     objectives,
     sse,
 )
+from oracles import lloyd_full_stepwise
 
 
 @pytest.fixture()
@@ -129,3 +132,119 @@ class TestLloydFull:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.centers, b.centers)
         assert objectives(ds1, a) == objectives(ds1, b)
+
+    def test_tie_on_a_later_step_goes_to_the_lowest_index(self):
+        # step 1 puts 8 in cluster 1 and moves the centers to 11 and 5; on
+        # step 2 the point 8 is at distance 3 from both and goes to 0
+        ds = Dataset(points=[[11.0], [2.0], [8.0]])
+        clustering, iterations = lloyd_full(ds, [[11.0], [10.0]], 50)
+        assert clustering.assignment.tolist() == [0, 1, 0]
+        assert clustering.centers.ravel().tolist() == [9.5, 2.0]
+        assert iterations == 3
+
+    def test_two_empty_clusters_repaired_in_turn(self):
+        # the case of TestLloydIteration's test of the same name, run by lloyd_full
+        ds = Dataset(points=[[0.0], [1.0], [2.0], [8.0], [13.0]])
+        clustering, _ = lloyd_full(ds, [[1.0], [11.0], [100.0], [200.0]], 1)
+        assert clustering.assignment.tolist() == [3, 0, 0, 2, 1]
+        assert clustering.loads.tolist() == [2, 1, 1, 1]
+
+    def test_cluster_emptied_after_the_first_step(self):
+        # step 1 gives clusters {1}, {9}, {3, 7}, so center 2 moves to 5;
+        # step 2 finds 3 and 7 tied between center 2 and a lower index,
+        # empties cluster 2 and repairs it with point 1 (value 3, the first
+        # of the two farthest); step 3 changes nothing
+        ds = Dataset(points=[[1.0], [3.0], [7.0], [9.0]])
+        clustering, iterations = lloyd_full(ds, [[0.0], [10.0], [5.0]], 50)
+        assert clustering.assignment.tolist() == [0, 2, 1, 1]
+        assert clustering.centers.ravel().tolist() == [1.0, 8.0, 3.0]
+        assert iterations == 3
+
+
+def _lloyd_instance(seed, dim, n, k, exponent, grid, start):
+    """Points and start centers for the bounded-Lloyd property test.
+
+    ``grid`` draws integer coordinates in [-3, 3] (ties and duplicate
+    points), otherwise Gaussian blobs; all coordinates are then scaled by
+    10**exponent.  ``start`` picks the centers: k distinct points, midpoints
+    of random point pairs (clusters that can empty after the first step),
+    points offset by whole units (clusters empty at the first step), or
+    points with one center moved 1e3 to 1e12 units away (its cluster
+    empties and the repair pulls the center across the data).
+    """
+    rng = np.random.default_rng(seed)
+    if grid:
+        points = rng.integers(-3, 4, size=(n, dim)).astype(float)
+    else:
+        points = rng.normal(size=(n, dim)) + 6.0 * rng.normal(size=(k, dim))[rng.integers(k, size=n)]
+    points *= 10.0**exponent
+    if start == "points":
+        centers = points[rng.choice(n, size=k, replace=False)]
+    elif start == "midpoints":
+        centers = (points[rng.integers(n, size=k)] + points[rng.integers(n, size=k)]) / 2
+    elif start == "offset":
+        centers = points[rng.choice(n, size=k, replace=False)] + rng.integers(-6, 7, size=(k, dim)) * 10.0**exponent
+    else:
+        centers = points[rng.choice(n, size=k, replace=False)]
+        centers[rng.integers(k)] += rng.choice([-1.0, 1.0], size=dim) * 10.0 ** (exponent + rng.integers(3, 13))
+    return points, centers
+
+
+@st.composite
+def _lloyd_cases(draw):
+    n = draw(st.integers(1, 40))
+    return (
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 9)),
+        n,
+        draw(st.sampled_from([1, n]) | st.integers(1, n)),
+        draw(st.sampled_from([-162, -160, -150, 0, 150, 155]) | st.integers(-170, 160)),
+        draw(st.booleans()),
+        draw(st.sampled_from(["points", "midpoints", "offset", "far"])),
+        draw(st.integers(1, 60)),
+    )
+
+
+def _assert_matches_oracle(points, centers, budget):
+    expected = lloyd_full_stepwise(points, centers, budget)
+    clustering, iterations = lloyd_full(Dataset(points=points), centers, budget)
+    assert np.array_equal(clustering.assignment, expected[0])
+    assert np.array_equal(clustering.centers, expected[1])
+    assert np.array_equal(clustering.loads, expected[2])
+    assert iterations == expected[3]
+
+
+@pytest.mark.parametrize(
+    "exponent, points, centers",
+    [
+        # center 0 starts 800 units off and jumps next to the points, so the
+        # lower bounds it leaves are differences of two large numbers whose
+        # rounding, unpadded, proves an assignment the kernel breaks the
+        # other way
+        (0, [[0.3], [-0.2], [-2.1], [0.6], [-2.0], [-1.0]], [[809.4], [-1.0]]),
+        # center 0 starts 1e10 away and its cluster empties; the repair
+        # moves it to 4, about 1e10 units, so the third point's lower bound
+        # is 1e10 - 1.4 less a drift of 1e10 - 4.  That difference carries
+        # the rounding of both 1e10-sized operands, which a pad on the
+        # difference alone does not cover, and the point is a near tie
+        # between the two centers
+        (0, [[-3.0], [-2.0], [1.4000000000000001], [4.0]], [[1e10], [0.0]]),
+        # squared distances to other centers overflow: an uncapped lower
+        # bound stays infinite while those centers move in
+        (155, [[2.0], [-1.0], [3.0], [1.0]], [[5.0], [5.0], [2.0]]),
+        # squared distances underflow to zero, so bounds below 1e-150 prove
+        # nothing
+        (-162, [[2.0], [-2.0], [-2.0], [-3.0]], [[-5.0], [-1.0]]),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bounded_lloyd_matches_stepwise_oracle_at_the_edges(exponent, points, centers):
+    _assert_matches_oracle(np.array(points) * 10.0**exponent, np.array(centers) * 10.0**exponent, 60)
+
+
+@given(_lloyd_cases())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bounded_lloyd_matches_stepwise_oracle(case):
+    *instance, budget = case
+    _assert_matches_oracle(*_lloyd_instance(*instance), budget)
