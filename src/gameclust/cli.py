@@ -8,10 +8,12 @@ Subcommands:
 
 Results are emitted as JSON (canonical, schema_version 2) or CSV (the
 means block only).  Identical invocations are byte-identical except for
-wall-time fields.  Exit status: 0 success, 2 usage or dataset/config
-failure, 3 internal error (nothing is written in that case).  When
---out is omitted, results go to $GAMECLUST_OUTPUT_DIR/results.<fmt> if
-the variable is set, else to stdout.
+wall-time fields.  Exit status: 0 success; 2 usage or dataset/config
+failure, including results that are not finite (inf or nan, when the
+data's scale overflows the objectives); 3 internal error.  No result is
+written on status 2 or 3.  When --out is omitted, results go to
+$GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to
+stdout.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
 from .drivers import ALGORITHMS, VariantSummary, paired_compare
-from .errors import GameclustError, UndefinedIndexError
+from .errors import GameclustError, StructuralError, UndefinedIndexError
 from .fairness import clamp_nonnegative, geometric_mean_index, jain_index
 
 SCHEMA_VERSION = 2
@@ -44,10 +46,13 @@ class CliInvocation:
     algorithms: Tuple[str, ...] = ()
     ns_values: Tuple[Optional[int], ...] = ()
     seeds: Tuple[int, ...] = ()
-    reps: int = 1
     out_path: Optional[str] = None
     out_format: str = "json"
     gen: Optional[Ds1Config] = None
+
+    @property
+    def reps(self) -> int:
+        return len(self.seeds)
 
 
 def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[int]:
@@ -155,7 +160,6 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         if reps not in (1, len(seed_list)):
             parser.error(f"--reps={reps} conflicts with {len(seed_list)} explicit seeds")
         seeds = tuple(seed_list)
-        reps = len(seeds)
     else:
         seeds = tuple(seed_list[0] + i for i in range(reps))
     return CliInvocation(
@@ -167,7 +171,6 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         algorithms=algorithms,
         ns_values=ns_values,
         seeds=seeds,
-        reps=reps,
         out_path=args.out,
         out_format=args.format,
     )
@@ -265,14 +268,22 @@ def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
     }
 
 
+def _format(table: Dict[str, object], out_format: str) -> str:
+    """The output text; a table holding inf or nan is a dataset failure."""
+    try:
+        text = json.dumps(table, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise StructuralError(
+            "results are not finite (inf or nan): the data's scale overflows the objectives"
+        ) from None
+    return _format_csv(table) if out_format == "csv" else text
+
+
 def _format_csv(table: Dict[str, object]) -> str:
-    columns = [
-        "algorithm", "ns", "k", "reps", "mean_wall_time_s", "mean_strategies_per_player",
-        "mean_payoff_entries", "mean_sse_improvement_pct", "mean_l_improvement_pct",
-        "jain_index", "geometric_mean_index",
-    ]
+    rows: List[Dict[str, object]] = table["rows"]  # type: ignore[assignment]
+    columns = list(rows[0])  # the keys of _row, in its order
     lines = [",".join(columns)]
-    for row in table["rows"]:  # type: ignore[index]
+    for row in rows:
         cells = []
         for col in columns:
             v = row[col]
@@ -299,32 +310,21 @@ def _emit(text: str, invocation: CliInvocation) -> None:
 
 def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]]:
     """Run an invocation; returns (exit status, result table when one was produced)."""
-    if invocation.subcommand == "gen":
-        assert invocation.gen is not None
-        try:
-            save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
-        except OSError as exc:
-            print(f"error: cannot write dataset: {exc}", file=sys.stderr)
-            return 2, None
-        return 0, None
+    table: Optional[Dict[str, object]] = None
     try:
-        table = build_result_table(invocation)
+        if invocation.subcommand == "gen":
+            assert invocation.gen is not None
+            save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
+        else:
+            table = build_result_table(invocation)
+            _emit(_format(table, invocation.out_format), invocation)
     except (GameclustError, OSError) as exc:
-        # dataset or configuration failures are the caller's to fix
+        # dataset, configuration and output-path failures are the caller's to fix
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
     except Exception as exc:  # noqa: BLE001 - map anything unexpected to exit 3
         print(f"internal error: {exc}", file=sys.stderr)
         return 3, None
-    if invocation.out_format == "csv":
-        text = _format_csv(table)
-    else:
-        text = json.dumps(table, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    try:
-        _emit(text, invocation)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2, None
     return 0, table
 
 

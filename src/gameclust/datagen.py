@@ -10,13 +10,15 @@ decimals, UTF-8, and at most one optional header row.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import Dataset
 from .errors import ConfigError, CsvFormatError
+
+BLOB_BOX = (0.0, 10.0)  # blob centers are drawn uniformly from [0, 10) per dimension
 
 
 @dataclass(frozen=True)
@@ -26,8 +28,6 @@ class Ds1Config:
     n_points: int = 150
     dim: int = 2
     blob_count: int = 8
-    mean_low: float = 0.0
-    mean_high: float = 10.0
     std_dev: float = 2.0
     seed: int = 0
 
@@ -38,10 +38,8 @@ class Ds1Config:
             raise ConfigError(
                 f"n_points={self.n_points} must be at least blob_count={self.blob_count}"
             )
-        if not self.std_dev > 0:
-            raise ConfigError(f"std_dev must be positive, got {self.std_dev}")
-        if not self.mean_high > self.mean_low:
-            raise ConfigError("mean_high must exceed mean_low")
+        if not (self.std_dev > 0 and math.isfinite(self.std_dev)):
+            raise ConfigError(f"std_dev must be positive and finite, got {self.std_dev}")
 
 
 def generate_ds1(config: Ds1Config) -> Dataset:
@@ -51,7 +49,7 @@ def generate_ds1(config: Ds1Config) -> Dataset:
     then all per-point noise in one normal draw.
     """
     rng = np.random.default_rng(config.seed)
-    centers = rng.uniform(config.mean_low, config.mean_high, size=(config.blob_count, config.dim))
+    centers = rng.uniform(*BLOB_BOX, size=(config.blob_count, config.dim))
     noise = rng.normal(0.0, config.std_dev, size=(config.n_points, config.dim))
     base, extra = divmod(config.n_points, config.blob_count)
     counts = [base + (1 if i < extra else 0) for i in range(config.blob_count)]
@@ -59,7 +57,7 @@ def generate_ds1(config: Ds1Config) -> Dataset:
     return Dataset(points=centers[blob_ids] + noise)
 
 
-def load_csv(path: str, expected_dim: Optional[int] = None) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Read one point per row; a single leading non-numeric row is skipped as a header."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -87,8 +85,6 @@ def load_csv(path: str, expected_dim: Optional[int] = None) -> Dataset:
             except ValueError:
                 raise CsvFormatError(f"{path}: row {r}, column {c}: {cell!r} is not numeric") from None
         points.append(values)
-    if expected_dim is not None and dim != expected_dim:
-        raise CsvFormatError(f"{path}: expected {expected_dim} columns, found {dim}")
     return Dataset(points=np.asarray(points, dtype=np.float64))
 
 

@@ -11,6 +11,7 @@ initializations so their results are directly comparable.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,9 +72,13 @@ class GameRecord:
     player_ids: Tuple[int, ...]
     requests: Tuple[int, ...]
     set_sizes: Tuple[int, ...]
-    joint_entries: int
     feasible_fraction: float
     equilibrium_kind: str
+
+    @property
+    def joint_entries(self) -> int:
+        """Entries of the game's payoff tensor: one per joint strategy."""
+        return math.prod(self.set_sizes)
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one run produced: objectives, improvements, game sizes, timing.
+    """Everything one run produced: objectives, improvements, iterations, timing.
 
-    ``termination`` is one of ``TERMINATIONS``: why the run stopped.
+    ``termination`` is one of ``TERMINATIONS``: why the run stopped.  The
+    iteration and game counts are read from ``trace``, one record per
+    outer iteration, so they always describe the trace the report holds.
     """
 
     algorithm: str
@@ -103,15 +110,30 @@ class RunReport:
     initial: ObjectiveState
     final: ObjectiveState
     improvement: ImprovementReport
-    avg_strategies_per_player: float
-    payoff_entry_counts: Tuple[int, ...]
-    games_played: int
-    outer_iterations: int
     kmeans_iterations: int
     termination: str
     wall_time_s: float
     trace: Tuple[IterationRecord, ...]
     final_clustering: Clustering
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def payoff_entry_counts(self) -> Tuple[int, ...]:
+        """Payoff-tensor entries of every game played, in play order."""
+        return tuple(g.joint_entries for rec in self.trace for g in rec.games)
+
+    @property
+    def games_played(self) -> int:
+        return sum(len(rec.games) for rec in self.trace)
+
+    @property
+    def avg_strategies_per_player(self) -> float:
+        """Mean strategy-set size over every participant of every game; 0.0 without games."""
+        set_sizes = [s for rec in self.trace for g in rec.games for s in g.set_sizes]
+        return (sum(set_sizes) / len(set_sizes)) if set_sizes else 0.0
 
 
 def _balanced(clustering: Clustering, ideal: Fraction) -> bool:
@@ -156,7 +178,6 @@ def _play_games(
                     player_ids=tuple(p.player_id for p in game.participants),
                     requests=tuple(p.request for p in game.participants),
                     set_sizes=tuple(len(p.strategies) for p in game.participants),
-                    joint_entries=tensor.joint_count,
                     feasible_fraction=float(tensor.feasible.mean()),
                     equilibrium_kind=eq.kind,
                 )
@@ -200,21 +221,16 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
     trace: List[IterationRecord] = []
     ends: List[Tuple[Clustering, ObjectiveState]] = []  # end state of every iteration, in order
     seen: Dict[bytes, int] = {}  # post-Lloyd assignment -> index of its iteration in ends
-    prev_assignment: Optional[np.ndarray] = None
     initial: Optional[ObjectiveState] = None
     clustering: Optional[Clustering] = None
     final: Optional[ObjectiveState] = None
     termination = "budget"
-    outer = 0
     for it in range(1, config.max_outer_iterations + 1):
-        outer = it
         clustering = lloyd_iteration(dataset, centers)
         pre = objectives(dataset, clustering, ideal)
         if initial is None:
             initial = pre
-        lloyd_stable = prev_assignment is not None and np.array_equal(
-            clustering.assignment, prev_assignment
-        )
+        lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
         post_lloyd = clustering.assignment.tobytes()
         clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
         trace.append(record)
@@ -233,12 +249,19 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
             clustering, final = ends[best]
             break
         seen[post_lloyd] = len(ends) - 1
-        prev_assignment = clustering.assignment
         centers = clustering.centers
     assert clustering is not None and initial is not None and final is not None
-    return _report(
-        "gtkmeans", config, initial, final, trace, outer, outer, termination,
-        time.perf_counter() - t0, clustering,
+    return RunReport(
+        algorithm="gtkmeans",
+        config=config,
+        initial=initial,
+        final=final,
+        improvement=improvement_report(initial, final),
+        kmeans_iterations=len(trace),
+        termination=termination,
+        wall_time_s=time.perf_counter() - t0,
+        trace=tuple(trace),
+        final_clustering=clustering,
     )
 
 
@@ -271,40 +294,16 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     termination = "converged" if converged else "budget"
     pre = objectives(dataset, clustering, ideal)
     clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
-    return _report(
-        "pkgame", config, initial, final, [record], 1, kmeans_iterations, termination,
-        time.perf_counter() - t0, clustering,
-    )
-
-
-def _report(
-    algorithm: str,
-    config: RunConfig,
-    initial: ObjectiveState,
-    final: ObjectiveState,
-    trace: List[IterationRecord],
-    outer_iterations: int,
-    kmeans_iterations: int,
-    termination: str,
-    wall_time_s: float,
-    clustering: Clustering,
-) -> RunReport:
-    set_sizes = [s for rec in trace for g in rec.games for s in g.set_sizes]
-    entry_counts = tuple(g.joint_entries for rec in trace for g in rec.games)
     return RunReport(
-        algorithm=algorithm,
+        algorithm="pkgame",
         config=config,
         initial=initial,
         final=final,
         improvement=improvement_report(initial, final),
-        avg_strategies_per_player=(sum(set_sizes) / len(set_sizes)) if set_sizes else 0.0,
-        payoff_entry_counts=entry_counts,
-        games_played=len(entry_counts),
-        outer_iterations=outer_iterations,
         kmeans_iterations=kmeans_iterations,
         termination=termination,
-        wall_time_s=wall_time_s,
-        trace=tuple(trace),
+        wall_time_s=time.perf_counter() - t0,
+        trace=(record,),
         final_clustering=clustering,
     )
 
@@ -318,18 +317,36 @@ def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class VariantSummary:
-    """Mean metrics of one (algorithm, ns) variant over a set of paired seeds."""
+    """One (algorithm, ns) variant's runs over a set of paired seeds, and their means."""
 
     algorithm: str
     ns: Optional[int]
     k: int
-    seeds: Tuple[int, ...]
-    mean_wall_time_s: float
-    mean_strategies_per_player: float
-    mean_payoff_entries: float
-    mean_sse_improvement_pct: Optional[float]
-    mean_l_improvement_pct: Optional[float]
     reports: Tuple[RunReport, ...]
+
+    @property
+    def seeds(self) -> Tuple[int, ...]:
+        return tuple(r.config.seed for r in self.reports)
+
+    @property
+    def mean_wall_time_s(self) -> float:
+        return float(np.mean([r.wall_time_s for r in self.reports]))
+
+    @property
+    def mean_strategies_per_player(self) -> float:
+        return float(np.mean([r.avg_strategies_per_player for r in self.reports]))
+
+    @property
+    def mean_payoff_entries(self) -> float:
+        return float(np.mean([sum(r.payoff_entry_counts) for r in self.reports]))
+
+    @property
+    def mean_sse_improvement_pct(self) -> Optional[float]:
+        return _mean_optional([r.improvement.sse_improvement_pct for r in self.reports])
+
+    @property
+    def mean_l_improvement_pct(self) -> Optional[float]:
+        return _mean_optional([r.improvement.l_improvement_pct for r in self.reports])
 
 
 def _mean_optional(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -346,7 +363,7 @@ def paired_compare(
     ns_values: Sequence[Optional[int]],
     algorithms: Sequence[str] = ALGORITHMS,
 ) -> List[VariantSummary]:
-    """Run every (algorithm, ns) variant over the same seeds and average the metrics.
+    """Run every (algorithm, ns) variant over the same seeds.
 
     All variants of a seed start from the identical seeded center
     initialization, so initial objectives match across variants.  Runs
@@ -354,36 +371,16 @@ def paired_compare(
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    summaries: List[VariantSummary] = []
-    for algorithm in algorithms:
-        for ns in ns_values:
-            reports = [
-                run_algorithm(
-                    dataset,
-                    RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm),
-                )
+    return [
+        VariantSummary(
+            algorithm=algorithm,
+            ns=ns,
+            k=k,
+            reports=tuple(
+                run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm))
                 for s in seeds
-            ]
-            summaries.append(
-                VariantSummary(
-                    algorithm=algorithm,
-                    ns=ns,
-                    k=k,
-                    seeds=tuple(int(s) for s in seeds),
-                    mean_wall_time_s=float(np.mean([r.wall_time_s for r in reports])),
-                    mean_strategies_per_player=float(
-                        np.mean([r.avg_strategies_per_player for r in reports])
-                    ),
-                    mean_payoff_entries=float(
-                        np.mean([sum(r.payoff_entry_counts) for r in reports])
-                    ),
-                    mean_sse_improvement_pct=_mean_optional(
-                        [r.improvement.sse_improvement_pct for r in reports]
-                    ),
-                    mean_l_improvement_pct=_mean_optional(
-                        [r.improvement.l_improvement_pct for r in reports]
-                    ),
-                    reports=tuple(reports),
-                )
-            )
-    return summaries
+            ),
+        )
+        for algorithm in algorithms
+        for ns in ns_values
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -190,6 +191,36 @@ class TestExecute:
         assert lines[1].split(",")[:3] == ["gtkmeans", "0", "4"]
         assert lines[2].split(",")[:3] == ["gtkmeans", "2", "4"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_exits_2_without_output(self, tmp_path, capsys, fmt):
+        # squared distances of coordinates near 1e200 overflow, so SSE is inf
+        data = tmp_path / "huge.csv"
+        data.write_text("1e200,0\n2e200,0\n3e200,1\n-1e200,5\n4e200,2\n5e200,3\n")
+        out = tmp_path / f"o.{fmt}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["run", "--data", str(data), "--k", "2", "--format", fmt, "--out", str(out)])
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+
+    def test_gen_with_infinite_std_is_usage_error(self, tmp_path):
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--out", str(out), "--std", "inf"])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_gen_overflowing_points_exit_2_without_output(self, tmp_path, capsys):
+        # a finite std of 1e308 draws noise beyond the float range
+        out = tmp_path / "g.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["gen", "--out", str(out), "--std", "1e308"])
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_execute_returns_table(self):
         inv = parse_invocation("run --ds1 --k 4 --seed 1".split())
         status, table = execute(inv)
@@ -232,3 +263,14 @@ class TestDeterminism:
         assert a == b
         # and the timing fields were really the only difference
         assert json.loads(out_a.read_text())["config"] == json.loads(out_b.read_text())["config"]
+
+    def test_bench_output_pinned(self, tmp_path):
+        # sha256 of the canonical JSON, wall times zeroed, of this grid: any
+        # change outside the *wall_time* fields changes the digest
+        out = tmp_path / "pin.json"
+        args = ["bench", "--ds1", "--k", "4,8", "--algo", "gtkmeans,pkgame", "--ns", "0,3",
+                "--reps", "2", "--seed", "1", "--out", str(out)]
+        assert main(args) == 0
+        canonical = json.dumps(null_wall_times(json.loads(out.read_text())), sort_keys=True)
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert digest == "ea5b22d2861ea04a37f2e773389ff1ea4dc1812a67fb63369b369ed89e79d904"

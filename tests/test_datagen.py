@@ -49,6 +49,11 @@ class TestGenerateDs1:
         with pytest.raises(ConfigError):
             Ds1Config(std_dev=0.0)
 
+    @pytest.mark.parametrize("std_dev", [float("inf"), float("nan")])
+    def test_non_finite_std_dev_rejected(self, std_dev):
+        with pytest.raises(ConfigError):
+            Ds1Config(std_dev=std_dev)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -59,19 +64,6 @@ class TestCsv:
         assert back.n == 59
         assert back.dim == 2
         assert np.allclose(back.points, ds.points, rtol=1e-8, atol=1e-12)
-
-    def test_expected_dim_accepts_match(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("h1,h2,h3,h4\n1,2,3,4\n5,6,7,8\n9,10,11,12\n")
-        ds = load_csv(str(path), expected_dim=4)
-        assert ds.n == 3
-        assert ds.dim == 4
-
-    def test_expected_dim_mismatch(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(CsvFormatError):
-            load_csv(str(path), expected_dim=3)
 
     def test_header_auto_detected(self, tmp_path):
         path = tmp_path / "d.csv"

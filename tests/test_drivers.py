@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,17 @@ class TestRunGtkmeans:
         assert report.wall_time_s >= 0
         assert report.games_played == len(report.payoff_entry_counts)
         assert len(report.trace) == report.outer_iterations
+
+    def test_counts_follow_the_trace(self, ds1):
+        # k=6 seed 2 plays two games in its first iteration and more after it (pinned)
+        report = run_gtkmeans(ds1, RunConfig(k=6, seed=2))
+        assert report.outer_iterations > 1 and report.games_played > 2
+        first = dataclasses.replace(report, trace=report.trace[:1])
+        assert [g.set_sizes for g in first.trace[0].games] == [(6, 19), (17,)]
+        assert first.outer_iterations == 1
+        assert first.games_played == 2
+        assert first.payoff_entry_counts == (6 * 19, 17)
+        assert first.avg_strategies_per_player == (6 + 19 + 17) / 3
 
     def test_point_count_conserved_every_iteration(self, ds1):
         report = run_gtkmeans(ds1, RunConfig(k=7, seed=5))
