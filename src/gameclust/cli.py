@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
 from .drivers import ALGORITHMS, VariantSummary, paired_compare
 from .errors import GameclustError, StructuralError, UndefinedIndexError
@@ -309,15 +311,21 @@ def _emit(text: str, invocation: CliInvocation) -> None:
 
 
 def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]]:
-    """Run an invocation; returns (exit status, result table when one was produced)."""
+    """Run an invocation; returns (exit status, result table when one was produced).
+
+    numpy's overflow and invalid-value warnings are silenced: squared
+    distances may overflow on legal data, and an SSE that does is
+    reported once, as the error ``core.objectives`` raises.
+    """
     table: Optional[Dict[str, object]] = None
     try:
-        if invocation.subcommand == "gen":
-            assert invocation.gen is not None
-            save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
-        else:
-            table = build_result_table(invocation)
-            _emit(_format(table, invocation.out_format), invocation)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if invocation.subcommand == "gen":
+                assert invocation.gen is not None
+                save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
+            else:
+                table = build_result_table(invocation)
+                _emit(_format(table, invocation.out_format), invocation)
     except (GameclustError, OSError) as exc:
         # dataset, configuration and output-path failures are the caller's to fix
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -99,7 +100,7 @@ class Clustering:
 
     def members(self, cluster_id: int) -> np.ndarray:
         """Indices of the points assigned to ``cluster_id``, ascending."""
-        return np.flatnonzero(self.assignment == cluster_id)
+        return (self.assignment == cluster_id).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,18 @@ def mean_centers(points: np.ndarray, assignment: np.ndarray, loads: np.ndarray) 
 def sse(dataset: Dataset, clustering: Clustering) -> float:
     """Sum of squared Euclidean distances from points to their assigned centers."""
     _check_consistent(dataset, clustering)
-    diff = dataset.points - clustering.centers[clustering.assignment]
-    return float(np.sum(diff * diff))
+    return assigned_sse(dataset.points, clustering.assignment, clustering.centers)
+
+
+def assigned_sse(points: np.ndarray, assignment: np.ndarray, centers: np.ndarray) -> float:
+    """SSE of ``points`` against ``centers[assignment]``, on plain arrays.
+
+    The one SSE rule: ``sse`` reads it through a ``Clustering``, and
+    ``apply_and_evaluate`` scores its candidate states with it directly.
+    """
+    diff = points - centers.take(assignment, axis=0)
+    diff *= diff
+    return float(diff.sum())
 
 
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:
@@ -195,9 +206,9 @@ def load_metric(loads: Sequence[int], ideal: Rational) -> float:
     """
     if len(loads) == 0:
         raise ConfigError("loads must be nonempty")
-    ideal_f = Fraction(ideal)
+    ideal_f = ideal if isinstance(ideal, Fraction) else Fraction(ideal)
     p, q = ideal_f.numerator, ideal_f.denominator
-    return sum((q * int(l) - p) ** 2 for l in loads) / (q * q)
+    return sum((q * l - p) ** 2 for l in np.asarray(loads, dtype=np.int64).tolist()) / (q * q)
 
 
 def improvement_pct(initial: float, final: float) -> float:
@@ -208,10 +219,18 @@ def improvement_pct(initial: float, final: float) -> float:
 
 
 def objectives(dataset: Dataset, clustering: Clustering, ideal: Optional[Rational] = None) -> ObjectiveState:
-    """Evaluate both objectives; ideal defaults to n/k of the clustering."""
+    """Evaluate both objectives; ideal defaults to n/k of the clustering.
+
+    Raises ``StructuralError`` when the SSE is not finite, which happens
+    when the data's scale overflows the squared distances: no balancer
+    can compare states whose SSE is inf or nan.
+    """
     ideal_f = Fraction(ideal) if ideal is not None else ideal_load(dataset.n, clustering.k)
+    total = sse(dataset, clustering)
+    if not math.isfinite(total):
+        raise StructuralError("results are not finite (inf or nan): the data's scale overflows the objectives")
     return ObjectiveState(
-        sse=sse(dataset, clustering),
+        sse=total,
         load_metric=load_metric(clustering.loads, ideal_f),
         ideal_load=ideal_f,
     )

@@ -32,7 +32,9 @@ resource id -> (player id, units) pairs: covered requests in full, or a
 game's equilibrium (``LocalGame.transfers``).  ``apply_and_evaluate``
 executes a plan, taking resources in ascending id and keeping a
 resource's transfers only when they lower the combined score of both
-objectives relative to the pre-game state.
+objectives relative to the pre-game state.  It scores each candidate on
+plain arrays with ``core``'s rules (``mean_centers``, ``assigned_sse``,
+``load_metric``) and builds one ``Clustering``, for the state it keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +48,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset, ObjectiveState, Rational, ideal_load, objectives, squared_distances
+from .core import (
+    Clustering,
+    Dataset,
+    ObjectiveState,
+    Rational,
+    assigned_sse,
+    ideal_load,
+    load_metric,
+    mean_centers,
+    squared_distances,
+)
 from .errors import ConfigError, InconsistentStateError, StructuralError, TensorTooLargeError
 
 PURE_NASH = "pure-nash"
@@ -486,30 +498,48 @@ def apply_and_evaluate(
     Transfers that would empty their resource are dropped.  Returns the
     kept state, whether anything was kept (the input clustering itself is
     returned when not), and the kept state's objectives.
+
+    Each candidate is scored on plain arrays: the kept assignment with
+    the resource's transfers applied, the kept loads moved in integers,
+    centers from ``mean_centers`` and the two objectives from
+    ``assigned_sse`` and ``load_metric``, the calls ``from_assignment``
+    and ``objectives`` make, so every bit matches.  One ``Clustering``
+    is built at the end, for the kept state only.
     """
-    kept, kept_state = clustering, pre
+    points = dataset.points
+    input_loads = clustering.loads.tolist()
+    assignment, loads, kept_state = clustering.assignment, clustering.loads, pre
     for rid in sorted(plan):
         moves = sorted(plan[rid])
         total = sum(count for _, count in moves)
-        if total == 0 or total > clustering.loads[rid] - 1:
+        if total == 0 or total > input_loads[rid] - 1:
             continue  # nothing to move, or it would empty the resource
         # Points only leave their own resource, so its members are the same
         # in the kept state as in the input clustering.
         member = clustering.members(rid)
-        orders = _nearest_first(dataset.points[member], clustering.centers[[pid for pid, _ in moves]])
+        pids = [pid for pid, _ in moves]
+        orders = _nearest_first(points.take(member, axis=0), clustering.centers.take(pids, axis=0))
         taken = np.zeros((1, len(member)), dtype=bool)
-        assignment = kept.assignment.copy()
+        candidate, candidate_loads = assignment.copy(), loads.copy()
+        candidate_loads[rid] -= total
         done = 0
         for (pid, count), order in zip(moves, orders):
             chosen = _first_free(taken, order, count, done)[0]
             taken[0, chosen] = True
-            assignment[member[chosen]] = pid
+            candidate[member[chosen]] = pid
+            candidate_loads[pid] += count
             done += count
-        candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
-        state = objectives(dataset, candidate, pre.ideal_load)
+        centers = mean_centers(points, candidate, candidate_loads)
+        state = ObjectiveState(
+            sse=assigned_sse(points, candidate, centers),
+            load_metric=load_metric(candidate_loads, pre.ideal_load),
+            ideal_load=pre.ideal_load,
+        )
         if _improves(pre, kept_state, state):
-            kept, kept_state = candidate, state
-    return kept, kept is not clustering, kept_state
+            assignment, loads, kept_state = candidate, candidate_loads, state
+    if kept_state is pre:
+        return clustering, False, pre
+    return Clustering.from_assignment(dataset, assignment, clustering.k), True, kept_state
 
 
 def _improves(pre: ObjectiveState, kept: ObjectiveState, new: ObjectiveState) -> bool:

@@ -5,7 +5,9 @@ lists, without reusing any engine code paths, so tests can compare the
 engine against genuinely independent computations.  The depth-first
 payoff tensor, the broadcast distance form and the stepwise Lloyd loop
 call numpy only for the sums and distances whose floats the engine must
-reproduce bit for bit.
+reproduce bit for bit; the per-candidate apply builds each candidate
+through the library's ``Clustering.from_assignment`` and ``objectives``,
+which define the floats the engine's array-level scoring must match.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from gameclust import Clustering, objectives
 
 
 def sse_with_centers(points, assignment, centers):
@@ -318,3 +322,53 @@ def lloyd_full_stepwise(points, centers, max_iterations):
             return a, means, np.asarray(loads, dtype=np.int64), iterations
         previous = assignment
         current = means
+
+
+def apply_per_candidate(dataset, clustering, pre, plan):
+    """Reference ``apply_and_evaluate``: one full ``Clustering`` and one ``objectives`` per candidate.
+
+    Resources are taken in ascending id.  A resource's moves run in
+    ascending player id; each takes the resource's points nearest the
+    player's input center (broadcast distances, ties to the lowest point
+    index) that no earlier move took.  Moves that would empty the
+    resource, or move nothing, are skipped.  The candidate is the kept
+    state with those moves applied; it is kept when it scores below the
+    kept state: SSE/SSE_pre + L/L_pre when both pre-game terms are
+    positive, otherwise a zero pre-game term must stay zero and the
+    other objective must not worsen.  Returns (kept clustering, whether
+    anything was kept, kept objectives); the input clustering itself
+    when nothing was kept.
+    """
+    kept, kept_state = clustering, pre
+
+    def better(new):
+        if pre.sse > 0 and pre.load_metric > 0:
+            return new.sse / pre.sse + new.load_metric / pre.load_metric < (
+                kept_state.sse / pre.sse + kept_state.load_metric / pre.load_metric
+            )
+        if pre.sse == 0 and pre.load_metric == 0:
+            return new.sse == 0 and new.load_metric == 0
+        if pre.load_metric == 0:
+            return new.load_metric == 0 and new.sse <= kept_state.sse
+        return new.sse == 0 and new.load_metric <= kept_state.load_metric
+
+    input_assignment = clustering.assignment.tolist()
+    for rid in sorted(plan):
+        moves = sorted(plan[rid])
+        total = sum(count for _, count in moves)
+        member = [i for i, a in enumerate(input_assignment) if a == rid]
+        if total == 0 or total > len(member) - 1:
+            continue
+        d2 = squared_distances_broadcast(clustering.centers[[pid for pid, _ in moves]], dataset.points[member])
+        assignment = kept.assignment.tolist()
+        taken = set()
+        for (pid, count), row in zip(moves, d2):
+            order = sorted(range(len(member)), key=lambda j: (row[j], j))
+            for j in [j for j in order if j not in taken][:count]:
+                taken.add(j)
+                assignment[member[j]] = pid
+        candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
+        state = objectives(dataset, candidate, pre.ideal_load)
+        if better(state):
+            kept, kept_state = candidate, state
+    return kept, kept is not clustering, kept_state

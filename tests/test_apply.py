@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gameclust import (
     Clustering,
@@ -9,14 +11,16 @@ from gameclust import (
     Participant,
     apply_and_evaluate,
     build_payoff_tensor,
+    classify_roles,
     find_pure_nash,
     ideal_load,
     load_metric,
     objectives,
+    route_requests,
     sse,
 )
 
-from oracles import simulate_transfers
+from oracles import apply_per_candidate, simulate_transfers
 
 
 def forced_eq(game):
@@ -185,3 +189,80 @@ class TestApplyAndEvaluate:
                 assert new.assignment.tolist() == expected
                 assert state == objectives(ds, new)
         assert kept > 0
+
+
+def _random_case(ds, seed, k, spatial, overdraw):
+    """A clustering of ``ds`` and a transfer plan for it, as the game phase builds them.
+
+    ``spatial`` clusters by the nearest of k random points (uneven loads),
+    otherwise assigns points at random.  Each routed resource gets its
+    requests in full when its spare units cover them (covered), else a
+    random number of units per player, as an equilibrium would: 1 to the
+    request, or with ``overdraw`` 1 to the resource's load, which can
+    empty it.  Resources with nothing routed get an empty list.
+    """
+    rng = np.random.default_rng(seed)
+    n = ds.n
+    seeds = rng.choice(n, size=k, replace=False)
+    if spatial:
+        d2 = ((ds.points[:, None, :] - ds.points[seeds][None, :, :]) ** 2).sum(-1)
+        assignment = d2.argmin(axis=1)
+    else:
+        assignment = rng.integers(k, size=n)
+    assignment[seeds] = np.arange(k)  # every cluster keeps its seed point
+    c = Clustering.from_assignment(ds, assignment, k)
+    ideal = ideal_load(n, k)
+    roles = classify_roles(c, ideal)
+    spare = dict(roles.resources)
+    plan = {}
+    for rid, routed in route_requests(roles, c).items():
+        if sum(request for _, request in routed) <= spare[rid]:
+            plan[rid] = list(routed)
+        else:
+            plan[rid] = [
+                (pid, int(rng.integers(1, (int(c.loads[rid]) if overdraw else request) + 1)))
+                for pid, request in routed
+            ]
+    return c, plan
+
+
+class TestAgainstPerCandidateReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_exactly(self, ds1, seed, k, spatial, overdraw):
+        c, plan = _random_case(ds1, seed, k, spatial, overdraw)
+        pre = objectives(ds1, c)
+        new, accepted, state = apply_and_evaluate(ds1, c, pre, plan)
+        ref, ref_accepted, ref_state = apply_per_candidate(ds1, c, pre, plan)
+        assert accepted is ref_accepted
+        assert state == ref_state
+        if not accepted:
+            assert new is c and ref is c
+            return
+        assert np.array_equal(new.assignment, ref.assignment)
+        assert np.array_equal(new.centers, ref.centers)
+        assert np.array_equal(new.loads, ref.loads)
+
+    def test_one_clustering_per_kept_state(self, ds1, monkeypatch):
+        build = Clustering.from_assignment
+        calls = []
+
+        def counted(dataset, assignment, k):
+            calls.append(k)
+            return build(dataset, assignment, k)
+
+        cases = [_random_case(ds1, seed, 2 + seed % 9, seed % 2 == 0, seed % 3 == 0) for seed in range(40)]
+        pres = [objectives(ds1, c) for c, _ in cases]
+        monkeypatch.setattr(Clustering, "from_assignment", staticmethod(counted))
+        outcomes = []
+        for (c, plan), pre in zip(cases, pres):
+            calls.clear()
+            _, accepted, _ = apply_and_evaluate(ds1, c, pre, plan)
+            assert len(calls) == (1 if accepted else 0)
+            outcomes.append(accepted)
+        assert True in outcomes and False in outcomes

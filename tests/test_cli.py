@@ -1,7 +1,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from gameclust import load_csv
@@ -191,14 +190,22 @@ class TestExecute:
         assert lines[1].split(",")[:3] == ["gtkmeans", "0", "4"]
         assert lines[2].split(",")[:3] == ["gtkmeans", "2", "4"]
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result_exits_2_without_output(self, tmp_path, capsys, fmt):
-        # squared distances of coordinates near 1e200 overflow, so SSE is inf
+    @pytest.mark.parametrize(
+        "fmt, grid",
+        [
+            ("json", ["run", "--k", "2"]),
+            ("csv", ["run", "--k", "2"]),
+            ("json", ["bench", "--k", "2,3", "--reps", "3", "--algo", "gtkmeans,pkgame"]),
+        ],
+        ids=["json", "csv", "bench"],
+    )
+    def test_non_finite_result_exits_2_without_output(self, tmp_path, capsys, fmt, grid):
+        # squared distances of coordinates near 1e200 overflow, so SSE is inf:
+        # the first run's objectives fail, with no numpy warning before the error
         data = tmp_path / "huge.csv"
         data.write_text("1e200,0\n2e200,0\n3e200,1\n-1e200,5\n4e200,2\n5e200,3\n")
         out = tmp_path / f"o.{fmt}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            status = main(["run", "--data", str(data), "--k", "2", "--format", fmt, "--out", str(out)])
+        status = main([*grid, "--data", str(data), "--format", fmt, "--out", str(out)])
         assert status == 2
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
@@ -214,8 +221,7 @@ class TestExecute:
     def test_gen_overflowing_points_exit_2_without_output(self, tmp_path, capsys):
         # a finite std of 1e308 draws noise beyond the float range
         out = tmp_path / "g.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            status = main(["gen", "--out", str(out), "--std", "1e308"])
+        status = main(["gen", "--out", str(out), "--std", "1e308"])
         assert status == 2
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
