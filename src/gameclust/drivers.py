@@ -1,8 +1,9 @@
 """End-to-end algorithms with full game and timing instrumentation.
 
-``run_gtkmeans`` interleaves single Lloyd steps with local games until
-no reallocation is accepted and assignments are stable, or until a
-post-Lloyd assignment repeats (a Lloyd-game cycle).  ``run_pkgame``
+``run_gtkmeans`` interleaves single Lloyd steps with local games.  It
+stops before the game phase when a post-Lloyd assignment repeats, and
+after it when no reallocation is accepted and the assignment is stable;
+no game phase is played twice.  ``run_pkgame``
 runs Lloyd to convergence first and then plays one game phase, once.
 Every report names why its run stopped (``TERMINATIONS``).
 ``paired_compare`` runs several variants from identical seeded
@@ -103,6 +104,9 @@ class RunReport:
     ``termination`` is one of ``TERMINATIONS``: why the run stopped.  The
     iteration and game counts are read from ``trace``, one record per
     outer iteration, so they always describe the trace the report holds.
+    ``kmeans_iterations`` counts the Lloyd steps run; a gtkmeans run that
+    stopped on a repeated post-Lloyd assignment ran one more Lloyd step
+    than it has records.
     """
 
     algorithm: str
@@ -203,16 +207,17 @@ def _play_games(
 def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
     """Iterative engine: one Lloyd step, then local games, until stable.
 
-    Stops for one of three reasons, checked in this order after each
-    iteration's game phase:
+    Stops for one of three reasons:
 
-    * ``converged``: the game phase kept nothing and the Lloyd step left
-      the assignment of the previous iteration unchanged;
-    * ``cycle``: the post-Lloyd assignment was seen in an earlier
-      iteration, so the run would repeat that iteration's games forever.
-      The reported final state is the end state of the cycle's
-      iterations with the lowest SSE/SSE0 + L/L0 (0: the first Lloyd
-      step), ties to the earliest;
+    * right after a Lloyd step whose assignment an earlier iteration's
+      Lloyd step produced, say iteration ``first``, since the run would
+      replay that iteration's games forever.  The run is ``converged``
+      when ``first`` is the last iteration played and kept nothing,
+      ``cycle`` otherwise.  The reported final state is the end state of
+      the iterations from ``first`` on with the lowest SSE/SSE0 + L/L0
+      (0: the first Lloyd step), ties to the earliest;
+    * after a game phase, ``converged``: it kept nothing and the Lloyd
+      step left the previous iteration's assignment unchanged;
     * ``budget``: ``max_outer_iterations`` ran out.
     """
     t0 = time.perf_counter()
@@ -227,26 +232,26 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
     termination = "budget"
     for it in range(1, config.max_outer_iterations + 1):
         clustering = lloyd_iteration(dataset, centers)
+        post_lloyd = clustering.assignment.tobytes()
+        if post_lloyd in seen:
+            first = seen[post_lloyd]
+            termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
+            best = min(
+                range(first, len(ends)),
+                key=lambda i: _ratio(trace[i].sse_end, initial.sse)
+                + _ratio(trace[i].l_end, initial.load_metric),
+            )
+            clustering, final = ends[best]
+            break
         pre = objectives(dataset, clustering, ideal)
         if initial is None:
             initial = pre
         lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
-        post_lloyd = clustering.assignment.tobytes()
         clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
         trace.append(record)
         ends.append((clustering, final))
         if not record.accepted and lloyd_stable:
             termination = "converged"
-            break
-        if post_lloyd in seen:
-            termination = "cycle"
-            first = seen[post_lloyd]
-            best = min(
-                range(first, len(ends) - 1),
-                key=lambda i: _ratio(trace[i].sse_end, initial.sse)
-                + _ratio(trace[i].l_end, initial.load_metric),
-            )
-            clustering, final = ends[best]
             break
         seen[post_lloyd] = len(ends) - 1
         centers = clustering.centers
@@ -257,7 +262,7 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
         initial=initial,
         final=final,
         improvement=improvement_report(initial, final),
-        kmeans_iterations=len(trace),
+        kmeans_iterations=it,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,
         trace=tuple(trace),

@@ -8,6 +8,8 @@ call numpy only for the sums and distances whose floats the engine must
 reproduce bit for bit; the per-candidate apply builds each candidate
 through the library's ``Clustering.from_assignment`` and ``objectives``,
 which define the floats the engine's array-level scoring must match.
+The replaying gtkmeans loop reuses the library's Lloyd step and game
+phase: only its stopping rule is the reference.
 """
 
 from __future__ import annotations
@@ -16,9 +18,21 @@ import itertools
 import math
 from fractions import Fraction
 
+import time
+
 import numpy as np
 
-from gameclust import Clustering, objectives
+from gameclust import (
+    Clustering,
+    KMeansConfig,
+    RunReport,
+    ideal_load,
+    improvement_report,
+    init_centers,
+    lloyd_iteration,
+    objectives,
+)
+from gameclust.drivers import _play_games, _ratio
 
 
 def sse_with_centers(points, assignment, centers):
@@ -372,3 +386,62 @@ def apply_per_candidate(dataset, clustering, pre, plan):
         if better(state):
             kept, kept_state = candidate, state
     return kept, kept is not clustering, kept_state
+
+
+def run_gtkmeans_replaying(dataset, config):
+    """Reference gtkmeans loop: both stopping checks run after each game phase.
+
+    A post-Lloyd assignment seen before is played again, so a run that
+    stops on a repeat replays that iteration's game phase and records it.
+    The converged check comes first: the replay kept nothing and the Lloyd
+    step left the previous assignment unchanged.  Otherwise the run is a
+    cycle, and the final state is the best end state of the cycle's
+    iterations, the replay excluded (SSE/SSE0 + L/L0, ties to the earliest).
+    Returns (report, whether the run stopped on a replayed assignment).
+    """
+    t0 = time.perf_counter()
+    ideal = ideal_load(dataset.n, config.k)
+    centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
+    trace = []
+    ends = []
+    seen = {}
+    initial = clustering = final = None
+    termination = "budget"
+    for it in range(1, config.max_outer_iterations + 1):
+        clustering = lloyd_iteration(dataset, centers)
+        pre = objectives(dataset, clustering, ideal)
+        if initial is None:
+            initial = pre
+        lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
+        post_lloyd = clustering.assignment.tobytes()
+        clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
+        trace.append(record)
+        ends.append((clustering, final))
+        if not record.accepted and lloyd_stable:
+            termination = "converged"
+            break
+        if post_lloyd in seen:
+            termination = "cycle"
+            first = seen[post_lloyd]
+            best = min(
+                range(first, len(ends) - 1),
+                key=lambda i: _ratio(trace[i].sse_end, initial.sse)
+                + _ratio(trace[i].l_end, initial.load_metric),
+            )
+            clustering, final = ends[best]
+            break
+        seen[post_lloyd] = len(ends) - 1
+        centers = clustering.centers
+    report = RunReport(
+        algorithm="gtkmeans",
+        config=config,
+        initial=initial,
+        final=final,
+        improvement=improvement_report(initial, final),
+        kmeans_iterations=len(trace),
+        termination=termination,
+        wall_time_s=time.perf_counter() - t0,
+        trace=tuple(trace),
+        final_clustering=clustering,
+    )
+    return report, termination != "budget" and post_lloyd in seen

@@ -279,4 +279,4 @@ class TestDeterminism:
         assert main(args) == 0
         canonical = json.dumps(null_wall_times(json.loads(out.read_text())), sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()
-        assert digest == "ea5b22d2861ea04a37f2e773389ff1ea4dc1812a67fb63369b369ed89e79d904"
+        assert digest == "e7c8e4916c340a94bb5aa1eef8956ecb8d267316c5a0ad3332dc587cbb9d6dc1"

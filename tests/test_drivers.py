@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gameclust import (
     ConfigError,
@@ -18,6 +20,8 @@ from gameclust import (
     run_gtkmeans,
     run_pkgame,
 )
+
+from oracles import run_gtkmeans_replaying
 
 # seed 2 makes the first Lloyd step of the 20-point line instance land on
 # loads that are a permutation of [4, 1, 15] (pinned by search)
@@ -56,7 +60,10 @@ class TestRunGtkmeans:
     def test_terminates_and_reports(self, ds1):
         report = run_gtkmeans(ds1, RunConfig(k=6, seed=0))
         assert 1 <= report.outer_iterations <= 100
-        assert report.kmeans_iterations == report.outer_iterations
+        # k=6 seed 0 stops on a repeated post-Lloyd assignment (pinned): its
+        # last Lloyd step finds the repeat, and no game phase follows it
+        assert report.termination == "cycle"
+        assert report.kmeans_iterations == report.outer_iterations + 1
         assert report.wall_time_s >= 0
         assert report.games_played == len(report.payoff_entry_counts)
         assert len(report.trace) == report.outer_iterations
@@ -99,15 +106,17 @@ class TestRunGtkmeans:
         assert a.termination == "cycle"
         assert a.outer_iterations < 100
         assert len(a.trace) == a.outer_iterations
+        # the cycle is the last iteration alone (pinned): Lloyd step 14
+        # repeats step 13's assignment, and no game phase follows it
+        assert a.kmeans_iterations == a.outer_iterations + 1
+        cycle = [(r.sse_end, r.l_end) for r in a.trace[-1:]]
         # the reported state is one the cycle passed through, the best of them
-        ends = [(r.sse_end, r.l_end) for r in a.trace]
-        assert (a.final.sse, a.final.load_metric) in ends
+        assert (a.final.sse, a.final.load_metric) in cycle
 
         def score(sse_value, l_value):
             return sse_value / a.initial.sse + l_value / a.initial.load_metric
 
-        assert score(a.final.sse, a.final.load_metric) <= score(*ends[-1])
-        assert score(a.final.sse, a.final.load_metric) <= score(*ends[-2])
+        assert all(score(a.final.sse, a.final.load_metric) <= score(*end) for end in cycle)
         b = run_gtkmeans(ds1, RunConfig(k=8, seed=6))
         assert (b.termination, b.outer_iterations, b.final) == (a.termination, a.outer_iterations, a.final)
         assert np.array_equal(a.final_clustering.assignment, b.final_clustering.assignment)
@@ -147,6 +156,61 @@ class TestRunGtkmeans:
             for a, b in zip(g0, g1):
                 assert b.set_sizes <= a.set_sizes
                 assert b.joint_entries <= a.joint_entries
+
+
+def assert_matches_replaying_reference(dataset, config):
+    """run_gtkmeans equals the replaying loop, whose replayed last record it never plays."""
+    report = run_gtkmeans(dataset, config)
+    ref, replayed = run_gtkmeans_replaying(dataset, config)
+    assert np.array_equal(report.final_clustering.assignment, ref.final_clustering.assignment)
+    assert np.array_equal(report.final_clustering.centers, ref.final_clustering.centers)
+    assert (report.initial, report.final) == (ref.initial, ref.final)
+    assert (report.termination, report.kmeans_iterations) == (ref.termination, ref.kmeans_iterations)
+    assert report.trace == (ref.trace[:-1] if replayed else ref.trace)
+    return replayed
+
+
+class TestAgainstReplayingReference:
+    def test_ds1_grid(self, ds1):
+        replayed = [
+            assert_matches_replaying_reference(ds1, RunConfig(k=k, seed=seed, ns=ns))
+            for k in (2, 4, 8, 12)
+            for seed in range(40, 50)
+            for ns in (None, 3)
+        ]
+        assert True in replayed
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(0, 48),
+        st.sampled_from([None, 1, 2, 3]),
+        st.sampled_from([2, 4, 100]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_inputs(self, seed, k, extra, ns, budget):
+        # uneven 2-d blobs on a 0.1 grid, so distance ties happen
+        rng = np.random.default_rng(seed)
+        n = 2 * k + extra
+        blob = rng.integers(k, size=n)
+        points = np.round(rng.uniform(0, 10, size=(k, 2))[blob] + rng.normal(0, 1.5, size=(n, 2)), 1)
+        assert_matches_replaying_reference(
+            Dataset(points=points), RunConfig(k=k, seed=seed, ns=ns, max_outer_iterations=budget)
+        )
+
+    def test_converged_after_the_game_phase(self, ds1):
+        # k=12 seed 45 ns=3 (pinned): iteration 10 keeps a reallocation,
+        # Lloyd step 11 returns that state unchanged and iteration 11 keeps
+        # nothing.  The run is converged after 11 Lloyd steps, not a 12th
+        # that would find the repeat, so a budget of 11 still converges.
+        for budget in (11, 100):
+            config = RunConfig(k=12, seed=45, ns=3, max_outer_iterations=budget)
+            report = run_gtkmeans(ds1, config)
+            assert report.termination == "converged"
+            assert report.kmeans_iterations == report.outer_iterations == 11
+            assert report.trace[9].accepted and not report.trace[10].accepted
+            assert report.trace[10].loads_end == report.trace[9].loads_end
+            assert assert_matches_replaying_reference(ds1, config) is False
 
 
 class TestRunPkgame:
