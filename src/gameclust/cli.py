@@ -75,11 +75,7 @@ def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> Li
                 out.append(int(part))
             except ValueError:
                 parser.error(f"{flag}: cannot parse {part!r}")
-    seen = []
-    for v in out:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    return list(dict.fromkeys(out))  # duplicates dropped, first occurrences in order
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -160,11 +160,14 @@ def _play_games(
     players and resources, as the loads' excesses over the ideal sum to
     zero) one transfer plan starts from the routing, every request served
     in full, and takes each conflicted resource's transfers from its
-    game's equilibrium.  ``apply_and_evaluate`` executes the plan, keeping
-    or dropping each resource's transfers on their own.  Returns the end
-    state, its objectives and the iteration's record, whose reallocation
-    score is the combined score of the kept reallocation relative to
-    ``pre`` (None when nothing was kept or a pre-game term is zero).
+    game's equilibrium.  Each tensor is dropped before the next game's
+    build starts, so at most one is alive at a time: the one that
+    ``MAX_TENSOR_BYTES`` bounds.  ``apply_and_evaluate`` executes the
+    plan, keeping or dropping each resource's transfers on their own.
+    Returns the end state, its objectives and the iteration's record,
+    whose reallocation score is the combined score of the kept
+    reallocation relative to ``pre`` (None when nothing was kept or a
+    pre-game term is zero).
     """
     end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
@@ -182,10 +185,11 @@ def _play_games(
                     player_ids=tuple(p.player_id for p in game.participants),
                     requests=tuple(p.request for p in game.participants),
                     set_sizes=tuple(len(p.strategies) for p in game.participants),
-                    feasible_fraction=float(tensor.feasible.mean()),
+                    feasible_fraction=np.count_nonzero(tensor.feasible) / tensor.feasible.size,
                     equilibrium_kind=eq.kind,
                 )
             )
+            del tensor  # so the next game's build never overlaps this tensor
         end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
     score = None
     if accepted and pre.sse > 0 and pre.load_metric > 0:

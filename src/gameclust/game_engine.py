@@ -318,7 +318,9 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
 
     Raises ``TensorTooLargeError`` before allocating anything when the
     tensor (8 bytes per cost and 1 per feasibility flag, for each joint)
-    would exceed ``MAX_TENSOR_BYTES``.  A one-player game has no rival,
+    would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
+    outlives the call, so the limit bounds all the memory a game keeps
+    once built.  A one-player game has no rival,
     so every cost is 0 and only the resource's ``load - 1`` cap decides
     feasibility.
 
@@ -442,7 +444,12 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
 
     root = np.zeros((1, s_col + n_p))
     root[0, :s_col] = base
-    expand(0, root, np.zeros((1, m), dtype=bool))
+    try:
+        expand(0, root, np.zeros((1, m), dtype=bool))
+    finally:
+        # ``expand`` refers to itself through its closure; clearing the name
+        # breaks that cycle, so its buffers die with this call
+        del expand
 
     if not feasible.all():
         costs[~feasible] = costs.max(initial=0.0, where=feasible[:, None]) + 1.0
@@ -464,9 +471,9 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
         ci = costs[..., i]
         ne_mask &= ci <= ci.min(axis=i, keepdims=True)
     social = costs.sum(axis=-1)
-    if ne_mask.any():
-        candidate = np.where(ne_mask, social, np.inf)
-        flat = int(np.argmin(candidate.reshape(-1)))  # first minimum == lexicographic
+    ne = np.flatnonzero(ne_mask)
+    if ne.size:
+        flat = int(ne[np.argmin(social.take(ne))])  # first minimum == lexicographic
         kind = PURE_NASH
     else:
         flat = int(np.argmin(social.reshape(-1)))

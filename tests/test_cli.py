@@ -86,6 +86,10 @@ class TestParseInvocation:
         assert inv.seeds == (5, 9, 13)
         assert inv.reps == 3
 
+    def test_repeated_seeds_keep_their_first_occurrence(self):
+        inv = parse_invocation("bench --ds1 --k 4 --seed 3,1..4,2".split())
+        assert inv.seeds == (3, 1, 2, 4)
+
     def test_seed_list_conflicting_reps(self):
         with pytest.raises(SystemExit):
             parse_invocation("bench --ds1 --k 4 --seed 5,9 --reps 3".split())

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gameclust import (
     Dataset,
     KMeansConfig,
     RunConfig,
+    TensorTooLargeError,
     classify_roles,
     ideal_load,
     init_centers,
@@ -20,6 +23,7 @@ from gameclust import (
     run_gtkmeans,
     run_pkgame,
 )
+from gameclust import drivers, game_engine
 
 from oracles import run_gtkmeans_replaying
 
@@ -306,3 +310,58 @@ class TestPairedCompare:
     def test_empty_seeds_rejected(self, ds1):
         with pytest.raises(ConfigError):
             paired_compare(ds1, 4, seeds=[], ns_values=[None])
+
+
+def _root_buffer(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestTensorLifetimes:
+    """Each payoff tensor dies with its game, without the cyclic collector.
+
+    A weak reference to a tensor's root cost buffer tells whether the
+    buffer itself is alive; one to the ``PayoffTensor`` would not, since
+    the build may keep the buffer while the tensor object is freed.
+    """
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Weak references to every built tensor's cost buffer; at each build, all earlier ones are dead."""
+        refs = []
+        build = drivers.build_payoff_tensor
+
+        def tracked(*args):
+            assert all(ref() is None for _, ref in refs), "an earlier tensor is alive as a new build starts"
+            tensor = build(*args)
+            refs.append((tensor.n_participants, weakref.ref(_root_buffer(tensor.costs))))
+            return tensor
+
+        monkeypatch.setattr(drivers, "build_payoff_tensor", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    def test_one_tensor_alive_at_a_time(self, ds1, built):
+        for algorithm, ns in (("gtkmeans", None), ("pkgame", 3)):
+            for k in (4, 8):
+                for seed in range(1, 6):
+                    run_algorithm(ds1, RunConfig(k=k, seed=seed, ns=ns, algorithm=algorithm))
+        assert max(n for n, _ in built) > 1  # multi-player games were built
+        assert all(ref() is None for _, ref in built)
+        assert gc.collect() == 0
+
+    def test_none_outlives_a_game_above_the_limit(self, ds1, built, monkeypatch):
+        # k=8 seed 1 (pinned): the first game phase builds a 374-byte
+        # two-player tensor, then raises on a 1,088-byte one
+        monkeypatch.setattr(game_engine, "MAX_TENSOR_BYTES", 1000)
+        with pytest.raises(TensorTooLargeError):
+            run_gtkmeans(ds1, RunConfig(k=8, seed=1))
+        assert [n for n, _ in built] == [2]
+        assert all(ref() is None for _, ref in built)
+        assert gc.collect() == 0
