@@ -40,7 +40,7 @@ print("resources (cluster, spare units):    ", roles.resources)
 routing = route_requests(roles, clustering)
 print("requests routed to nearest resource:", dict(routing))
 
-games = conflicted_games(clustering, roles, routing)
+games = conflicted_games(roles, routing)
 game = games[0]
 print(f"\nresource {game.resource_id} cannot cover the requests -> one local game")
 for p in game.participants:

@@ -4,7 +4,8 @@ The synthetic generator draws blob centers uniformly inside a box and
 scatters points around them with Gaussian noise, split as evenly as
 possible across blobs; everything is determined by the seed (PCG64 via
 ``numpy.random.default_rng``).  CSV files are comma-separated with '.'
-decimals, UTF-8, and at most one optional header row.
+decimals, UTF-8 (with or without a byte-order mark), and at most one
+optional header row.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class Ds1Config:
             )
         if not (self.std_dev > 0 and math.isfinite(self.std_dev)):
             raise ConfigError(f"std_dev must be positive and finite, got {self.std_dev}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_ds1(config: Ds1Config) -> Dataset:
@@ -58,9 +61,13 @@ def generate_ds1(config: Ds1Config) -> Dataset:
 
 
 def load_csv(path: str) -> Dataset:
-    """Read one point per row; a single leading non-numeric row is skipped as a header."""
+    """Read one point per row; a single leading non-numeric row is skipped as a header.
+
+    A leading UTF-8 byte-order mark is dropped, so it never makes the first
+    data row look like a header.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc

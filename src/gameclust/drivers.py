@@ -31,6 +31,8 @@ from .core import (
 )
 from .errors import ConfigError
 from .game_engine import (
+    EquilibriumResult,
+    LocalGame,
     apply_and_evaluate,
     build_payoff_tensor,
     classify_roles,
@@ -67,19 +69,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class GameRecord:
-    """Instrumentation for one solved local game."""
+    """One solved local game: the game, its selected equilibrium and its tensor's feasible share."""
 
-    resource_id: int
-    player_ids: Tuple[int, ...]
-    requests: Tuple[int, ...]
-    set_sizes: Tuple[int, ...]
+    game: LocalGame
+    equilibrium: EquilibriumResult
     feasible_fraction: float
-    equilibrium_kind: str
 
     @property
     def joint_entries(self) -> int:
         """Entries of the game's payoff tensor: one per joint strategy."""
-        return math.prod(self.set_sizes)
+        return math.prod(self.game.shape)
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class RunReport:
     @property
     def avg_strategies_per_player(self) -> float:
         """Mean strategy-set size over every participant of every game; 0.0 without games."""
-        set_sizes = [s for rec in self.trace for g in rec.games for s in g.set_sizes]
+        set_sizes = [s for rec in self.trace for g in rec.games for s in g.game.shape]
         return (sum(set_sizes) / len(set_sizes)) if set_sizes else 0.0
 
 
@@ -160,9 +159,10 @@ def _play_games(
     players and resources, as the loads' excesses over the ideal sum to
     zero) one transfer plan starts from the routing, every request served
     in full, and takes each conflicted resource's transfers from its
-    game's equilibrium.  Each tensor is dropped before the next game's
-    build starts, so at most one is alive at a time: the one that
-    ``MAX_TENSOR_BYTES`` bounds.  ``apply_and_evaluate`` executes the
+    game's equilibrium.  Each game is recorded with its equilibrium and
+    its tensor's feasible share; the tensor itself is dropped before the
+    next game's build starts, so at most one is alive at a time: the one
+    that ``MAX_TENSOR_BYTES`` bounds.  ``apply_and_evaluate`` executes the
     plan, keeping or dropping each resource's transfers on their own.
     Returns the end state, its objectives and the iteration's record,
     whose reallocation score is the combined score of the kept
@@ -175,20 +175,11 @@ def _play_games(
         roles = classify_roles(clustering, pre.ideal_load)
         routing = route_requests(roles, clustering)
         plan = dict(routing)
-        for game in conflicted_games(clustering, roles, routing, ns):
+        for game in conflicted_games(roles, routing, ns):
             tensor = build_payoff_tensor(dataset, clustering, game)
             eq = find_pure_nash(tensor)
             plan[game.resource_id] = game.transfers(eq.joint)
-            records.append(
-                GameRecord(
-                    resource_id=game.resource_id,
-                    player_ids=tuple(p.player_id for p in game.participants),
-                    requests=tuple(p.request for p in game.participants),
-                    set_sizes=tuple(len(p.strategies) for p in game.participants),
-                    feasible_fraction=np.count_nonzero(tensor.feasible) / tensor.feasible.size,
-                    equilibrium_kind=eq.kind,
-                )
-            )
+            records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.feasible.size))
             del tensor  # so the next game's build never overlaps this tensor
         end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
     score = None

@@ -106,14 +106,11 @@ class LocalGame:
     """One conflicted resource and the players competing for its units."""
 
     resource_id: int
-    resource_load: int
     participants: Tuple[Participant, ...]
 
     def __post_init__(self) -> None:
         if not self.participants:
             raise ConfigError("a local game needs at least one participant")
-        if self.resource_load < 1:
-            raise ConfigError(f"resource load must be >= 1, got {self.resource_load}")
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -247,7 +244,6 @@ def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
 
 
 def conflicted_games(
-    clustering: Clustering,
     roles: RoleAssignment,
     routing: Dict[int, List[Tuple[int, int]]],
     ns: Optional[int] = None,
@@ -256,7 +252,8 @@ def conflicted_games(
 
     Participants are ordered by ascending player id; strategy sets are
     pruned with ``select_strategies`` when ns is given.  Resources whose
-    spare units cover all routed requests produce no game.
+    spare units cover all routed requests produce no game.  A game holds
+    no load: the clustering it is built and applied against supplies it.
     """
     overhead = dict(roles.resources)
     games: List[LocalGame] = []
@@ -272,13 +269,7 @@ def conflicted_games(
             if ns is not None:
                 strategies = select_strategies(strategies, ns)
             participants.append(Participant(player_id=pid, request=request, strategies=strategies))
-        games.append(
-            LocalGame(
-                resource_id=rid,
-                resource_load=int(clustering.loads[rid]),
-                participants=tuple(participants),
-            )
-        )
+        games.append(LocalGame(resource_id=rid, participants=tuple(participants)))
     return games
 
 
@@ -320,9 +311,9 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     tensor (8 bytes per cost and 1 per feasibility flag, for each joint)
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
     outlives the call, so the limit bounds all the memory a game keeps
-    once built.  A one-player game has no rival,
-    so every cost is 0 and only the resource's ``load - 1`` cap decides
-    feasibility.
+    once built.  The resource's load is read from ``clustering``.  A
+    one-player game has no rival, so every cost is 0 and only the
+    resource's ``load - 1`` cap decides feasibility.
 
     Other games are built breadth-first, one participant per level, over
     a frontier of feasible prefixes; a prefix that already overdraws the
@@ -333,10 +324,11 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     participant already placed.  A level takes each row's first free
     points in the participant's nearest-first order (``_first_free``),
     accumulates them point by point, and keeps the (row, strategy)
-    children that leave the resource at least one point.  A level
-    expands at most ``_BLOCK`` children at once (or one prefix, when a
-    participant has more strategies), so working memory does not grow
-    with the joint count.
+    children that leave the resource at least one point.  A block of at
+    most ``_BLOCK`` children (or one prefix, when a participant has more
+    strategies) is expanded at once, and its children are expanded before
+    the rest of its level, so at most one block per level waits and
+    working memory does not grow with the joint count.
 
     Cluster SSEs come from the running sums (SSE = sum of squares -
     squared sum / n), and every joint's floats are formed in one fixed
@@ -412,44 +404,43 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     costs = np.zeros((joint_count, n_p))
     feasible = np.zeros(joint_count, dtype=bool)
 
-    def expand(j: int, rows: np.ndarray, taken: np.ndarray) -> None:
+    root = np.zeros((1, s_col + n_p))
+    root[0, :s_col] = base
+    # blocks of frontier rows still to expand, (level, rows, taken), deepest last:
+    # a block's children are expanded before the rest of its level
+    pending = [(0, root, np.zeros((1, m), dtype=bool))]
+    while pending:
+        j, rows, taken = pending.pop()
         tv, tv_index, count, ranks, most_taken = levels[j]
         step = max(1, _BLOCK // len(tv))
-        for lo in range(0, len(rows), step):
-            block, block_taken = rows[lo: lo + step], taken[lo: lo + step]
-            pos = _first_free(block_taken, orders[j], count, most_taken)
-            r, si = (tv < block[:, dim + 1, None]).nonzero()  # the children that leave a point
-            k = tv_index.take(si)
-            moved = xq.take(pos, axis=0).cumsum(axis=1)[r, k]
-            child = block.take(r, axis=0)
-            child[:, :width] -= moved
-            child[:, (j + 1) * width: (j + 2) * width] += moved
-            child[:, s_col + j] = si
-            if j + 1 < n_p:
+        if len(rows) > step:
+            pending.append((j, rows[step:], taken[step:]))
+        block, block_taken = rows[:step], taken[:step]
+        pos = _first_free(block_taken, orders[j], count, most_taken)
+        r, si = (tv < block[:, dim + 1, None]).nonzero()  # the children that leave a point
+        k = tv_index.take(si)
+        moved = xq.take(pos, axis=0).cumsum(axis=1)[r, k]
+        child = block.take(r, axis=0)
+        child[:, :width] -= moved
+        child[:, (j + 1) * width: (j + 2) * width] += moved
+        child[:, s_col + j] = si
+        if j + 1 < n_p:
+            if len(child):
                 child_taken = block_taken.take(r, axis=0)
                 new = ranks <= k[:, None]
                 child_taken[new.nonzero()[0], pos.take(r, axis=0)[new]] = True
-                expand(j + 1, child, child_taken)
-                continue
-            stats = child[:, :s_col].reshape(len(child), n_p + 1, width)
-            after = stats[..., dim] - _square_sum(stats[..., :dim]) / stats[..., dim + 1]
-            after_total = after[:, 0]
-            for i in range(1, n_p + 1):
-                after_total = after_total + after[:, i]
-            dsse = abs((after_total[:, None] - after[:, 1:]) - before_rest)
-            joint = child[:, s_col:].astype(np.intp)
-            flat = joint @ strides
-            costs[flat] = np.sqrt(dsse * balance.take(joint + starts))
-            feasible[flat] = True
-
-    root = np.zeros((1, s_col + n_p))
-    root[0, :s_col] = base
-    try:
-        expand(0, root, np.zeros((1, m), dtype=bool))
-    finally:
-        # ``expand`` refers to itself through its closure; clearing the name
-        # breaks that cycle, so its buffers die with this call
-        del expand
+                pending.append((j + 1, child, child_taken))
+            continue
+        stats = child[:, :s_col].reshape(len(child), n_p + 1, width)
+        after = stats[..., dim] - _square_sum(stats[..., :dim]) / stats[..., dim + 1]
+        after_total = after[:, 0]
+        for i in range(1, n_p + 1):
+            after_total = after_total + after[:, i]
+        dsse = abs((after_total[:, None] - after[:, 1:]) - before_rest)
+        joint = child[:, s_col:].astype(np.intp)
+        flat = joint @ strides
+        costs[flat] = np.sqrt(dsse * balance.take(joint + starts))
+        feasible[flat] = True
 
     if not feasible.all():
         costs[~feasible] = costs.max(initial=0.0, where=feasible[:, None]) + 1.0

@@ -45,7 +45,7 @@ class TestApplyAndEvaluate:
         ds = Dataset(points=[[0.0], [1.0], [5.0], [10.0]])
         c = Clustering.from_assignment(ds, [0, 0, 0, 1], 2)
         game = LocalGame(
-            resource_id=0, resource_load=3,
+            resource_id=0,
             participants=(Participant(1, 1, (0,)),),
         )
         before_sse, before_l = sse(ds, c), load_metric(c.loads, 2)
@@ -63,7 +63,7 @@ class TestApplyAndEvaluate:
         ds = Dataset(points=[[0.0], [1.0], [9.0], [10.0], [11.0]])
         c = Clustering.from_assignment(ds, [0, 0, 1, 1, 1], 2)
         game = LocalGame(
-            resource_id=0, resource_load=2,
+            resource_id=0,
             participants=(Participant(1, 1, (0,)),),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
@@ -76,7 +76,7 @@ class TestApplyAndEvaluate:
         ds = Dataset(points=[[0.0], [1.0], [9.0], [10.0]])
         c = Clustering.from_assignment(ds, [0, 0, 1, 1], 2)
         game = LocalGame(
-            resource_id=1, resource_load=2,
+            resource_id=1,
             participants=(Participant(0, 1, (0,)),),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
@@ -88,7 +88,7 @@ class TestApplyAndEvaluate:
         ds = Dataset(points=[[0.0], [0.3], [10.0], [10.2]])
         c = Clustering.from_assignment(ds, [0, 1, 2, 2], 3)
         game = LocalGame(
-            resource_id=2, resource_load=2,
+            resource_id=2,
             participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
@@ -98,7 +98,7 @@ class TestApplyAndEvaluate:
     def test_accepted_reallocation_conserves_points(self, line20):
         ds, c = line20
         game = LocalGame(
-            resource_id=2, resource_load=15,
+            resource_id=2,
             participants=(
                 Participant(0, 3, (0, 1, 2)),
                 Participant(1, 6, (0, 1, 2, 3, 4, 5)),
@@ -120,7 +120,7 @@ class TestApplyAndEvaluate:
         ds, c = line20
         snapshot = c.assignment.copy()
         game = LocalGame(
-            resource_id=2, resource_load=15,
+            resource_id=2,
             participants=(Participant(1, 6, (0, 1, 2, 3, 4, 5)),),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -143,8 +143,8 @@ class TestApplyAndEvaluate:
         xs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 3.0, 3.1, 10.0, 10.1, 10.2, 10.3, 12.0, 13.0, 13.1, 13.2]
         ds = Dataset(points=np.array(xs).reshape(-1, 1))
         c = Clustering.from_assignment(ds, [0] * 6 + [1] * 2 + [2] * 5 + [3] * 3, 4)
-        draining = LocalGame(resource_id=0, resource_load=6, participants=(Participant(1, 5, (0, 4)),))
-        paying = LocalGame(resource_id=2, resource_load=5, participants=(Participant(3, 1, (0,)),))
+        draining = LocalGame(resource_id=0, participants=(Participant(1, 5, (0, 4)),))
+        paying = LocalGame(resource_id=2, participants=(Participant(3, 1, (0,)),))
         ideal = ideal_load(ds.n, 4)
 
         def score(state):
@@ -174,7 +174,7 @@ class TestApplyAndEvaluate:
             ds = Dataset(points=points)
             c = Clustering.from_assignment(ds, assignment, 3)
             game = LocalGame(
-                resource_id=2, resource_load=loads[2],
+                resource_id=2,
                 participants=(Participant(0, 4, (0, 1, 2, 3)), Participant(1, 5, (0, 1, 2, 3, 4))),
             )
             for joint in np.ndindex(*game.shape):

@@ -231,6 +231,23 @@ class TestExecute:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_gen_with_negative_seed_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "--out", str(out), "--seed", "-1"])
+        assert err.value.code == 2
+        assert not out.exists()
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "seed must be >= 0" in errors[0]
+
+    def test_run_with_negative_ds1_seed_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        status = main(["run", "--ds1", "--ds1-seed", "-1", "--k", "3", "--out", str(out)])
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed must be >= 0" in err[0]
+
     def test_execute_returns_table(self):
         inv = parse_invocation("run --ds1 --k 4 --seed 1".split())
         status, table = execute(inv)

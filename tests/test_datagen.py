@@ -54,6 +54,10 @@ class TestGenerateDs1:
         with pytest.raises(ConfigError):
             Ds1Config(std_dev=std_dev)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            Ds1Config(seed=-1)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -71,6 +75,18 @@ class TestCsv:
         ds = load_csv(str(path))
         assert ds.n == 2
         assert ds.points[0].tolist() == [1.5, 2.5]
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        ds = load_csv(str(path))
+        assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom_header.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1.0,2.0\n3.0,4.0\n")
+        ds = load_csv(str(path))
+        assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -13,12 +13,17 @@ from gameclust import (
     KMeansConfig,
     RunConfig,
     TensorTooLargeError,
+    build_payoff_tensor,
     classify_roles,
+    conflicted_games,
+    find_pure_nash,
     ideal_load,
     init_centers,
     lloyd_full,
+    lloyd_iteration,
     objectives,
     paired_compare,
+    route_requests,
     run_algorithm,
     run_gtkmeans,
     run_pkgame,
@@ -52,14 +57,26 @@ class TestRunGtkmeans:
         report = run_gtkmeans(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED))
         first = report.trace[0]
         assert len(first.games) == 1
-        assert sorted(first.games[0].set_sizes) == [3, 6]
-        assert sorted(first.games[0].requests) == [3, 6]
+        assert sorted(first.games[0].game.shape) == [3, 6]
+        assert sorted(p.request for p in first.games[0].game.participants) == [3, 6]
+
+    def test_worked_example_records_its_game_and_equilibrium(self):
+        ds = line20_dataset()
+        report = run_gtkmeans(ds, RunConfig(k=3, seed=LINE20_SEED))
+        c = lloyd_iteration(ds, init_centers(ds, KMeansConfig(k=3, seed=LINE20_SEED)))
+        roles = classify_roles(c, ideal_load(ds.n, 3))
+        game = conflicted_games(roles, route_requests(roles, c))[0]
+        tensor = build_payoff_tensor(ds, c, game)
+        record = report.trace[0].games[0]
+        assert record.game == game
+        assert record.equilibrium == find_pure_nash(tensor)
+        assert record.feasible_fraction == tensor.feasible.mean()
 
     def test_worked_example_with_selection(self):
         report = run_gtkmeans(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED, ns=2))
         first = report.trace[0]
         assert len(first.games) == 1
-        assert sorted(first.games[0].set_sizes) == [2, 4]
+        assert sorted(first.games[0].game.shape) == [2, 4]
 
     def test_terminates_and_reports(self, ds1):
         report = run_gtkmeans(ds1, RunConfig(k=6, seed=0))
@@ -77,7 +94,7 @@ class TestRunGtkmeans:
         report = run_gtkmeans(ds1, RunConfig(k=6, seed=2))
         assert report.outer_iterations > 1 and report.games_played > 2
         first = dataclasses.replace(report, trace=report.trace[:1])
-        assert [g.set_sizes for g in first.trace[0].games] == [(6, 19), (17,)]
+        assert [g.game.shape for g in first.trace[0].games] == [(6, 19), (17,)]
         assert first.outer_iterations == 1
         assert first.games_played == 2
         assert first.payoff_entry_counts == (6 * 19, 17)
@@ -156,9 +173,9 @@ class TestRunGtkmeans:
             base = run_gtkmeans(ds1, RunConfig(k=8, seed=seed))
             pruned = run_gtkmeans(ds1, RunConfig(k=8, seed=seed, ns=3))
             g0, g1 = base.trace[0].games, pruned.trace[0].games
-            assert [g.resource_id for g in g0] == [g.resource_id for g in g1]
+            assert [g.game.resource_id for g in g0] == [g.game.resource_id for g in g1]
             for a, b in zip(g0, g1):
-                assert b.set_sizes <= a.set_sizes
+                assert b.game.shape <= a.game.shape
                 assert b.joint_entries <= a.joint_entries
 
 

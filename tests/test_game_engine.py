@@ -188,17 +188,17 @@ class TestConflictedGames:
         _, c = clustering_with_loads([4, 1, 8])
         roles = classify_roles(c, Fraction(7))
         routing = route_requests(roles, c)
-        games = conflicted_games(c, roles, routing)
+        games = conflicted_games(roles, routing)
         assert len(games) == 1
         assert games[0].resource_id == 2
         assert games[0].shape == (3, 6)
-        assert games[0].resource_load == 8
+        assert c.loads[games[0].resource_id] == 8
 
     def test_selection_prunes_sets(self):
         _, c = clustering_with_loads([4, 1, 8])
         roles = classify_roles(c, Fraction(7))
         routing = route_requests(roles, c)
-        games = conflicted_games(c, roles, routing, ns=2)
+        games = conflicted_games(roles, routing, ns=2)
         assert games[0].shape == (2, 4)
         assert games[0].participants[0].strategies == (0, 2)
         assert games[0].participants[1].strategies == (0, 2, 4, 5)
@@ -207,7 +207,7 @@ class TestConflictedGames:
         ds, c = clustering_with_loads([5, 9])
         roles = classify_roles(c, Fraction(7))
         routing = route_requests(roles, c)
-        assert conflicted_games(c, roles, routing) == []
+        assert conflicted_games(roles, routing) == []
 
 
 def plan_transfer(ds, c, resource_id, player_id, count, taken=None):
@@ -254,12 +254,12 @@ class TestPlanTransfer:
         ds, c = line20
         points, assignment = ds.points.tolist(), c.assignment.tolist()
         # resource 1 has a single point: no transfer out of it is feasible
-        lone = LocalGame(resource_id=1, resource_load=1, participants=(Participant(0, 1, (0,)),))
+        lone = LocalGame(resource_id=1, participants=(Participant(0, 1, (0,)),))
         assert not build_payoff_tensor(ds, c, lone).feasible.any()
         assert payoff_costs(points, assignment, 3, 1, [(0, 1, (0,))], (0,)) is None
         # resource 2 has 15 points: taking all 15 is infeasible, 14 is not
         drain = LocalGame(
-            resource_id=2, resource_load=15,
+            resource_id=2,
             participants=(Participant(0, 15, generate_strategy_set(15)),),
         )
         tensor = build_payoff_tensor(ds, c, drain)

@@ -58,7 +58,6 @@ LINE20_PARTICIPANTS = [(0, 3, tuple(range(3))), (1, 6, tuple(range(6)))]
 def line20_game():
     return LocalGame(
         resource_id=2,
-        resource_load=15,
         participants=(
             Participant(0, 3, generate_strategy_set(3)),
             Participant(1, 6, generate_strategy_set(6)),
@@ -74,7 +73,6 @@ class TestLocalGameTransfers:
         game = line20_game()
         pruned = LocalGame(
             resource_id=game.resource_id,
-            resource_load=game.resource_load,
             participants=tuple(
                 Participant(p.player_id, p.request, select_strategies(p.strategies, 2))
                 for p in game.participants
@@ -136,7 +134,7 @@ class TestSingleParticipant:
         ds = Dataset(points=[[0.0], [1.0], [9.0], [10.0], [11.0], [12.0]])
         c = Clustering.from_assignment(ds, [0, 0, 1, 2, 2, 2], 3)
         game = LocalGame(
-            resource_id=2, resource_load=3,
+            resource_id=2,
             participants=(Participant(1, 1, (0,)),),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -175,7 +173,7 @@ class TestTensorShape:
     def test_selected_sets_shape(self, line20):
         ds, c = line20
         game = LocalGame(
-            resource_id=2, resource_load=15,
+            resource_id=2,
             participants=(
                 Participant(0, 3, select_strategies(generate_strategy_set(3), 2)),
                 Participant(1, 6, select_strategies(generate_strategy_set(6), 2)),
@@ -190,7 +188,7 @@ class TestTensorShape:
         full = build_payoff_tensor(ds, c, line20_game())
         for ns in range(1, 8):
             pruned_game = LocalGame(
-                resource_id=2, resource_load=15,
+                resource_id=2,
                 participants=tuple(
                     Participant(p.player_id, p.request, select_strategies(p.strategies, ns))
                     for p in line20_game().participants
@@ -207,7 +205,7 @@ class TestInfeasibleJoints:
         ds = Dataset(points=[[0.0], [0.3], [10.0], [10.2]])
         c = Clustering.from_assignment(ds, [0, 1, 2, 2], 3)
         game = LocalGame(
-            resource_id=2, resource_load=2,
+            resource_id=2,
             participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
         )
         return ds, c, game
@@ -229,7 +227,7 @@ class TestInfeasibleJoints:
         ds = Dataset(points=[[float(i)] for i in range(12)])
         c = Clustering.from_assignment(ds, [0] * 2 + [1] * 2 + [2] * 8, 3)
         game = LocalGame(
-            resource_id=2, resource_load=8,
+            resource_id=2,
             participants=(
                 Participant(0, 4, generate_strategy_set(4)),
                 Participant(1, 5, generate_strategy_set(5)),
@@ -245,7 +243,7 @@ class TestInfeasibleJoints:
         ds = Dataset(points=[[float(i)] for i in range(12)])
         c = Clustering.from_assignment(ds, [0] * 2 + [1] * 2 + [2] * 8, 3)
         game = LocalGame(
-            resource_id=2, resource_load=8,
+            resource_id=2,
             participants=(
                 Participant(0, 4, generate_strategy_set(4)),
                 Participant(1, 5, generate_strategy_set(5)),
@@ -294,7 +292,7 @@ class TestRandomCrossCheck:
                 request = int(rng.integers(1, 4))
                 participants.append(Participant(pid, request, generate_strategy_set(request)))
             game = LocalGame(
-                resource_id=resource, resource_load=loads[-1],
+                resource_id=resource,
                 participants=tuple(participants),
             )
             tensor = build_payoff_tensor(ds, c, game)
@@ -344,12 +342,12 @@ class TestTensorMatchesDepthFirstReference:
             if pruned:
                 strategies = select_strategies(strategies, int(rng.integers(2, 5)))
             participants.append(Participant(pid, request, strategies))
-        return ds, c, LocalGame(resource_id=0, resource_load=m, participants=tuple(participants))
+        return ds, c, LocalGame(resource_id=0, participants=tuple(participants))
 
     @staticmethod
-    def leaves_too_few_points(game):
+    def leaves_too_few_points(c, game):
         """True when a feasible prefix leaves fewer free points than a later player's largest transfer."""
-        m = game.resource_load
+        m = int(c.loads[game.resource_id])
         prior = 0
         for p in game.participants:
             if min(m - 1, prior) > m - p.request:
@@ -369,7 +367,7 @@ class TestTensorMatchesDepthFirstReference:
             case = (dim, grid, n_players, pruned, game.shape)
             assert np.array_equal(tensor.feasible, feasible), case
             assert np.array_equal(tensor.costs, costs), case
-            short += self.leaves_too_few_points(game)
+            short += self.leaves_too_few_points(c, game)
         assert short >= 10  # the padded first-free rows are exercised
 
     def test_game_larger_than_a_block(self):
@@ -379,7 +377,7 @@ class TestTensorMatchesDepthFirstReference:
         ds = Dataset(points=points)
         c = Clustering.from_assignment(ds, np.repeat(np.arange(4), loads), 4)
         game = LocalGame(
-            resource_id=0, resource_load=70,
+            resource_id=0,
             participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in (1, 2, 3)),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -396,7 +394,7 @@ class TestSizeGuard:
         ds = Dataset(points=[[float(cid)] for cid, load in enumerate(loads) for _ in range(load)])
         c = Clustering.from_assignment(ds, np.repeat(np.arange(21), loads), 21)
         game = LocalGame(
-            resource_id=0, resource_load=50,
+            resource_id=0,
             participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in range(1, 21)),
         )
         return ds, c, game
