@@ -109,11 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic blob dataset CSV")
     gen.add_argument("--out", required=True, help="CSV file to write")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, default=150, help="number of points")
-    gen.add_argument("--dim", type=int, default=2)
-    gen.add_argument("--blobs", type=int, default=8)
-    gen.add_argument("--std", type=float, default=2.0)
+    gen.add_argument("--seed", type=int, default=Ds1Config.seed)
+    gen.add_argument("--n", type=int, default=Ds1Config.n_points, help="number of points")
+    gen.add_argument("--dim", type=int, default=Ds1Config.dim)
+    gen.add_argument("--blobs", type=int, default=Ds1Config.blob_count)
+    gen.add_argument("--std", type=float, default=Ds1Config.std_dev)
     return parser
 
 

@@ -64,33 +64,38 @@ def load_csv(path: str) -> Dataset:
     """Read one point per row; a single leading non-numeric row is skipped as a header.
 
     A leading UTF-8 byte-order mark is dropped, so it never makes the first
-    data row look like a header.
+    data row look like a header.  Any malformed file raises ``CsvFormatError``.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:  # raised by iteration only, so reader is bound
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: file contains no data rows")
     start = 0
     try:
-        [float(cell) for cell in rows[0]]
+        [float(cell) for cell in rows[0][1]]
     except ValueError:
         start = 1
     if start == len(rows):
         raise CsvFormatError(f"{path}: only a header row, no data")
-    dim = len(rows[start])
+    dim = len(rows[start][1])
     points = []
-    for r, row in enumerate(rows[start:], start=start + 1):
+    for line, row in rows[start:]:
         if len(row) != dim:
-            raise CsvFormatError(f"{path}: row {r} has {len(row)} columns, expected {dim}")
+            raise CsvFormatError(f"{path}: line {line} has {len(row)} columns, expected {dim}")
         values = []
         for c, cell in enumerate(row, start=1):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise CsvFormatError(f"{path}: row {r}, column {c}: {cell!r} is not numeric") from None
+                raise CsvFormatError(f"{path}: line {line}, column {c}: {cell!r} is not numeric") from None
         points.append(values)
     return Dataset(points=np.asarray(points, dtype=np.float64))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,15 +100,14 @@ class IterationRecord:
 class RunReport:
     """Everything one run produced: objectives, improvements, iterations, timing.
 
-    ``termination`` is one of ``TERMINATIONS``: why the run stopped.  The
-    iteration and game counts are read from ``trace``, one record per
-    outer iteration, so they always describe the trace the report holds.
+    ``config`` is the config that ran, naming its engine.  ``termination``
+    is one of ``TERMINATIONS``: why the run stopped.  Iteration and game
+    counts are read from ``trace``, one record per outer iteration.
     ``kmeans_iterations`` counts the Lloyd steps run; a gtkmeans run that
     stopped on a repeated post-Lloyd assignment ran one more Lloyd step
     than it has records.
     """
 
-    algorithm: str
     config: RunConfig
     initial: ObjectiveState
     final: ObjectiveState
@@ -252,8 +251,7 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
         centers = clustering.centers
     assert clustering is not None and initial is not None and final is not None
     return RunReport(
-        algorithm="gtkmeans",
-        config=config,
+        config=replace(config, algorithm="gtkmeans"),
         initial=initial,
         final=final,
         improvement=improvement_report(initial, final),
@@ -295,8 +293,7 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     pre = objectives(dataset, clustering, ideal)
     clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
     return RunReport(
-        algorithm="pkgame",
-        config=config,
+        config=replace(config, algorithm="pkgame"),
         initial=initial,
         final=final,
         improvement=improvement_report(initial, final),
@@ -317,12 +314,21 @@ def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class VariantSummary:
-    """One (algorithm, ns) variant's runs over a set of paired seeds, and their means."""
+    """One (algorithm, ns) variant's runs over paired seeds; all else is read from the runs."""
 
-    algorithm: str
-    ns: Optional[int]
-    k: int
     reports: Tuple[RunReport, ...]
+
+    @property
+    def algorithm(self) -> str:
+        return self.reports[0].config.algorithm
+
+    @property
+    def ns(self) -> Optional[int]:
+        return self.reports[0].config.ns
+
+    @property
+    def k(self) -> int:
+        return self.reports[0].config.k
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -373,13 +379,7 @@ def paired_compare(
         raise ConfigError("need at least one seed")
     return [
         VariantSummary(
-            algorithm=algorithm,
-            ns=ns,
-            k=k,
-            reports=tuple(
-                run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm))
-                for s in seeds
-            ),
+            tuple(run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm)) for s in seeds)
         )
         for algorithm in algorithms
         for ns in ns_values

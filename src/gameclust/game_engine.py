@@ -338,7 +338,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     maximum feasible cost.
     """
     parts = game.participants
-    sizes = tuple(len(p.strategies) for p in parts)
+    sizes = game.shape
     n_p = len(parts)
     joint_count = math.prod(sizes)
     tensor_bytes = joint_count * (8 * n_p + 1)
@@ -545,14 +545,12 @@ def _improves(pre: ObjectiveState, kept: ObjectiveState, new: ObjectiveState) ->
 
     A zero pre-game term stays zero in every kept state, so it is compared
     by convention: the new term must be zero too and the other objective
-    must not worsen.
+    must not worsen.  Both zero is the zero-L case, as ``kept.sse`` is 0.
     """
     if pre.sse > 0 and pre.load_metric > 0:
         return new.sse / pre.sse + new.load_metric / pre.load_metric < (
             kept.sse / pre.sse + kept.load_metric / pre.load_metric
         )
-    if pre.sse == 0 and pre.load_metric == 0:
-        return new.sse == 0 and new.load_metric == 0
     if pre.load_metric == 0:
         return new.load_metric == 0 and new.sse <= kept.sse
     return new.sse == 0 and new.load_metric <= kept.load_metric

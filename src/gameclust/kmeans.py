@@ -23,15 +23,16 @@ dimensions the distances are bit-identical to the broadcast
 ``sum`` adds 8-way unrolled, so the last bits can differ from that form
 (the nearest centers matched in every trial).
 
-``lloyd_full`` runs its steps on plain arrays and builds one
-``Clustering`` at the end.  It keeps two bounds per point, as in Hamerly,
-"Making k-means even faster" (SDM 2010): ``upper`` is at least the
-distance to the assigned center and ``lower`` at most the distance to any
-other center.  After each step ``upper`` grows by the drift of the
-assigned center and ``lower`` shrinks by the largest drift.  A point with
-``upper < lower`` keeps its center without a distance computation; the
-others go through the kernel again.  Every step still gives exactly the
-assignment a full step would, ties included:
+``lloyd_full`` runs its steps on plain arrays and builds one ``Clustering``
+at the end.  It stops on its budget or once the means equal their centers,
+as they do one step after the assignment stops changing.  It keeps two
+bounds per point, as in Hamerly, "Making k-means even faster" (SDM 2010):
+``upper`` is at least the distance to the assigned center and ``lower`` at
+most the distance to any other center.  After each step ``upper`` grows by
+the drift of the assigned center and ``lower`` shrinks by the largest
+drift.  A point with ``upper < lower`` keeps its center without a distance
+computation; the others go through the kernel again.  Every step still gives
+exactly the assignment a full step would, ties included:
 
 * each update pads ``upper`` by a relative ``_MARGIN`` of 1e-9, far
   above the relative rounding error of the kernel, about
@@ -167,13 +168,13 @@ def _bounds(d2: np.ndarray, assignment: np.ndarray) -> Tuple[np.ndarray, np.ndar
 def lloyd_full(
     dataset: Dataset, centers: Sequence[Sequence[float]], max_iterations: int
 ) -> Tuple[Clustering, int]:
-    """Iterate Lloyd steps until assignments stop changing or the budget runs out.
+    """Iterate Lloyd steps until the means equal their centers or the budget runs out.
 
     Returns the final clustering and the number of iterations performed.
-    A fixed-point input is detected after a single iteration.  Every step
-    gives the assignment, loads and centers that ``lloyd_iteration`` would
-    give from the same centers; the distance bounds only decide which
-    points need their distances computed (see the module docstring).
+    A fixed-point input stops after one step, an unchanged assignment one
+    step later.  Each step gives what ``lloyd_iteration`` would from the
+    same centers; the distance bounds only decide which points need their
+    distances computed (see the module docstring).
     """
     if max_iterations < 1:
         raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -186,7 +187,6 @@ def lloyd_full(
     lower = np.zeros(n)
     iterations = 0
     while True:
-        previous = assignment.copy()
         stale = np.flatnonzero(~(upper < lower))  # "not <": NaN bounds are rechecked
         if stale.size < n:
             d2 = squared_distances(current, columns[:, stale].T)
@@ -200,11 +200,7 @@ def lloyd_full(
         upper[stale], lower[stale] = _bounds(d2, assignment[stale])
         means = mean_centers(points, assignment, loads)
         iterations += 1
-        if (
-            iterations == max_iterations
-            or (iterations > 1 and np.array_equal(assignment, previous))
-            or np.array_equal(means, current)  # centers are already the means: nothing can change
-        ):
+        if iterations == max_iterations or np.array_equal(means, current):
             break
         drift = np.hypot.reduce(means - current, axis=1, initial=0.0)
         upper += drift[assignment]

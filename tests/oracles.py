@@ -433,7 +433,6 @@ def run_gtkmeans_replaying(dataset, config):
         seen[post_lloyd] = len(ends) - 1
         centers = clustering.centers
     report = RunReport(
-        algorithm="gtkmeans",
         config=config,
         initial=initial,
         final=final,

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,3 +267,18 @@ class TestAgainstPerCandidateReference:
             assert len(calls) == (1 if accepted else 0)
             outcomes.append(accepted)
         assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("sites", [[[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]], [[2.0, 2.0]] * 3])
+    def test_both_pre_terms_zero_equals_reference(self, sites):
+        # each cluster sits on one site, two points each: SSE 0 and L 0
+        ds = Dataset(points=np.repeat(sites, 2, axis=0))
+        c = Clustering.from_assignment(ds, [0, 0, 1, 1, 2, 2], 3)
+        pre = objectives(ds, c)
+        assert pre.sse == 0 and pre.load_metric == 0
+        plans = [{r: [(p, u)]} for r in range(3) for p in range(3) if p != r for u in (1, 2)]
+        plans += [{0: [(1, 1)], 1: [(2, 1)], 2: [(0, 1)]}, {0: [(1, 1), (2, 1)]}]
+        for p in plans:
+            new, accepted, state = apply_and_evaluate(ds, c, pre, p)
+            ref, ref_accepted, ref_state = apply_per_candidate(ds, c, pre, p)
+            assert (accepted, state) == (ref_accepted, ref_state), p
+            assert new is c and ref is c

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gameclust import load_csv
+from gameclust import Ds1Config, load_csv
 from gameclust.cli import execute, main, parse_invocation
 
 
@@ -101,6 +101,9 @@ class TestParseInvocation:
         assert inv.gen.n_points == 60
         assert inv.gen.blob_count == 4
 
+    def test_gen_defaults_are_the_ds1_defaults(self):
+        assert parse_invocation(["gen", "--out", "x.csv"]).gen == Ds1Config()
+
 
 class TestExecute:
     def test_gen_then_load_round_trip(self, tmp_path):
@@ -117,6 +120,21 @@ class TestExecute:
         )
         assert status == 2
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"1.0,2.0\n\xe9,3\n", b"1,2\n" + b"9" * 200_000 + b",3\n"],
+        ids=["not-utf8", "oversized-field"],
+    )
+    def test_unreadable_csv_exits_2_without_output(self, tmp_path, capsys, content):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        out = tmp_path / "o.json"
+        status = main(["run", "--data", str(data), "--k", "2", "--out", str(out)])
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_k_exceeding_n_exits_2(self, tmp_path):
         data = tmp_path / "tiny.csv"

@@ -109,7 +109,7 @@ class TestCsv:
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(CsvFormatError) as err:
             load_csv(str(path))
-        assert "row 2" in str(err.value)
+        assert "line 2" in str(err.value)
         assert "column 2" in str(err.value)
 
     def test_ragged_row_names_row(self, tmp_path):
@@ -117,7 +117,26 @@ class TestCsv:
         path.write_text("1,2\n3,4,5\n")
         with pytest.raises(CsvFormatError) as err:
             load_csv(str(path))
-        assert "row 2" in str(err.value)
+        assert "line 2" in str(err.value)
+
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("1,2\n\n3,x\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(str(path))
+        assert "line 3, column 2" in str(err.value)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1.0,2.0\n\xe9,3\n")
+        with pytest.raises(CsvFormatError, match="not valid UTF-8"):
+            load_csv(str(path))
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("1,2\n" + "9" * 200_000 + ",3\n")
+        with pytest.raises(CsvFormatError, match="line 2: field larger than field limit"):
+            load_csv(str(path))
 
     def test_nine_significant_digits(self, tmp_path):
         ds = Dataset(points=[[1.23456789123456, -0.000012345678912]])

@@ -293,9 +293,17 @@ class TestRunConfig:
 
     def test_dispatch(self, ds1):
         a = run_algorithm(ds1, RunConfig(k=4, seed=2, algorithm="pkgame"))
-        assert a.algorithm == "pkgame"
+        assert a.config.algorithm == "pkgame"
         b = run_algorithm(ds1, RunConfig(k=4, seed=2))
-        assert b.algorithm == "gtkmeans"
+        assert b.config.algorithm == "gtkmeans"
+
+    def test_report_config_names_the_engine_that_ran(self, ds1):
+        config = RunConfig(k=4, seed=1)
+        report = run_pkgame(ds1, config)
+        assert report.config == dataclasses.replace(config, algorithm="pkgame")
+        config = RunConfig(k=4, seed=1, algorithm="pkgame")
+        report = run_gtkmeans(ds1, config)
+        assert report.config == dataclasses.replace(config, algorithm="gtkmeans")
 
 
 class TestPairedCompare:
@@ -314,6 +322,17 @@ class TestPairedCompare:
     def test_single_ns_gives_one_row_per_algorithm(self, ds1):
         summaries = paired_compare(ds1, 4, seeds=[1], ns_values=[None])
         assert [(s.algorithm, s.ns) for s in summaries] == [("gtkmeans", None), ("pkgame", None)]
+
+    def test_summary_identity_is_its_reports_config(self, ds1):
+        summaries = paired_compare(ds1, 5, seeds=[3, 4], ns_values=[None, 2])
+        assert [(s.algorithm, s.ns, s.k) for s in summaries] == [
+            ("gtkmeans", None, 5), ("gtkmeans", 2, 5), ("pkgame", None, 5), ("pkgame", 2, 5)
+        ]
+        for summary in summaries:
+            for report in summary.reports:
+                assert (report.config.algorithm, report.config.ns, report.config.k) == (
+                    summary.algorithm, summary.ns, summary.k
+                )
 
     def test_means_match_reports(self, ds1):
         (summary,) = paired_compare(ds1, 5, seeds=[0, 1, 2], ns_values=[None], algorithms=("gtkmeans",))
