@@ -68,7 +68,8 @@ FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
 # feasibility flag, for each joint.
 MAX_TENSOR_BYTES = 256 * 2**20
 
-# The tensor build expands at most this many children at once, so its
+# The tensor build expands at most this many children at once, and the Nash
+# search sums the social costs of this many equilibria at once, so their
 # working memory does not grow with the joint count.
 _BLOCK = 1024
 
@@ -141,8 +142,8 @@ class PayoffTensor:
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=np.float64)
         f = np.asarray(self.feasible, dtype=bool)
-        if c.ndim < 2 or c.shape[:-1] != f.shape:
-            raise StructuralError("costs must have shape (*joint_shape, n_participants)")
+        if c.ndim < 2 or c.shape[:-1] != f.shape or c.shape[-1] < 1:
+            raise StructuralError("costs must have shape (*joint_shape, n_participants), n_participants >= 1")
         # two reductions, no temporary per cost; NaN fails the first comparison
         if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0))):
             raise StructuralError("costs must be finite and nonnegative")
@@ -319,16 +320,30 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     a frontier of feasible prefixes; a prefix that already overdraws the
     resource gets no children, so infeasible sub-blocks are skipped
     wholesale.  A frontier row holds which resource points are taken and,
-    packed in one float row, the running sum, sum of squares and count of
-    the resource and of each participant, and the strategy index of each
-    participant already placed.  A level takes each row's first free
-    points in the participant's nearest-first order (``_first_free``),
-    accumulates them point by point, and keeps the (row, strategy)
-    children that leave the resource at least one point.  A block of at
-    most ``_BLOCK`` children (or one prefix, when a participant has more
+    packed in (dim + 2) + 2 n_p + 1 floats, only what later levels read:
+    the resource's running sum, sum of squares and count; the after-SSE of
+    each participant already placed, final once its level took its points;
+    the prefix's flat joint index; and each placed participant's
+    own-balance term.  A level takes each row's first free points in the
+    participant's nearest-first order (``_first_free``), accumulates them
+    point by point, and keeps the (row, strategy) children that leave the
+    resource at least one point.  The leaf adds the resource's after-SSE
+    and writes each child's costs at its flat index.  A block of at most
+    ``_BLOCK`` children (or one prefix, when a participant has more
     strategies) is expanded at once, and its children are expanded before
-    the rest of its level, so at most one block per level waits and
+    the rest of its level, so at most one frontier per level waits and
     working memory does not grow with the joint count.
+
+    Beside the tensor, the build holds the resource's m points, each
+    participant's nearest-first order over them, and at most n_p frontiers
+    of B = max(``_BLOCK``, s) rows, s the most strategies a participant
+    has: n_p B (8 ((dim + 2) + 2 n_p + 1) + m) bytes.  Expanding one block
+    adds the running sums of its rows' first free points and the positions
+    of the points its children take: at most 16 (dim + 2) B r + 11 B c
+    bytes, c the most points a participant may take and r that per
+    strategy it has (1 without selection).  For six players in 2-d over 25
+    points the bound is 1.17 MB beside a 40,320-joint tensor of 1.98 MB;
+    the build uses 0.83 MB there.
 
     Cluster SSEs come from the running sums (SSE = sum of squares -
     squared sum / n), and every joint's floats are formed in one fixed
@@ -386,32 +401,40 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     xq[:, dim + 1] = 1.0
     # per level: the participant's transfers and the index of each one's
     # running sum, how many nearest free points it may take (no feasible
-    # transfer is larger) and their ranks, and the most points taken before it
+    # transfer is larger) and their ranks, the most points taken before it,
+    # its own running sums before any transfer, its stride in the flat joint
+    # index, and its own-balance term per strategy
     offsets = [0, *itertools.accumulate(sizes)]
     counts = [min(p.request, m - 1) for p in parts]
     taken_before = [min(m - 1, prior) for prior in itertools.accumulate([0, *counts[:-1]])]
+    strides = [joint_count // prefix for prefix in itertools.accumulate(sizes, operator.mul)]
+    own_sums = np.array(base[width:]).reshape(n_p, width)
     sum_index = transfer - 1
     levels = [
-        (transfer[lo:hi], sum_index[lo:hi], count, np.arange(count), most_taken)
-        for lo, hi, count, most_taken in zip(offsets, offsets[1:], counts, taken_before)
+        (transfer[lo:hi], sum_index[lo:hi], count, np.arange(count), most_taken, own, stride, balance[lo:hi])
+        for lo, hi, count, most_taken, own, stride in zip(
+            offsets, offsets[1:], counts, taken_before, own_sums, strides
+        )
     ]
-    starts = np.array(offsets[:-1])
-    strides = np.array([joint_count // prefix for prefix in itertools.accumulate(sizes, operator.mul)])
 
-    # frontier row: ``width`` statistics columns for the resource and for each
-    # participant, then one strategy index per participant
-    s_col = (n_p + 1) * width
+    # frontier row: the resource's running sums (``width`` columns), the
+    # after-SSE of each participant placed, the prefix's flat joint index
+    # (exact in a float: the size guard keeps joint counts far below 2**53),
+    # and the own-balance term of each participant placed
+    a_col = width
+    f_col = a_col + n_p
+    b_col = f_col + 1
     costs = np.zeros((joint_count, n_p))
     feasible = np.zeros(joint_count, dtype=bool)
 
-    root = np.zeros((1, s_col + n_p))
-    root[0, :s_col] = base
+    root = np.zeros((1, b_col + n_p))
+    root[0, :width] = base[:width]
     # blocks of frontier rows still to expand, (level, rows, taken), deepest last:
     # a block's children are expanded before the rest of its level
     pending = [(0, root, np.zeros((1, m), dtype=bool))]
     while pending:
         j, rows, taken = pending.pop()
-        tv, tv_index, count, ranks, most_taken = levels[j]
+        tv, tv_index, count, ranks, most_taken, own, stride, own_balance = levels[j]
         step = max(1, _BLOCK // len(tv))
         if len(rows) > step:
             pending.append((j, rows[step:], taken[step:]))
@@ -422,24 +445,24 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         moved = xq.take(pos, axis=0).cumsum(axis=1)[r, k]
         child = block.take(r, axis=0)
         child[:, :width] -= moved
-        child[:, (j + 1) * width: (j + 2) * width] += moved
-        child[:, s_col + j] = si
+        mine = own + moved
+        child[:, a_col + j] = mine[:, dim] - _square_sum(mine[:, :dim]) / mine[:, dim + 1]
+        child[:, f_col] += si * stride
+        child[:, b_col + j] = own_balance.take(si)
         if j + 1 < n_p:
             if len(child):
                 child_taken = block_taken.take(r, axis=0)
-                new = ranks <= k[:, None]
-                child_taken[new.nonzero()[0], pos.take(r, axis=0)[new]] = True
+                # each child takes the first k + 1 of its row's free points
+                child_taken[np.arange(len(r))[:, None], pos.take(r, axis=0)] |= ranks <= k[:, None]
                 pending.append((j + 1, child, child_taken))
             continue
-        stats = child[:, :s_col].reshape(len(child), n_p + 1, width)
-        after = stats[..., dim] - _square_sum(stats[..., :dim]) / stats[..., dim + 1]
-        after_total = after[:, 0]
-        for i in range(1, n_p + 1):
-            after_total = after_total + after[:, i]
-        dsse = abs((after_total[:, None] - after[:, 1:]) - before_rest)
-        joint = child[:, s_col:].astype(np.intp)
-        flat = joint @ strides
-        costs[flat] = np.sqrt(dsse * balance.take(joint + starts))
+        # the resource's after-SSE, then each participant's, summed in turn
+        after_total = child[:, dim] - _square_sum(child[:, :dim]) / child[:, dim + 1]
+        for i in range(a_col, f_col):
+            after_total = after_total + child[:, i]
+        dsse = abs((after_total[:, None] - child[:, a_col:f_col]) - before_rest)
+        flat = child[:, f_col].astype(np.intp)
+        costs[flat] = np.sqrt(dsse * child[:, b_col:])
         feasible[flat] = True
 
     if not feasible.all():
@@ -453,21 +476,37 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     Among pure equilibria the one with minimum social cost wins, ties by
     lexicographic joint index.  Without any pure equilibrium the
     minimum-social-cost joint is returned, flagged as a fallback.
+
+    Beside the tensor the search keeps one equilibrium flag per joint,
+    started from the first participant's best-response test, and one
+    more per joint while it tests each later participant: 2 bytes per
+    joint.  It keeps each equilibrium's flat index, 8 bytes per
+    equilibrium, and sums social cost over the equilibria ``_BLOCK`` at a
+    time; over every joint (8 bytes each) only for the fallback.  Both
+    read the tensor in any memory order.
     """
     costs = tensor.costs
     sizes = tensor.shape
     n_p = tensor.n_participants
-    ne_mask = np.ones(sizes, dtype=bool)
-    for i in range(n_p):
+    ne_mask = costs[..., 0] <= costs[..., 0].min(axis=0, keepdims=True)
+    for i in range(1, n_p):
         ci = costs[..., i]
         ne_mask &= ci <= ci.min(axis=i, keepdims=True)
-    social = costs.sum(axis=-1)
     ne = np.flatnonzero(ne_mask)
+    del ne_mask  # the fallback's social costs need not sit beside it
     if ne.size:
-        flat = int(ne[np.argmin(social.take(ne))])  # first minimum == lexicographic
+        # only a strictly lower social cost replaces the pick, so among
+        # equal minima the first, in lexicographic order, wins
+        best = math.inf
+        for lo in range(0, ne.size, _BLOCK):
+            block = ne[lo : lo + _BLOCK]
+            social = costs[np.unravel_index(block, sizes)].sum(axis=-1)
+            i = int(np.argmin(social))
+            if social[i] < best:
+                best, flat = social[i], int(block[i])
         kind = PURE_NASH
     else:
-        flat = int(np.argmin(social.reshape(-1)))
+        flat = int(np.argmin(costs.sum(axis=-1)))  # first minimum == lexicographic
         kind = FALLBACK_MIN_SOCIAL_COST
     joint = tuple(int(v) for v in np.unravel_index(flat, sizes))
     return EquilibriumResult(joint=joint, kind=kind, costs=tuple(float(c) for c in costs[joint]))

@@ -23,6 +23,8 @@ import time
 import numpy as np
 
 from gameclust import (
+    FALLBACK_MIN_SOCIAL_COST,
+    PURE_NASH,
     Clustering,
     KMeansConfig,
     RunReport,
@@ -181,6 +183,21 @@ def pure_nash_set(costs):
         if is_ne:
             equilibria.append(joint)
     return equilibria
+
+
+def pure_nash_pick(costs):
+    """The equilibrium the engine must select, by brute force: (joint, kind, costs).
+
+    Among ``pure_nash_set`` the minimum social cost wins, ties to the
+    lexicographically first joint.  Without a pure equilibrium the same
+    rule runs over every joint, flagged as the fallback.  ``costs`` is the
+    dict form ``pure_nash_set`` takes; social cost is summed in Python, so
+    it matches numpy's only where the sums are exact (integer costs).
+    """
+    equilibria = pure_nash_set(costs)
+    kind = PURE_NASH if equilibria else FALLBACK_MIN_SOCIAL_COST
+    joint = min(equilibria or costs, key=lambda j: (sum(costs[j]), j))
+    return joint, kind, tuple(costs[joint])
 
 
 def tensor_as_dict(costs_array):

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gameclust import (
     FALLBACK_MIN_SOCIAL_COST,
@@ -10,7 +13,7 @@ from gameclust import (
     find_pure_nash,
 )
 
-from oracles import pure_nash_set, tensor_as_dict
+from oracles import pure_nash_pick, pure_nash_set, tensor_as_dict
 
 
 def tensor_from(costs):
@@ -105,3 +108,63 @@ class TestOracleEquivalence:
                     deviated = list(result.joint)
                     deviated[i] = alt
                     assert costs[result.joint][i] <= costs[tuple(deviated)][i]
+
+
+@st.composite
+def tied_tensors(draw):
+    """Integer costs, so ties abound, with some joints on the build's infeasible plateau."""
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    mode = draw(st.sampled_from(["ties", "spread", "constant-sum"]))
+    if mode == "ties":  # few cost levels: many equilibria of equal social cost
+        top = draw(st.sampled_from([1, 3]))
+        share_feasible = draw(st.sampled_from([1.0, 0.8, 0.4]))
+    else:  # many levels and no plateau: often no pure equilibrium, so the fallback runs
+        top, share_feasible = 1000, 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.integers(0, top + 1, size=sizes + (len(sizes),)).astype(float)
+    if mode == "constant-sum":  # every joint has the same social cost, so the pick is lexicographic
+        costs[..., -1] = top * (len(sizes) - 1) - costs[..., :-1].sum(axis=-1)
+    feasible = rng.random(sizes) < share_feasible
+    # as build_payoff_tensor does: every infeasible joint costs 1 + the largest feasible cost
+    costs[~feasible] = costs.max(initial=0.0, where=feasible[..., None]) + 1.0
+    return PayoffTensor(costs=costs, feasible=feasible)
+
+
+class TestPickMatchesBruteForce:
+    @given(tied_tensors())
+    @settings(max_examples=200, deadline=None)
+    def test_joint_kind_and_costs_equal_the_oracle(self, tensor):
+        joint, kind, costs = pure_nash_pick(tensor_as_dict(tensor.costs))
+        result = find_pure_nash(tensor)
+        assert (result.joint, result.kind, result.costs) == (joint, kind, costs)
+
+
+class TestMemory:
+    def test_search_keeps_about_two_bytes_per_joint(self):
+        # 4,194,304 joints whose one zero-cost joint is the cheapest equilibrium
+        rng = np.random.default_rng(0)
+        costs = rng.random((2048, 2048, 2))
+        costs += 1.0
+        costs[0, 0] = 0.0
+        tensor = tensor_from(costs)
+        tracemalloc.start()
+        try:
+            result = find_pure_nash(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.joint, result.kind) == ((0, 0), PURE_NASH)
+        assert peak <= 2.5 * tensor.joint_count
+
+    def test_every_joint_an_equilibrium_in_fortran_order(self):
+        # 1,048,576 joints of equal cost: each is an equilibrium, and the first wins
+        tensor = tensor_from(np.asfortranarray(np.ones((1024, 1024, 2))))
+        tracemalloc.start()
+        try:
+            result = find_pure_nash(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.joint, result.kind) == ((0, 0), PURE_NASH)
+        # two flags and one flat index per joint, and one block's social costs
+        assert peak <= 10.5 * tensor.joint_count

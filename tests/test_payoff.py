@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,17 @@ from gameclust import (
     LocalGame,
     Participant,
     PayoffTensor,
+    RunConfig,
     StructuralError,
     TensorTooLargeError,
     apply_and_evaluate,
     build_payoff_tensor,
     generate_strategy_set,
     objectives,
+    run_gtkmeans,
     select_strategies,
 )
-from gameclust import game_engine
+from gameclust import drivers, game_engine
 from gameclust.cli import main
 
 from oracles import payoff_costs, payoff_table, payoff_tensor_dfs
@@ -154,6 +157,10 @@ class TestPayoffTensorValidation:
         costs[1, 0, 1] = bad
         with pytest.raises(StructuralError):
             PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
+
+    def test_no_participant_rejected(self):
+        with pytest.raises(StructuralError):
+            PayoffTensor(costs=np.zeros((3, 0)), feasible=np.ones(3, dtype=bool))
 
     def test_zero_and_finite_costs_accepted(self):
         costs = np.zeros((3, 2, 2))
@@ -320,7 +327,8 @@ class TestTensorMatchesDepthFirstReference:
     """The breadth-first build reproduces the depth-first reference bit for bit."""
 
     # largest request per player count, so the reference stays quick
-    MAX_REQUEST = {1: 16, 2: 12, 3: 8, 4: 6, 5: 5}
+    MAX_REQUEST = {1: 16, 2: 12, 3: 8, 4: 6, 5: 5, 6: 4}
+    GAMES_PER_CASE = 5
 
     def random_game(self, rng, dim, grid, n_players, pruned):
         m = int(rng.integers(2, 14))
@@ -358,8 +366,8 @@ class TestTensorMatchesDepthFirstReference:
     def test_random_games_bit_identical(self):
         rng = np.random.default_rng(20240611)
         short = 0
-        for dim, grid, n_players, pruned in itertools.product(
-            (1, 2, 3), (False, True), (1, 2, 3, 4, 5), (False, True)
+        for dim, grid, n_players, pruned, _ in itertools.product(
+            (1, 2, 3), (False, True), (1, 2, 3, 4, 5, 6), (False, True), range(self.GAMES_PER_CASE)
         ):
             ds, c, game = self.random_game(rng, dim, grid, n_players, pruned)
             tensor = build_payoff_tensor(ds, c, game)
@@ -385,6 +393,42 @@ class TestTensorMatchesDepthFirstReference:
         costs, feasible = reference_tensor(ds, c, game)
         assert np.array_equal(tensor.feasible, feasible)
         assert np.array_equal(tensor.costs, costs)
+
+
+class TestWorkingMemory:
+    """The build's memory beside the tensor stays within the bound its docstring states."""
+
+    @staticmethod
+    def bound(ds, c, game):
+        """n_p B (8 ((dim + 2) + 2 n_p + 1) + m) for the frontier, 16 (dim + 2) B r + 11 B c for one expansion."""
+        n_p, m, width = len(game.participants), int(c.loads[game.resource_id]), ds.dim + 2
+        block = max(game_engine._BLOCK, *game.shape)
+        most = [min(p.request, m - 1) for p in game.participants]
+        per_strategy = max(math.ceil(t / len(p.strategies)) for t, p in zip(most, game.participants))
+        frontier = n_p * block * (8 * (width + 2 * n_p + 1) + m)
+        return frontier + 16 * width * block * per_strategy + 11 * block * max(most)
+
+    def test_every_game_of_the_run_with_ds1_fulls_largest_game(self, ds1, monkeypatch):
+        played = []
+        build = drivers.build_payoff_tensor
+
+        def record(dataset, clustering, game):
+            played.append((clustering, game))
+            return build(dataset, clustering, game)
+
+        monkeypatch.setattr(drivers, "build_payoff_tensor", record)
+        run_gtkmeans(ds1, RunConfig(k=8, seed=41))
+        largest = max((game for _, game in played), key=lambda game: math.prod(game.shape))
+        assert (math.prod(largest.shape), len(largest.participants)) == (40_320, 6)  # the widest rows
+        for c, game in played:
+            tracemalloc.start()
+            try:
+                tensor = build_payoff_tensor(ds1, c, game)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            beside = peak - tensor.costs.nbytes - tensor.feasible.nbytes
+            assert beside <= self.bound(ds1, c, game), game.shape
 
 
 class TestSizeGuard:
