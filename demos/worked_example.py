@@ -30,7 +30,7 @@ clustering = Clustering.from_assignment(dataset, [0] * 4 + [1] + [2] * 15, 3)
 ideal = ideal_load(dataset.n, 3)
 
 print("loads:", clustering.loads.tolist(), " ideal load:", ideal, f"({float(ideal):.3f})")
-before = objectives(dataset, clustering, ideal)
+before = objectives(dataset, clustering)
 print("SSE:", round(before.sse, 3), " L:", round(before.load_metric, 3))
 
 roles = classify_roles(clustering, ideal)

@@ -3,8 +3,10 @@
 Compaction is measured by SSE, the sum of squared Euclidean distances
 from each point to its assigned cluster center.  Balance is measured by
 the load metric, the sum of squared deviations of cluster loads from
-the ideal load n/k.  The ideal load is carried as an exact rational;
-rounding to whole units happens only where transfers are planned.
+the ideal load n/k.  The ideal load is an exact rational, worked out
+from (n, k) where it is used; every balance rule reads it through
+``load_excess``, in integers, and ``ObjectiveState.score`` is the one
+rule that weighs both objectives together.
 
 All types are immutable values after construction and every operation
 here is a pure function, so they can be evaluated from multiple threads
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,11 +107,16 @@ class Clustering:
 
 @dataclass(frozen=True)
 class ObjectiveState:
-    """Snapshot of both objectives for one clustering."""
+    """Both objectives of one clustering; ``score`` weighs them together against a reference state."""
 
     sse: float
     load_metric: float
-    ideal_load: Fraction
+
+    def score(self, reference: "ObjectiveState") -> float:
+        """The combined score SSE/SSE_ref + L/L_ref; a zero reference term counts unscaled."""
+        s = self.sse / reference.sse if reference.sse > 0 else self.sse
+        l = self.load_metric / reference.load_metric if reference.load_metric > 0 else self.load_metric
+        return s + l
 
 
 @dataclass(frozen=True)
@@ -198,17 +205,27 @@ def assigned_sse(points: np.ndarray, assignment: np.ndarray, centers: np.ndarray
     return float(diff.sum())
 
 
+def load_excess(loads: Sequence[int], ideal: Rational) -> Tuple[List[int], int]:
+    """Each load's excess over the ideal p/q, scaled to an exact integer: ([q*l - p], q).
+
+    The one rule for a load's distance from the ideal: q*l - p is
+    q * (l - ideal), so its sign, its rounding to whole units and its
+    square are all exact in integers.
+    """
+    p, q = ideal.numerator, ideal.denominator
+    return [q * l - p for l in np.asarray(loads, dtype=np.int64).tolist()], q
+
+
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:
     """Sum of squared deviations of cluster loads from the ideal load.
 
-    Evaluated exactly as sum((q*l - p)^2) / q^2 in integers, where p/q
-    is the ideal, and rounded once by the final division.
+    Evaluated exactly as sum((q*l - p)^2) / q^2 in integers, from
+    ``load_excess``, and rounded once by the final division.
     """
     if len(loads) == 0:
         raise ConfigError("loads must be nonempty")
-    ideal_f = ideal if isinstance(ideal, Fraction) else Fraction(ideal)
-    p, q = ideal_f.numerator, ideal_f.denominator
-    return sum((q * l - p) ** 2 for l in np.asarray(loads, dtype=np.int64).tolist()) / (q * q)
+    excesses, q = load_excess(loads, ideal)
+    return sum(e * e for e in excesses) / (q * q)
 
 
 def improvement_pct(initial: float, final: float) -> float:
@@ -218,22 +235,18 @@ def improvement_pct(initial: float, final: float) -> float:
     return 100.0 * (initial - final) / initial
 
 
-def objectives(dataset: Dataset, clustering: Clustering, ideal: Optional[Rational] = None) -> ObjectiveState:
-    """Evaluate both objectives; ideal defaults to n/k of the clustering.
+def objectives(dataset: Dataset, clustering: Clustering) -> ObjectiveState:
+    """Evaluate both objectives, the load metric against the ideal load n/k.
 
     Raises ``StructuralError`` when the SSE is not finite, which happens
     when the data's scale overflows the squared distances: no balancer
     can compare states whose SSE is inf or nan.
     """
-    ideal_f = Fraction(ideal) if ideal is not None else ideal_load(dataset.n, clustering.k)
     total = sse(dataset, clustering)
     if not math.isfinite(total):
         raise StructuralError("results are not finite (inf or nan): the data's scale overflows the objectives")
-    return ObjectiveState(
-        sse=total,
-        load_metric=load_metric(clustering.loads, ideal_f),
-        ideal_load=ideal_f,
-    )
+    ideal = ideal_load(dataset.n, clustering.k)
+    return ObjectiveState(sse=total, load_metric=load_metric(clustering.loads, ideal))
 
 
 def improvement_report(initial: ObjectiveState, final: ObjectiveState) -> ImprovementReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,8 +24,10 @@ from .core import (
     Dataset,
     ImprovementReport,
     ObjectiveState,
+    Rational,
     ideal_load,
     improvement_report,
+    load_excess,
     objectives,
 )
 from .errors import ConfigError
@@ -138,10 +139,10 @@ class RunReport:
         return (sum(set_sizes) / len(set_sizes)) if set_sizes else 0.0
 
 
-def _balanced(clustering: Clustering, ideal: Fraction) -> bool:
+def _balanced(clustering: Clustering, ideal: Rational) -> bool:
     """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
-    p, q = ideal.numerator, ideal.denominator
-    return all(abs(q * l - p) < q for l in clustering.loads.tolist())
+    excesses, q = load_excess(clustering.loads, ideal)
+    return all(abs(e) < q for e in excesses)
 
 
 def _play_games(
@@ -154,24 +155,25 @@ def _play_games(
     """Formulate, solve and apply the game phase of one iteration.
 
     ``pre`` holds the objectives of ``clustering``, the post-Lloyd state.
-    A balanced clustering plays no games.  Otherwise (it then has both
-    players and resources, as the loads' excesses over the ideal sum to
-    zero) one transfer plan starts from the routing, every request served
-    in full, and takes each conflicted resource's transfers from its
-    game's equilibrium.  Each game is recorded with its equilibrium and
+    The ideal load n/k is worked out here, for the balance test and the
+    roles.  A balanced clustering plays no games.  Otherwise (it then has
+    both players and resources, as the loads' excesses over the ideal sum
+    to zero) one transfer plan starts from the routing, every request
+    served in full, and takes each conflicted resource's transfers from
+    its game's equilibrium.  Each game is recorded with its equilibrium and
     its tensor's feasible share; the tensor itself is dropped before the
     next game's build starts, so at most one is alive at a time: the one
     that ``MAX_TENSOR_BYTES`` bounds.  ``apply_and_evaluate`` executes the
     plan, keeping or dropping each resource's transfers on their own.
     Returns the end state, its objectives and the iteration's record,
-    whose reallocation score is the combined score of the kept
-    reallocation relative to ``pre`` (None when nothing was kept or a
-    pre-game term is zero).
+    whose reallocation score is the kept state's ``score`` relative to
+    ``pre`` (None when nothing was kept or a pre-game term is zero).
     """
     end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
-    if not _balanced(clustering, pre.ideal_load):
-        roles = classify_roles(clustering, pre.ideal_load)
+    ideal = ideal_load(dataset.n, clustering.k)
+    if not _balanced(clustering, ideal):
+        roles = classify_roles(clustering, ideal)
         routing = route_requests(roles, clustering)
         plan = dict(routing)
         for game in conflicted_games(roles, routing, ns):
@@ -181,9 +183,7 @@ def _play_games(
             records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.feasible.size))
             del tensor  # so the next game's build never overlaps this tensor
         end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
-    score = None
-    if accepted and pre.sse > 0 and pre.load_metric > 0:
-        score = end.sse / pre.sse + end.load_metric / pre.load_metric
+    score = end.score(pre) if accepted and pre.sse > 0 and pre.load_metric > 0 else None
     record = IterationRecord(
         index=index,
         sse_before_games=pre.sse,
@@ -208,14 +208,14 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
       replay that iteration's games forever.  The run is ``converged``
       when ``first`` is the last iteration played and kept nothing,
       ``cycle`` otherwise.  The reported final state is the end state of
-      the iterations from ``first`` on with the lowest SSE/SSE0 + L/L0
-      (0: the first Lloyd step), ties to the earliest;
+      the iterations from ``first`` on with the lowest ``score`` relative
+      to the first Lloyd step's objectives, SSE/SSE0 + L/L0, ties to the
+      earliest;
     * after a game phase, ``converged``: it kept nothing and the Lloyd
       step left the previous iteration's assignment unchanged;
     * ``budget``: ``max_outer_iterations`` ran out.
     """
     t0 = time.perf_counter()
-    ideal = ideal_load(dataset.n, config.k)
     centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     trace: List[IterationRecord] = []
     ends: List[Tuple[Clustering, ObjectiveState]] = []  # end state of every iteration, in order
@@ -230,14 +230,10 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
         if post_lloyd in seen:
             first = seen[post_lloyd]
             termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
-            best = min(
-                range(first, len(ends)),
-                key=lambda i: _ratio(trace[i].sse_end, initial.sse)
-                + _ratio(trace[i].l_end, initial.load_metric),
-            )
+            best = min(range(first, len(ends)), key=lambda i: ends[i][1].score(initial))
             clustering, final = ends[best]
             break
-        pre = objectives(dataset, clustering, ideal)
+        pre = objectives(dataset, clustering)
         if initial is None:
             initial = pre
         lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
@@ -263,11 +259,6 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
     )
 
 
-def _ratio(value: float, reference: float) -> float:
-    """value / reference, or value itself when the reference is zero."""
-    return value / reference if reference > 0 else value
-
-
 def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     """One-shot engine: full Lloyd convergence, then a single game phase.
 
@@ -277,10 +268,9 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     ``budget`` otherwise; the game phase itself always completes.
     """
     t0 = time.perf_counter()
-    ideal = ideal_load(dataset.n, config.k)
     centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     first = lloyd_iteration(dataset, centers)
-    initial = objectives(dataset, first, ideal)
+    initial = objectives(dataset, first)
     if config.max_outer_iterations > 1:
         clustering, inner = lloyd_full(dataset, first.centers, config.max_outer_iterations - 1)
         kmeans_iterations = 1 + inner
@@ -290,7 +280,7 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
         lloyd_iteration(dataset, clustering.centers).assignment, clustering.assignment
     )
     termination = "converged" if converged else "budget"
-    pre = objectives(dataset, clustering, ideal)
+    pre = objectives(dataset, clustering)
     clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
     return RunReport(
         config=replace(config, algorithm="pkgame"),

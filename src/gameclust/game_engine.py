@@ -43,7 +43,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +54,7 @@ from .core import (
     Rational,
     assigned_sse,
     ideal_load,
+    load_excess,
     load_metric,
     mean_centers,
     squared_distances,
@@ -131,9 +131,10 @@ class LocalGame:
 class PayoffTensor:
     """Per-participant costs over the joint strategy space of one local game.
 
-    ``costs`` has one trailing axis of length n_participants; ``feasible``
-    marks joints whose transfers fit the resource.  Infeasible joints
-    carry a sentinel cost strictly above every feasible entry.
+    ``costs`` has one axis per participant, over its strategies, and a
+    trailing axis of length n_participants; ``feasible`` marks joints
+    whose transfers fit the resource.  Infeasible joints carry a sentinel
+    cost strictly above every feasible entry.
     """
 
     costs: np.ndarray
@@ -142,8 +143,10 @@ class PayoffTensor:
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=np.float64)
         f = np.asarray(self.feasible, dtype=bool)
-        if c.ndim < 2 or c.shape[:-1] != f.shape or c.shape[-1] < 1:
-            raise StructuralError("costs must have shape (*joint_shape, n_participants), n_participants >= 1")
+        if c.ndim < 2 or c.shape[-1] != c.ndim - 1 or c.shape[:-1] != f.shape:
+            raise StructuralError(
+                "costs must have shape (*joint_shape, n_participants), one joint axis per participant"
+            )
         # two reductions, no temporary per cost; NaN fails the first comparison
         if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0))):
             raise StructuralError("costs must be finite and nonnegative")
@@ -180,14 +183,12 @@ def classify_roles(clustering: Clustering, ideal: Rational) -> RoleAssignment:
     Requests round up and spare units round down, so transfers stay whole
     points and the split biases toward reaching balance.  Clusters at the
     ideal load are neither.  With ideal = p/q, every test and rounding is
-    done exactly in integers on q * load - p.
+    done exactly in integers on ``load_excess``'s q * load - p.
     """
-    ideal_f = Fraction(ideal)
-    p, q = ideal_f.numerator, ideal_f.denominator
     players: List[Tuple[int, int]] = []
     resources: List[Tuple[int, int]] = []
-    for cid, load in enumerate(clustering.loads.tolist()):
-        excess = q * load - p  # q * (load - ideal), exact in integers
+    excesses, q = load_excess(clustering.loads, ideal)
+    for cid, excess in enumerate(excesses):
         if excess < 0:
             players.append((cid, (q - 1 - excess) // q))
         elif excess > 0:
@@ -385,11 +386,11 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         before.append(q - sum(v * v for v in s) / loads[cid])
     before_total = before[0] + sum(before[1:])
     before_rest = before_total - np.array(before[1:])
-    # own-balance term |load + request - v - ideal|, exact in integers over ideal = num/den
-    ideal = ideal_load(dataset.n, clustering.k)
-    num, den = ideal.numerator, ideal.denominator
+    # own-balance term |load + request - v - ideal|, exact in integers: the
+    # player's excess plus den units per point moved, over den
+    excesses, den = load_excess(clustering.loads, ideal_load(dataset.n, clustering.k))
     balance = np.array(
-        [abs(den * (loads[p.player_id] + p.request - v) - num) / den for p in parts for v in p.strategies]
+        [abs(excesses[p.player_id] + den * (p.request - v)) / den for p in parts for v in p.strategies]
     )
 
     x = members[rid]
@@ -527,11 +528,12 @@ def apply_and_evaluate(
     player id and simulated as in ``build_payoff_tensor``: each player
     takes the resource's points nearest its input center that no earlier
     player took.  Resources are taken in ascending id, and one's
-    transfers are kept only when they lower SSE/SSE_pre + L/L_pre below
-    the score of the transfers already kept, which starts at 2 for the
-    pre-game state; so every accepted reallocation scores below 2.  When a
-    pre-game term is zero, the new term must stay zero and the other
-    objective must not worsen against the transfers already kept.
+    transfers are kept only when they lower the ``score`` relative to
+    ``pre``, SSE/SSE_pre + L/L_pre, below the score of the transfers
+    already kept, which starts at 2 for the pre-game state; so every
+    accepted reallocation scores below 2.  When a pre-game term is zero,
+    the new term must stay zero and the other objective must not worsen
+    against the transfers already kept.
     Transfers that would empty their resource are dropped.  Returns the
     kept state, whether anything was kept (the input clustering itself is
     returned when not), and the kept state's objectives.
@@ -544,6 +546,7 @@ def apply_and_evaluate(
     is built at the end, for the kept state only.
     """
     points = dataset.points
+    ideal = ideal_load(dataset.n, clustering.k)
     input_loads = clustering.loads.tolist()
     assignment, loads, kept_state = clustering.assignment, clustering.loads, pre
     for rid in sorted(plan):
@@ -567,11 +570,7 @@ def apply_and_evaluate(
             candidate_loads[pid] += count
             done += count
         centers = mean_centers(points, candidate, candidate_loads)
-        state = ObjectiveState(
-            sse=assigned_sse(points, candidate, centers),
-            load_metric=load_metric(candidate_loads, pre.ideal_load),
-            ideal_load=pre.ideal_load,
-        )
+        state = ObjectiveState(assigned_sse(points, candidate, centers), load_metric(candidate_loads, ideal))
         if _improves(pre, kept_state, state):
             assignment, loads, kept_state = candidate, candidate_loads, state
     if kept_state is pre:
@@ -587,9 +586,7 @@ def _improves(pre: ObjectiveState, kept: ObjectiveState, new: ObjectiveState) ->
     must not worsen.  Both zero is the zero-L case, as ``kept.sse`` is 0.
     """
     if pre.sse > 0 and pre.load_metric > 0:
-        return new.sse / pre.sse + new.load_metric / pre.load_metric < (
-            kept.sse / pre.sse + kept.load_metric / pre.load_metric
-        )
+        return new.score(pre) < kept.score(pre)
     if pre.load_metric == 0:
         return new.load_metric == 0 and new.sse <= kept.sse
     return new.sse == 0 and new.load_metric <= kept.load_metric

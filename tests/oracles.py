@@ -28,13 +28,12 @@ from gameclust import (
     Clustering,
     KMeansConfig,
     RunReport,
-    ideal_load,
     improvement_report,
     init_centers,
     lloyd_iteration,
     objectives,
 )
-from gameclust.drivers import _play_games, _ratio
+from gameclust.drivers import _play_games
 
 
 def sse_with_centers(points, assignment, centers):
@@ -399,7 +398,7 @@ def apply_per_candidate(dataset, clustering, pre, plan):
                 taken.add(j)
                 assignment[member[j]] = pid
         candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
-        state = objectives(dataset, candidate, pre.ideal_load)
+        state = objectives(dataset, candidate)
         if better(state):
             kept, kept_state = candidate, state
     return kept, kept is not clustering, kept_state
@@ -413,11 +412,15 @@ def run_gtkmeans_replaying(dataset, config):
     The converged check comes first: the replay kept nothing and the Lloyd
     step left the previous assignment unchanged.  Otherwise the run is a
     cycle, and the final state is the best end state of the cycle's
-    iterations, the replay excluded (SSE/SSE0 + L/L0, ties to the earliest).
-    Returns (report, whether the run stopped on a replayed assignment).
+    iterations, the replay excluded (SSE/SSE0 + L/L0, a zero initial term
+    unscaled, ties to the earliest).  Returns (report, whether the run
+    stopped on a replayed assignment).
     """
+
+    def ratio(value, reference):
+        return value / reference if reference > 0 else value
+
     t0 = time.perf_counter()
-    ideal = ideal_load(dataset.n, config.k)
     centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     trace = []
     ends = []
@@ -426,7 +429,7 @@ def run_gtkmeans_replaying(dataset, config):
     termination = "budget"
     for it in range(1, config.max_outer_iterations + 1):
         clustering = lloyd_iteration(dataset, centers)
-        pre = objectives(dataset, clustering, ideal)
+        pre = objectives(dataset, clustering)
         if initial is None:
             initial = pre
         lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
@@ -442,8 +445,7 @@ def run_gtkmeans_replaying(dataset, config):
             first = seen[post_lloyd]
             best = min(
                 range(first, len(ends) - 1),
-                key=lambda i: _ratio(trace[i].sse_end, initial.sse)
-                + _ratio(trace[i].l_end, initial.load_metric),
+                key=lambda i: ratio(trace[i].sse_end, initial.sse) + ratio(trace[i].l_end, initial.load_metric),
             )
             clustering, final = ends[best]
             break

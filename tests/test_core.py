@@ -10,6 +10,7 @@ from gameclust import (
     ConfigError,
     Dataset,
     StructuralError,
+    ObjectiveState,
     ideal_load,
     improvement_pct,
     improvement_report,
@@ -17,7 +18,7 @@ from gameclust import (
     objectives,
     sse,
 )
-from gameclust.core import squared_distances
+from gameclust.core import load_excess, squared_distances
 
 from oracles import squared_distances_broadcast, sse_with_centers
 
@@ -118,6 +119,27 @@ class TestLoadMetric:
     def test_nonintegral_ideal_never_zero(self, loads):
         assert load_metric(loads, Fraction(3, 2)) > 0.0
 
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.integers(1, 10**6), st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_exact_sum_correctly_rounded(self, loads, p, q):
+        ideal = Fraction(p, q)
+        assert load_metric(loads, ideal) == float(sum((Fraction(l) - ideal) ** 2 for l in loads))
+
+
+class TestLoadExcess:
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.integers(1, 10**6), st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_scaled_excess_in_integers(self, loads, p, q):
+        ideal = Fraction(p, q)
+        excesses, scale = load_excess(np.array(loads), ideal)
+        assert scale == ideal.denominator
+        assert all(type(e) is int for e in excesses)
+        assert excesses == [scale * (Fraction(l) - ideal) for l in loads]
+
+    def test_integer_ideal(self):
+        assert load_excess([4, 1, 8], 7) == ([-3, -6, 1], 1)
+        assert load_excess([15, 14], Fraction(59, 4)) == ([1, -3], 4)
+
 
 class TestImprovementPct:
     def test_examples(self):
@@ -142,7 +164,17 @@ class TestObjectives:
         state = objectives(ds, c)
         assert state.sse == pytest.approx(4.0)
         assert state.load_metric == 0.0
-        assert state.ideal_load == 2
+
+    def test_score_scales_each_term_by_its_reference(self):
+        state = ObjectiveState(sse=3.0, load_metric=10.0)
+        assert state.score(ObjectiveState(sse=2.0, load_metric=4.0)) == 1.5 + 2.5
+        assert state.score(state) == 2.0
+
+    def test_score_counts_a_zero_reference_term_unscaled(self):
+        state = ObjectiveState(sse=3.0, load_metric=10.0)
+        assert state.score(ObjectiveState(sse=0.0, load_metric=4.0)) == 3.0 + 2.5
+        assert state.score(ObjectiveState(sse=2.0, load_metric=0.0)) == 1.5 + 10.0
+        assert state.score(ObjectiveState(sse=0.0, load_metric=0.0)) == 13.0
 
     def test_improvement_report_conventions(self):
         ds = Dataset(points=[[0.0], [2.0], [10.0], [12.0]])

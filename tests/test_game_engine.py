@@ -78,6 +78,16 @@ class TestClassifyRoles:
         assert (roles.players, roles.resources) == roles_fraction(loads, ideal)
         assert _balanced(c, ideal) == balanced_fraction(loads, ideal)
 
+    @pytest.mark.parametrize(
+        "loads, ideal, balanced",
+        [([6, 8], Fraction(7), False), ([5, 7], Fraction(6), False), ([7, 8], Fraction(15, 2), True),
+         ([5, 6, 6], Fraction(17, 3), True), ([6, 6, 7, 7], Fraction(13, 2), True)],
+    )
+    def test_balanced_is_strictly_within_one_unit(self, loads, ideal, balanced):
+        # a load exactly one unit from the ideal is off balance; any nearer load is not
+        _, c = clustering_with_loads(loads)
+        assert _balanced(c, ideal) == balanced_fraction(loads, ideal) == balanced
+
     @given(st.lists(st.integers(1, 120), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_unbalanced_loads_have_players_and_resources(self, loads):

@@ -23,8 +23,8 @@ def tensor_from(costs):
 
 class TestSmallGames:
     def test_single_joint_is_trivially_nash(self):
-        result = find_pure_nash(tensor_from([[[3.5]]]))
-        assert result.joint == (0, 0)
+        result = find_pure_nash(tensor_from([[3.5]]))
+        assert result.joint == (0,)
         assert result.kind == PURE_NASH
         assert result.costs == (3.5,)
 

@@ -162,6 +162,12 @@ class TestPayoffTensorValidation:
         with pytest.raises(StructuralError):
             PayoffTensor(costs=np.zeros((3, 0)), feasible=np.ones(3, dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(3, 3, 5), (2, 2, 1)])
+    def test_cost_axis_not_one_per_joint_axis_rejected(self, shape):
+        # 5 costs over 2 joint axes, or 1 cost over 2: the trailing axis must count the joint axes
+        with pytest.raises(StructuralError, match="one joint axis per participant"):
+            PayoffTensor(costs=np.zeros(shape), feasible=np.ones(shape[:-1], dtype=bool))
+
     def test_zero_and_finite_costs_accepted(self):
         costs = np.zeros((3, 2, 2))
         costs[2, 1, 0] = np.finfo(float).max
