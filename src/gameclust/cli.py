@@ -75,7 +75,7 @@ def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> Li
                 out.append(int(part))
             except ValueError:
                 parser.error(f"{flag}: cannot parse {part!r}")
-    return list(dict.fromkeys(out))  # duplicates dropped, first occurrences in order
+    return list(dict.fromkeys(out))  # first occurrences kept, in order
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +137,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
     for k in k_values:
         if k < 2:
             parser.error(f"--k: values must be >= 2, got {k}")
-    algorithms = tuple(a.strip() for a in args.algo.split(","))
+    algorithms = tuple(dict.fromkeys(a.strip() for a in args.algo.split(",")))  # first occurrences kept, in order
     for a in algorithms:
         if a not in ALGORITHMS:
             parser.error(f"--algo: unknown algorithm {a!r}")

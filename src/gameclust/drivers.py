@@ -12,7 +12,6 @@ initializations so their results are directly comparable.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,11 +75,6 @@ class GameRecord:
     equilibrium: EquilibriumResult
     feasible_fraction: float
 
-    @property
-    def joint_entries(self) -> int:
-        """Entries of the game's payoff tensor: one per joint strategy."""
-        return math.prod(self.game.shape)
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -126,7 +120,7 @@ class RunReport:
     @property
     def payoff_entry_counts(self) -> Tuple[int, ...]:
         """Payoff-tensor entries of every game played, in play order."""
-        return tuple(g.joint_entries for rec in self.trace for g in rec.games)
+        return tuple(g.game.joint_count for rec in self.trace for g in rec.games)
 
     @property
     def games_played(self) -> int:

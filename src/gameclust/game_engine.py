@@ -101,6 +101,12 @@ class Participant:
                 f"strategy set must span 0..request-1 at its ends, got {s} for request {self.request}"
             )
 
+    @property
+    def moves(self) -> Tuple[int, ...]:
+        """Units moved under each strategy, in strategy order: the request minus the units forgone."""
+        # from a list the tuple is sized once; grown from a generator, it raised ds1-full's peak RSS by 0.7 MB
+        return tuple([self.request - v for v in self.strategies])
+
 
 @dataclass(frozen=True)
 class LocalGame:
@@ -117,14 +123,16 @@ class LocalGame:
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(p.strategies) for p in self.participants)
 
-    def transfers(self, joint: Sequence[int]) -> List[Tuple[int, int]]:
-        """(player id, units moved) per participant at ``joint``, indices into the strategy sets.
+    @property
+    def joint_count(self) -> int:
+        """Joint strategies of the game: the product of its strategy-set sizes."""
+        return math.prod(self.shape)
 
-        A participant moves its request minus the units its strategy forgoes.
-        """
+    def transfers(self, joint: Sequence[int]) -> List[Tuple[int, int]]:
+        """(player id, units moved) per participant at ``joint``: its ``moves`` at its strategy index."""
         if len(joint) != len(self.participants):
             raise ConfigError(f"joint {tuple(joint)} does not match {len(self.participants)} participants")
-        return [(p.player_id, p.request - p.strategies[si]) for p, si in zip(self.participants, joint)]
+        return [(p.player_id, p.moves[si]) for p, si in zip(self.participants, joint)]
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,9 @@ class PayoffTensor:
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=np.float64)
         f = np.asarray(self.feasible, dtype=bool)
-        if c.ndim < 2 or c.shape[-1] != c.ndim - 1 or c.shape[:-1] != f.shape:
+        if c.ndim < 2 or c.shape[-1] != c.ndim - 1 or c.shape[:-1] != f.shape or c.size == 0:
             raise StructuralError(
-                "costs must have shape (*joint_shape, n_participants), one joint axis per participant"
+                "costs must have shape (*joint_shape, n_participants), one joint axis per participant, none empty"
             )
         # two reductions, no temporary per cost; NaN fails the first comparison
         if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0))):
@@ -306,6 +314,12 @@ def _square_sum(v: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sse(sums: np.ndarray) -> np.ndarray:
+    """SSE from running sums [sum per dim, sum of squares, count] on the last axis: squares - |sum|^2 / count."""
+    dim = sums.shape[-1] - 2
+    return sums[..., dim] - _square_sum(sums[..., :dim]) / sums[..., dim + 1]
+
+
 def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGame) -> PayoffTensor:
     """Evaluate every joint strategy of a local game.
 
@@ -346,17 +360,18 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     points the bound is 1.17 MB beside a 40,320-joint tensor of 1.98 MB;
     the build uses 0.83 MB there.
 
-    Cluster SSEs come from the running sums (SSE = sum of squares -
-    squared sum / n), and every joint's floats are formed in one fixed
-    order: points added nearest first, squares added one dimension at a
-    time, and the after-SSEs of the resource and then each participant
-    summed in turn.  Infeasible joints get a sentinel cost of 1 + the
-    maximum feasible cost.
+    The size guard reads ``LocalGame.joint_count``, and each strategy's
+    transfer and own-balance term read ``Participant.moves``.  Every
+    cluster SSE comes from running sums by one rule, ``_sse``, and every
+    joint's floats are formed in one fixed order: points added nearest
+    first, squares added one dimension at a time, and the after-SSEs of
+    the resource and then each participant summed in turn.  Infeasible
+    joints get a sentinel cost of 1 + the maximum feasible cost.
     """
     parts = game.participants
     sizes = game.shape
     n_p = len(parts)
-    joint_count = math.prod(sizes)
+    joint_count = game.joint_count
     tensor_bytes = joint_count * (8 * n_p + 1)
     if tensor_bytes > MAX_TENSOR_BYTES:
         raise TensorTooLargeError(
@@ -366,32 +381,25 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     loads = clustering.loads.tolist()
     rid = game.resource_id
     m = loads[rid]
-    transfer = np.array([p.request - v for p in parts for v in p.strategies])  # each at least 1
+    transfer = np.array([v for p in parts for v in p.moves])  # each at least 1
     if n_p == 1:
         feasible = transfer < m
         return PayoffTensor(costs=np.where(feasible, 0.0, 1.0)[:, None], feasible=feasible)
 
-    # [sum, sum of squares, count] of the resource, then of each participant,
-    # over each cluster's points in ascending index order
+    # [sum per dim, sum of squares, count] of the resource, then of each
+    # participant, over each cluster's points in ascending index order
     dim = dataset.dim
     width = dim + 2
     pids = [p.player_id for p in parts]
-    base: List[float] = []
-    before: List[float] = []
     members = {cid: dataset.points[clustering.members(cid)] for cid in (rid, *pids)}
-    for cid, points in members.items():
-        s = points.sum(axis=0).tolist()
-        q = float((points * points).sum())
-        base += [*s, q, loads[cid]]
-        before.append(q - sum(v * v for v in s) / loads[cid])
+    sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), loads[cid]] for cid, pts in members.items()])
+    before = _sse(sums)
     before_total = before[0] + sum(before[1:])
-    before_rest = before_total - np.array(before[1:])
-    # own-balance term |load + request - v - ideal|, exact in integers: the
+    before_rest = before_total - before[1:]
+    # own-balance term |load + units moved - ideal|, exact in integers: the
     # player's excess plus den units per point moved, over den
     excesses, den = load_excess(clustering.loads, ideal_load(dataset.n, clustering.k))
-    balance = np.array(
-        [abs(excesses[p.player_id] + den * (p.request - v)) / den for p in parts for v in p.strategies]
-    )
+    balance = np.array([abs(excesses[p.player_id] + den * v) / den for p in parts for v in p.moves])
 
     x = members[rid]
     orders = _nearest_first(x, clustering.centers.take(pids, axis=0))
@@ -406,15 +414,14 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     # its own running sums before any transfer, its stride in the flat joint
     # index, and its own-balance term per strategy
     offsets = [0, *itertools.accumulate(sizes)]
-    counts = [min(p.request, m - 1) for p in parts]
+    counts = [min(p.moves[0], m - 1) for p in parts]
     taken_before = [min(m - 1, prior) for prior in itertools.accumulate([0, *counts[:-1]])]
     strides = [joint_count // prefix for prefix in itertools.accumulate(sizes, operator.mul)]
-    own_sums = np.array(base[width:]).reshape(n_p, width)
     sum_index = transfer - 1
     levels = [
         (transfer[lo:hi], sum_index[lo:hi], count, np.arange(count), most_taken, own, stride, balance[lo:hi])
         for lo, hi, count, most_taken, own, stride in zip(
-            offsets, offsets[1:], counts, taken_before, own_sums, strides
+            offsets, offsets[1:], counts, taken_before, sums[1:], strides
         )
     ]
 
@@ -429,7 +436,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     feasible = np.zeros(joint_count, dtype=bool)
 
     root = np.zeros((1, b_col + n_p))
-    root[0, :width] = base[:width]
+    root[0, :width] = sums[0]
     # blocks of frontier rows still to expand, (level, rows, taken), deepest last:
     # a block's children are expanded before the rest of its level
     pending = [(0, root, np.zeros((1, m), dtype=bool))]
@@ -446,8 +453,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         moved = xq.take(pos, axis=0).cumsum(axis=1)[r, k]
         child = block.take(r, axis=0)
         child[:, :width] -= moved
-        mine = own + moved
-        child[:, a_col + j] = mine[:, dim] - _square_sum(mine[:, :dim]) / mine[:, dim + 1]
+        child[:, a_col + j] = _sse(own + moved)
         child[:, f_col] += si * stride
         child[:, b_col + j] = own_balance.take(si)
         if j + 1 < n_p:
@@ -458,7 +464,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
                 pending.append((j + 1, child, child_taken))
             continue
         # the resource's after-SSE, then each participant's, summed in turn
-        after_total = child[:, dim] - _square_sum(child[:, :dim]) / child[:, dim + 1]
+        after_total = _sse(child[:, :width])
         for i in range(a_col, f_col):
             after_total = after_total + child[:, i]
         dsse = abs((after_total[:, None] - child[:, a_col:f_col]) - before_rest)

@@ -90,6 +90,10 @@ class TestParseInvocation:
         inv = parse_invocation("bench --ds1 --k 4 --seed 3,1..4,2".split())
         assert inv.seeds == (3, 1, 2, 4)
 
+    def test_repeated_algorithms_keep_their_first_occurrence(self):
+        inv = parse_invocation("bench --ds1 --k 4 --algo pkgame,gtkmeans,pkgame,gtkmeans".split())
+        assert inv.algorithms == ("pkgame", "gtkmeans")
+
     def test_seed_list_conflicting_reps(self):
         with pytest.raises(SystemExit):
             parse_invocation("bench --ds1 --k 4 --seed 5,9 --reps 3".split())

@@ -176,7 +176,7 @@ class TestRunGtkmeans:
             assert [g.game.resource_id for g in g0] == [g.game.resource_id for g in g1]
             for a, b in zip(g0, g1):
                 assert b.game.shape <= a.game.shape
-                assert b.joint_entries <= a.joint_entries
+                assert b.game.joint_count <= a.game.joint_count
 
 
 def assert_matches_replaying_reference(dataset, config):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gameclust import (
     PURE_NASH,
@@ -19,6 +21,7 @@ from gameclust import (
     TensorTooLargeError,
     apply_and_evaluate,
     build_payoff_tensor,
+    find_pure_nash,
     generate_strategy_set,
     objectives,
     run_gtkmeans,
@@ -149,6 +152,20 @@ class TestSingleParticipant:
         # without rivals nothing they touched changes, so the cost is zero
         assert tensor.costs[(0, 0)] == 0.0
 
+    @given(st.integers(1, 40), st.one_of(st.none(), st.integers(1, 12)), st.integers(2, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_picks_the_first_strategy_that_leaves_a_point(self, requested, ns, load):
+        # a resource of ``load`` points on a line, and one far player point
+        ds = Dataset(points=[[float(i)] for i in range(load)] + [[1000.0]])
+        c = Clustering.from_assignment(ds, [0] * load + [1], 2)
+        strategies = generate_strategy_set(requested)
+        if ns is not None:
+            strategies = select_strategies(strategies, ns)
+        game = LocalGame(resource_id=0, participants=(Participant(1, requested, strategies),))
+        # every feasible strategy costs 0, so the first one moving at most load - 1 units wins
+        first = next(i for i, v in enumerate(strategies) if requested - v <= load - 1)
+        assert find_pure_nash(build_payoff_tensor(ds, c, game)) == EquilibriumResult((first,), PURE_NASH, (0.0,))
+
 
 class TestPayoffTensorValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
@@ -166,6 +183,12 @@ class TestPayoffTensorValidation:
     def test_cost_axis_not_one_per_joint_axis_rejected(self, shape):
         # 5 costs over 2 joint axes, or 1 cost over 2: the trailing axis must count the joint axes
         with pytest.raises(StructuralError, match="one joint axis per participant"):
+            PayoffTensor(costs=np.zeros(shape), feasible=np.ones(shape[:-1], dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(0, 1), (2, 0, 2)])
+    def test_empty_joint_axis_rejected(self, shape):
+        # a participant without strategies leaves no joint for the Nash search to pick
+        with pytest.raises(StructuralError, match="none empty"):
             PayoffTensor(costs=np.zeros(shape), feasible=np.ones(shape[:-1], dtype=bool))
 
     def test_zero_and_finite_costs_accepted(self):
