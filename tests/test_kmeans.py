@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 from gameclust import (
     ConfigError,
     Dataset,
+    Ds1Config,
     KMeansConfig,
+    StructuralError,
+    generate_ds1,
     init_centers,
     lloyd_full,
     lloyd_iteration,
     objectives,
     sse,
 )
+from gameclust.kmeans import _bounds
 from oracles import lloyd_full_stepwise
 
 
@@ -62,8 +66,6 @@ class TestLloydIteration:
         assert c.assignment.tolist() == [0, 0, 1]
 
     def test_dimension_mismatch(self, line4):
-        from gameclust import StructuralError
-
         with pytest.raises(StructuralError):
             lloyd_iteration(line4, [[0.0, 0.0]])
 
@@ -161,6 +163,32 @@ class TestLloydFull:
         assert iterations == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("run", [lloyd_iteration, lambda ds, c: lloyd_full(ds, c, 10)])
+def test_non_finite_start_center_rejected(ds1, bad, run):
+    # as ``Dataset`` rejects non-finite points; unchecked, a nan or inf
+    # center draws no point or every point and the run goes on
+    with pytest.raises(StructuralError, match="finite"):
+        run(ds1, [[bad, 0.0], [1.0, 1.0]])
+
+
+def test_bounds_on_any_memory_order():
+    rng = np.random.default_rng(5)
+    d2 = rng.uniform(0.0, 50.0, size=(4, 9))
+    assignment = rng.integers(4, size=9)
+    expected = d2.copy()
+    own = expected[assignment, np.arange(9)]
+    expected[assignment, np.arange(9)] = np.inf
+    wide = np.zeros((5, 18))
+    wide[1:, ::2] = d2
+    # C-ordered, Fortran-ordered, and a strided view into a larger array
+    for layout in (d2.copy(), np.asfortranarray(d2), wide[1:, ::2]):
+        upper, lower = _bounds(layout, assignment)
+        assert np.array_equal(upper, np.maximum(np.sqrt(own), 1e-150))
+        assert np.array_equal(lower, np.sqrt(expected.min(axis=0)))
+        assert np.array_equal(layout, expected)  # the assigned entries are overwritten in place
+
+
 def _lloyd_instance(seed, dim, n, k, exponent, grid, start):
     """Points and start centers for the bounded-Lloyd property test.
 
@@ -248,3 +276,12 @@ def test_bounded_lloyd_matches_stepwise_oracle_at_the_edges(exponent, points, ce
 def test_bounded_lloyd_matches_stepwise_oracle(case):
     *instance, budget = case
     _assert_matches_oracle(*_lloyd_instance(*instance), budget)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lloyd_full_matches_stepwise_oracle_on_3000_points(seed):
+    # the start of a pkgame run on the n = 3,000 instance: seeded centers,
+    # one Lloyd step, then full Lloyd on its means
+    ds = generate_ds1(Ds1Config(n_points=3000))
+    first = lloyd_iteration(ds, init_centers(ds, KMeansConfig(k=8, seed=seed)))
+    _assert_matches_oracle(ds.points, first.centers, 99)

@@ -472,9 +472,17 @@ class TestSizeGuard:
         )
         return ds, c, game
 
-    def test_huge_game_raises_before_allocating(self):
+    def test_huge_game_raises_before_allocating(self, monkeypatch):
         ds, c, game = self.huge_game()
         assert np.prod(game.shape, dtype=object) == 20**20
+        # first a two-player slice of it, 20 * 20 joints of 8 * 2 + 1 bytes,
+        # one byte above a tiny limit: a guard that stopped tripping fails
+        # here at once instead of building the 20**20 joints below
+        pair = LocalGame(resource_id=0, participants=game.participants[:2])
+        monkeypatch.setattr(game_engine, "MAX_TENSOR_BYTES", 20 * 20 * (8 * 2 + 1) - 1)
+        with pytest.raises(TensorTooLargeError):
+            build_payoff_tensor(ds, c, pair)
+        monkeypatch.undo()
         tracemalloc.start()
         try:
             with pytest.raises(TensorTooLargeError):
