@@ -39,9 +39,7 @@ plain arrays with ``core``'s rules (``mean_centers``, ``assigned_sse``,
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -69,8 +67,8 @@ FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
 MAX_TENSOR_BYTES = 256 * 2**20
 
 # The tensor build expands at most this many children at once, and the Nash
-# search sums the social costs of this many equilibria at once, so their
-# working memory does not grow with the joint count.
+# search sums the social costs of this many candidate joints at once, so
+# their working memory does not grow with the joint count.
 _BLOCK = 1024
 
 
@@ -248,9 +246,10 @@ def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
     values = sorted(set(int(v) for v in full))
     if not values or values[0] != 0:
         raise ConfigError("strategy set must contain 0")
-    kept = {v for v in values if v % ns == 0}
-    kept.add(values[-1])
-    return tuple(sorted(kept))
+    kept = [v for v in values if v % ns == 0]
+    if kept[-1] != values[-1]:
+        kept.append(values[-1])
+    return tuple(kept)
 
 
 def conflicted_games(
@@ -269,8 +268,6 @@ def conflicted_games(
     games: List[LocalGame] = []
     for rid in sorted(routing):
         routed = sorted(routing[rid])
-        if not routed:
-            continue
         if not detect_conflict(overhead[rid], [req for _, req in routed]):
             continue
         participants = []
@@ -360,8 +357,11 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     points the bound is 1.17 MB beside a 40,320-joint tensor of 1.98 MB;
     the build uses 0.83 MB there.
 
-    The size guard reads ``LocalGame.joint_count``, and each strategy's
-    transfer and own-balance term read ``Participant.moves``.  Every
+    Each level is formed from its own participant alone, in one pass over
+    the participants: its ``Participant.moves`` as transfers, at most
+    ``moves[0]`` points to take, the most taken before it from a running
+    total, its stride in the flat joint index and its own-balance term
+    per strategy.  The size guard reads ``LocalGame.joint_count``.  Every
     cluster SSE comes from running sums by one rule, ``_sse``, and every
     joint's floats are formed in one fixed order: points added nearest
     first, squares added one dimension at a time, and the after-SSEs of
@@ -381,9 +381,8 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     loads = clustering.loads.tolist()
     rid = game.resource_id
     m = loads[rid]
-    transfer = np.array([v for p in parts for v in p.moves])  # each at least 1
     if n_p == 1:
-        feasible = transfer < m
+        feasible = np.array(parts[0].moves) < m
         return PayoffTensor(costs=np.where(feasible, 0.0, 1.0)[:, None], feasible=feasible)
 
     # [sum per dim, sum of squares, count] of the resource, then of each
@@ -399,7 +398,6 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     # own-balance term |load + units moved - ideal|, exact in integers: the
     # player's excess plus den units per point moved, over den
     excesses, den = load_excess(clustering.loads, ideal_load(dataset.n, clustering.k))
-    balance = np.array([abs(excesses[p.player_id] + den * v) / den for p in parts for v in p.moves])
 
     x = members[rid]
     orders = _nearest_first(x, clustering.centers.take(pids, axis=0))
@@ -413,17 +411,16 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     # transfer is larger) and their ranks, the most points taken before it,
     # its own running sums before any transfer, its stride in the flat joint
     # index, and its own-balance term per strategy
-    offsets = [0, *itertools.accumulate(sizes)]
-    counts = [min(p.moves[0], m - 1) for p in parts]
-    taken_before = [min(m - 1, prior) for prior in itertools.accumulate([0, *counts[:-1]])]
-    strides = [joint_count // prefix for prefix in itertools.accumulate(sizes, operator.mul)]
-    sum_index = transfer - 1
-    levels = [
-        (transfer[lo:hi], sum_index[lo:hi], count, np.arange(count), most_taken, own, stride, balance[lo:hi])
-        for lo, hi, count, most_taken, own, stride in zip(
-            offsets, offsets[1:], counts, taken_before, sums[1:], strides
-        )
-    ]
+    levels = []
+    prior, stride = 0, joint_count
+    for p, own in zip(parts, sums[1:]):
+        moves = p.moves
+        transfer = np.array(moves)  # each at least 1
+        count = min(moves[0], m - 1)
+        stride //= len(moves)
+        balance = np.array([abs(excesses[p.player_id] + den * v) / den for v in moves])
+        levels.append((transfer, transfer - 1, count, np.arange(count), min(m - 1, prior), own, stride, balance))
+        prior += count
 
     # frontier row: the resource's running sums (``width`` columns), the
     # after-SSE of each participant placed, the prefix's flat joint index
@@ -480,17 +477,16 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
 def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     """Pure Nash equilibrium of a cost tensor, deterministic under multiplicity.
 
-    Among pure equilibria the one with minimum social cost wins, ties by
-    lexicographic joint index.  Without any pure equilibrium the
-    minimum-social-cost joint is returned, flagged as a fallback.
+    One pick codes "minimum social cost, ties by lexicographic joint
+    index".  It runs over the pure equilibria or, when there is none,
+    over every joint, and that result is flagged as a fallback.
 
     Beside the tensor the search keeps one equilibrium flag per joint,
     started from the first participant's best-response test, and one
     more per joint while it tests each later participant: 2 bytes per
-    joint.  It keeps each equilibrium's flat index, 8 bytes per
-    equilibrium, and sums social cost over the equilibria ``_BLOCK`` at a
-    time; over every joint (8 bytes each) only for the fallback.  Both
-    read the tensor in any memory order.
+    joint.  The pick keeps the flat index of each equilibrium, or of
+    every joint for the fallback, 8 bytes each, and sums their social
+    costs ``_BLOCK`` at a time, reading the tensor in any memory order.
     """
     costs = tensor.costs
     sizes = tensor.shape
@@ -500,21 +496,18 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
         ci = costs[..., i]
         ne_mask &= ci <= ci.min(axis=i, keepdims=True)
     ne = np.flatnonzero(ne_mask)
-    del ne_mask  # the fallback's social costs need not sit beside it
-    if ne.size:
-        # only a strictly lower social cost replaces the pick, so among
-        # equal minima the first, in lexicographic order, wins
-        best = math.inf
-        for lo in range(0, ne.size, _BLOCK):
-            block = ne[lo : lo + _BLOCK]
-            social = costs[np.unravel_index(block, sizes)].sum(axis=-1)
-            i = int(np.argmin(social))
-            if social[i] < best:
-                best, flat = social[i], int(block[i])
-        kind = PURE_NASH
-    else:
-        flat = int(np.argmin(costs.sum(axis=-1)))  # first minimum == lexicographic
-        kind = FALLBACK_MIN_SOCIAL_COST
+    del ne_mask  # the fallback's joint indices need not sit beside it
+    kind = PURE_NASH if ne.size else FALLBACK_MIN_SOCIAL_COST
+    candidates = ne if ne.size else np.arange(tensor.joint_count)
+    # only a strictly lower social cost replaces the pick, so among equal
+    # minima the first, in lexicographic order, wins
+    best = math.inf
+    for lo in range(0, candidates.size, _BLOCK):
+        block = candidates[lo : lo + _BLOCK]
+        social = costs[np.unravel_index(block, sizes)].sum(axis=-1)
+        i = int(np.argmin(social))
+        if social[i] < best:
+            best, flat = social[i], int(block[i])
     joint = tuple(int(v) for v in np.unravel_index(flat, sizes))
     return EquilibriumResult(joint=joint, kind=kind, costs=tuple(float(c) for c in costs[joint]))
 

@@ -31,8 +31,10 @@ bounds per point, as in Hamerly, "Making k-means even faster" (SDM 2010):
 most the distance to any other center.  After each step ``upper`` grows by
 the drift of the assigned center and ``lower`` shrinks by the largest
 drift.  A point with ``upper < lower`` keeps its center without a distance
-computation; the others go through the kernel again.  Every step still gives
-exactly the assignment a full step would, ties included:
+computation; the others go through the kernel again.  A step sets the
+bounds of the points it recomputed only when another step follows it.
+Every step still gives exactly the assignment a full step would, ties
+included:
 
 * each update pads ``upper`` by a relative ``_MARGIN`` of 1e-9, far
   above the relative rounding error of the kernel, about
@@ -221,11 +223,11 @@ def lloyd_full(
             d2 = squared_distances(current, points)
             assignment, loads = _nearest(d2)
             nearest = assignment
-        upper[stale], lower[stale] = _bounds(d2, nearest)
         means = mean_centers(points, assignment, loads)
         iterations += 1
         if iterations == max_iterations or np.array_equal(means, current):
             break
+        upper[stale], lower[stale] = _bounds(d2, nearest)
         drift = np.hypot.reduce(means - current, axis=1, initial=0.0)
         upper += drift[assignment]
         upper *= 1 + _MARGIN

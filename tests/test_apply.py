@@ -84,6 +84,23 @@ class TestApplyAndEvaluate:
         assert accepted is False
         assert new is c
 
+    @pytest.mark.parametrize(
+        "far, units, kept, final_l",
+        [(0.0, 2, True, 0.0), (0.0, 4, True, 8.0), (10.0, 2, False, 8.0)],
+        ids=["balancing", "equal-l", "sse-grows"],
+    )
+    def test_zero_old_sse_convention(self, far, units, kept, final_l):
+        # SSE 0 before the games: a transfer is kept only when SSE stays 0
+        # and L does not grow, so an equal L is kept and any SSE is dropped
+        ds = Dataset(points=[[0.0]] * 5 + [[far]])
+        c = Clustering.from_assignment(ds, [0, 0, 0, 0, 0, 1], 2)
+        pre = objectives(ds, c)
+        assert (pre.sse, pre.load_metric) == (0.0, 8.0)
+        new, accepted, state = apply_and_evaluate(ds, c, pre, {0: [(1, units)]})
+        assert accepted is kept
+        assert (state.sse, state.load_metric) == (0.0 if kept else pre.sse, final_l)
+        assert state == objectives(ds, new)
+
     def test_infeasible_transfer_rolls_back(self):
         # two forced takers, but the resource can spare only one point
         ds = Dataset(points=[[0.0], [0.3], [10.0], [10.2]])

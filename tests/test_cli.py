@@ -1,10 +1,11 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from gameclust import Ds1Config, load_csv
-from gameclust.cli import execute, main, parse_invocation
+from gameclust import Ds1Config, StructuralError, load_csv
+from gameclust.cli import _format, _row, execute, main, parse_invocation
 
 
 def null_wall_times(obj):
@@ -236,6 +237,23 @@ class TestExecute:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_holding_inf_is_a_dataset_failure(self, fmt):
+        # the objectives of a run are checked already; this is the last guard
+        table = {"rows": [{"algorithm": "gtkmeans", "mean_sse_improvement_pct": float("inf")}], "raw": []}
+        with pytest.raises(StructuralError, match="not finite"):
+            _format(table, fmt)
+
+    def test_row_fairness_when_both_improvements_clamp_to_zero(self):
+        summary = SimpleNamespace(
+            algorithm="gtkmeans", ns=None, k=2, seeds=(1,), mean_wall_time_s=0.0,
+            mean_strategies_per_player=0.0, mean_payoff_entries=0.0,
+            mean_sse_improvement_pct=0.0, mean_l_improvement_pct=-5.0,
+        )
+        row = _row(summary)
+        assert row["jain_index"] is None
+        assert row["geometric_mean_index"] == 0.0
 
     def test_gen_with_infinite_std_is_usage_error(self, tmp_path):
         out = tmp_path / "g.csv"

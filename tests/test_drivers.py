@@ -250,6 +250,14 @@ class TestRunPkgame:
             assert report.kmeans_iterations == budget
             assert report.termination == termination
 
+    def test_budget_of_one_stops_after_the_first_step(self, ds1):
+        report = run_pkgame(ds1, RunConfig(k=4, seed=1, max_outer_iterations=1, algorithm="pkgame"))
+        assert report.kmeans_iterations == 1
+        assert len(report.trace) == 1
+        record = report.trace[0]
+        assert (record.sse_before_games, record.l_before_games) == (report.initial.sse, report.initial.load_metric)
+        assert report.termination == "budget"
+
     def test_single_game_phase_by_construction(self, ds1):
         report = run_pkgame(ds1, RunConfig(k=8, seed=1, algorithm="pkgame"))
         assert report.outer_iterations == 1
@@ -342,6 +350,11 @@ class TestPairedCompare:
         assert summary.mean_payoff_entries == pytest.approx(
             np.mean([sum(r.payoff_entry_counts) for r in summary.reports])
         )
+
+    def test_mean_optional_skips_missing_improvements(self):
+        # an improvement percent is None when its initial objective is 0
+        assert drivers._mean_optional([None, None]) is None
+        assert drivers._mean_optional([None, 3.0, 5.0]) == 4.0
 
     def test_empty_seeds_rejected(self, ds1):
         with pytest.raises(ConfigError):
