@@ -16,6 +16,7 @@ without coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -25,6 +26,20 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 
 Rational = Union[int, Fraction]
+
+
+def whole(value: object, name: str, least: int = 1) -> int:
+    """The one rule for a count argument: ``value`` as an int of at least ``least``, else ``ConfigError``.
+
+    Whole means accepted by ``operator.index``: numpy integers are, floats (even 3.0) are not.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if number < least:
+        raise ConfigError(f"{name} must be >= {least}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -86,12 +101,14 @@ class Clustering:
 
     @staticmethod
     def from_assignment(dataset: Dataset, assignment: Sequence[int], k: int) -> "Clustering":
-        """Build a clustering from an assignment, recomputing loads and mean centers."""
-        a = np.asarray(assignment, dtype=np.int64)
+        """Build a clustering from integer labels, recomputing loads and mean centers; float labels raise."""
+        a = np.asarray(assignment)
         if a.shape != (dataset.n,):
             raise StructuralError(f"assignment length {a.shape} does not match n={dataset.n}")
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
+        if a.dtype.kind not in "iu":  # signed or unsigned integers
+            raise StructuralError(f"assignment labels must be integers, got dtype {a.dtype}")
+        a = a.astype(np.int64, copy=False)
+        k = whole(k, "k")
         if a.min() < 0 or a.max() >= k:
             raise StructuralError("assignment values must lie in [0, k)")
         loads = np.bincount(a, minlength=k)
@@ -138,7 +155,7 @@ def ideal_load(n: int, k: int) -> Fraction:
     Kept as a rational on purpose: truncating here would distort the
     load metric and the player/resource split downstream.
     """
-    if k < 1 or k > n:
+    if whole(k, "k") > n:
         raise ConfigError(f"need 1 <= k <= n, got k={k}, n={n}")
     return Fraction(n, k)
 

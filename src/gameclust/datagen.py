@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, whole
 from .errors import ConfigError, CsvFormatError
 
 BLOB_BOX = (0.0, 10.0)  # blob centers are drawn uniformly from [0, 10) per dimension
@@ -33,16 +33,15 @@ class Ds1Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_points < 1 or self.dim < 1 or self.blob_count < 1:
-            raise ConfigError("n_points, dim and blob_count must be positive")
+        for name in ("n_points", "dim", "blob_count"):
+            whole(getattr(self, name), name)
+        whole(self.seed, "seed", least=0)
         if self.n_points < self.blob_count:
             raise ConfigError(
                 f"n_points={self.n_points} must be at least blob_count={self.blob_count}"
             )
         if not (self.std_dev > 0 and math.isfinite(self.std_dev)):
             raise ConfigError(f"std_dev must be positive and finite, got {self.std_dev}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_ds1(config: Ds1Config) -> Dataset:

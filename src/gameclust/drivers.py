@@ -28,6 +28,7 @@ from .core import (
     improvement_report,
     load_excess,
     objectives,
+    whole,
 )
 from .errors import ConfigError
 from .game_engine import (
@@ -57,12 +58,11 @@ class RunConfig:
     algorithm: str = "gtkmeans"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.ns is not None and self.ns < 1:
-            raise ConfigError(f"ns must be >= 1 when present, got {self.ns}")
-        if self.max_outer_iterations < 1:
-            raise ConfigError(f"max_outer_iterations must be >= 1, got {self.max_outer_iterations}")
+        whole(self.k, "k")
+        whole(self.seed, "seed", least=0)
+        if self.ns is not None:
+            whole(self.ns, "ns")
+        whole(self.max_outer_iterations, "max_outer_iterations")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
 

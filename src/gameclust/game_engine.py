@@ -56,6 +56,7 @@ from .core import (
     load_metric,
     mean_centers,
     squared_distances,
+    whole,
 )
 from .errors import ConfigError, InconsistentStateError, StructuralError, TensorTooLargeError
 
@@ -90,8 +91,7 @@ class Participant:
 
     def __post_init__(self) -> None:
         s = self.strategies
-        if self.request < 1:
-            raise ConfigError(f"request must be >= 1, got {self.request}")
+        whole(self.request, "request")
         if not s or list(s) != sorted(set(s)):
             raise ConfigError("strategy set must be nonempty, sorted and duplicate-free")
         if s[0] != 0 or s[-1] != self.request - 1:
@@ -128,8 +128,9 @@ class LocalGame:
 
     def transfers(self, joint: Sequence[int]) -> List[Tuple[int, int]]:
         """(player id, units moved) per participant at ``joint``: its ``moves`` at its strategy index."""
-        if len(joint) != len(self.participants):
-            raise ConfigError(f"joint {tuple(joint)} does not match {len(self.participants)} participants")
+        shape = self.shape
+        if len(joint) != len(shape) or not all(0 <= si < size for si, size in zip(joint, shape)):
+            raise ConfigError(f"joint {tuple(joint)} does not index the strategy sets, of sizes {shape}")
         return [(p.player_id, p.moves[si]) for p, si in zip(self.participants, joint)]
 
 
@@ -229,9 +230,7 @@ def detect_conflict(resource_overhead: int, requests: Sequence[int]) -> bool:
 
 def generate_strategy_set(request: int) -> Tuple[int, ...]:
     """Full strategy set {0, ..., request-1}: units of the request a player may forgo."""
-    if request < 1:
-        raise ConfigError(f"request must be >= 1, got {request}")
-    return tuple(range(request))
+    return tuple(range(whole(request, "request")))
 
 
 def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
@@ -241,8 +240,7 @@ def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
     largest strategy is always kept so the smallest possible transfer
     stays available.
     """
-    if ns < 1:
-        raise ConfigError(f"ns must be >= 1, got {ns}")
+    ns = whole(ns, "ns")
     values = sorted(set(int(v) for v in full))
     if not values or values[0] != 0:
         raise ConfigError("strategy set must contain 0")

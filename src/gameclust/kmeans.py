@@ -1,8 +1,9 @@
-"""Seeded k-means: center initialization, one Lloyd step, full Lloyd runs.
+"""Seeded k-means: center initialization and one Lloyd loop.
 
 The iterative variant of the engine interleaves single Lloyd steps with
 local games; the one-shot variant runs Lloyd to convergence first.  Both
-entry points live here.
+run the one loop, ``lloyd_full``: ``lloyd_iteration`` is that loop with
+a budget of one step.
 
 Determinism contract: the seeded generator is numpy's PCG64 (via
 ``numpy.random.default_rng``), and initial centers are k distinct data
@@ -25,8 +26,10 @@ dimensions the distances are bit-identical to the broadcast
 
 ``lloyd_full`` runs its steps on plain arrays and builds one ``Clustering``
 at the end.  It stops on its budget or once the means equal their centers,
-as they do one step after the assignment stops changing.  It keeps two
-bounds per point, as in Hamerly, "Making k-means even faster" (SDM 2010):
+as they do one step after the assignment stops changing.  Its first step
+assigns every point, so a one-step run allocates no bounds; once a second
+step follows, it keeps two bounds per point, as in Hamerly, "Making
+k-means even faster" (SDM 2010):
 ``upper`` is at least the distance to the assigned center and ``lower`` at
 most the distance to any other center.  After each step ``upper`` grows by
 the drift of the assigned center and ``lower`` shrinks by the largest
@@ -84,7 +87,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset, mean_centers, squared_distances
+from .core import Clustering, Dataset, mean_centers, squared_distances, whole
 from .errors import ConfigError, StructuralError
 
 
@@ -96,9 +99,8 @@ class KMeansConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not (0 <= self.seed < 2**64):
+        whole(self.k, "k")
+        if whole(self.seed, "seed", least=0) >= 2**64:
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
@@ -165,13 +167,11 @@ def lloyd_iteration(dataset: Dataset, centers: Sequence[Sequence[float]]) -> Clu
     index.  Empty-cluster repair keeps all k clusters populated, which the
     game formulation requires: for each empty cluster (ascending id), the
     point farthest from its current center among clusters that can spare
-    one is moved in, ties to the lowest point index.
+    one is moved in, ties to the lowest point index.  It is the first step
+    of ``lloyd_full``, which is always a full step, so the rule is coded
+    once.
     """
-    c = _as_centers(dataset, centers)
-    assignment, loads = _nearest(squared_distances(c, dataset.points))
-    return Clustering(
-        assignment=assignment, k=c.shape[0], centers=mean_centers(dataset.points, assignment, loads), loads=loads
-    )
+    return lloyd_full(dataset, centers, 1)[0]
 
 
 def _bounds(d2: np.ndarray, assignment: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -196,28 +196,26 @@ def lloyd_full(
 
     Returns the final clustering and the number of iterations performed.
     A fixed-point input stops after one step, an unchanged assignment one
-    step later.  Each step gives what ``lloyd_iteration`` would from the
-    same centers; the distance bounds only decide which points need their
-    distances computed (see the module docstring).
+    step later.  The first step assigns every point; the distance bounds
+    are allocated once a second step follows, and from then on only
+    decide which points need their distances computed, so each step gives
+    what a full step would from the same centers (see the module
+    docstring).
     """
-    if max_iterations < 1:
-        raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
+    max_iterations = whole(max_iterations, "max_iterations")
     current = _as_centers(dataset, centers)
     columns = dataset.points.T.copy()  # each dimension contiguous, for the kernel and the means
     points = columns.T
     k, n = current.shape[0], dataset.n
-    assignment = np.zeros(n, dtype=np.intp)
-    upper = np.full(n, np.inf)  # no bounds yet: the first step assigns every point
-    lower = np.zeros(n)
+    stale = range(n)  # no bounds yet: the first step assigns every point
     iterations = 0
     while True:
-        stale = (~(upper < lower)).nonzero()[0]  # "not <": NaN bounds are rechecked
-        if stale.size < n:
+        if len(stale) < n:
             d2 = squared_distances(current, columns.take(stale, axis=1).T)
             nearest = np.argmin(d2, axis=0)
             assignment[stale] = nearest
             loads = np.bincount(assignment, minlength=k)
-        if stale.size == n or not loads.all():
+        if len(stale) == n or not loads.all():
             # the repair reads every point's distance to its own center
             stale = slice(None)
             d2 = squared_distances(current, points)
@@ -227,6 +225,8 @@ def lloyd_full(
         iterations += 1
         if iterations == max_iterations or np.array_equal(means, current):
             break
+        if iterations == 1:  # the first step was full, so it sets every bound
+            upper, lower = np.empty((2, n))
         upper[stale], lower[stale] = _bounds(d2, nearest)
         drift = np.hypot.reduce(means - current, axis=1, initial=0.0)
         upper += drift[assignment]
@@ -236,4 +236,5 @@ def lloyd_full(
         lower *= 1 - _MARGIN
         lower -= drift.max() * (1 + _MARGIN)
         current = means
+        stale = (~(upper < lower)).nonzero()[0]  # "not <": NaN bounds are rechecked
     return Clustering(assignment=assignment, k=k, centers=means, loads=loads), iterations

@@ -9,7 +9,10 @@ reproduce bit for bit; the per-candidate apply builds each candidate
 through the library's ``Clustering.from_assignment`` and ``objectives``,
 which define the floats the engine's array-level scoring must match.
 The replaying gtkmeans loop reuses the library's Lloyd step and game
-phase: only its stopping rule is the reference.
+phase: only its stopping rule is the reference.  The end-to-end gtkmeans
+reference reuses neither: it composes the oracles here, scores each
+post-Lloyd state with ``objectives`` as ``apply_per_candidate`` scores
+its candidates, and uses the library's types only to hold the report.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from gameclust import (
     FALLBACK_MIN_SOCIAL_COST,
     PURE_NASH,
     Clustering,
+    EquilibriumResult,
+    GameRecord,
+    IterationRecord,
     KMeansConfig,
+    LocalGame,
+    Participant,
     RunReport,
     improvement_report,
     init_centers,
@@ -463,3 +471,127 @@ def run_gtkmeans_replaying(dataset, config):
         final_clustering=clustering,
     )
     return report, termination != "budget" and post_lloyd in seen
+
+
+def game_phase_reference(dataset, clustering, pre, index, ns):
+    """Reference game phase of one iteration: (end clustering, end objectives, record).
+
+    Balance and roles in Fraction arithmetic; each player routed to the
+    resource whose center is nearest its own (broadcast distances, ties to
+    the lowest resource id); a game for each resource whose spare units
+    cannot cover its requests, its participants in ascending player id with
+    the multiples of ns plus the largest strategy; the depth-first tensor
+    and the brute-force pick; and the per-candidate apply of the plan.
+    """
+    points, assignment, centers = dataset.points, clustering.assignment, clustering.centers
+    loads = clustering.loads.tolist()
+    ideal = Fraction(dataset.n, clustering.k)
+    games = []
+    end_clustering, accepted, end = clustering, False, pre
+    if not balanced_fraction(loads, ideal):
+        players, resources = roles_fraction(loads, ideal)
+        plan = {rid: [] for rid, _ in resources}
+        d2 = squared_distances_broadcast(centers[[pid for pid, _ in players]], centers[[rid for rid, _ in resources]])
+        for (pid, request), row in zip(players, d2):
+            plan[resources[int(np.argmin(row))][0]].append((pid, request))
+        for rid, spare in resources:
+            routed = sorted(plan[rid])
+            if sum(request for _, request in routed) <= spare:
+                continue
+            participants = []
+            for pid, request in routed:
+                strategies = [v for v in range(request) if ns is None or v % ns == 0]
+                if strategies[-1] != request - 1:
+                    strategies.append(request - 1)
+                participants.append((pid, request, tuple(strategies)))
+            costs, feasible = payoff_tensor_dfs(points, assignment, centers, rid, participants)
+            joint, kind, joint_costs = pure_nash_pick(tensor_as_dict(costs))
+            plan[rid] = [(pid, request - kept[si]) for (pid, request, kept), si in zip(participants, joint)]
+            games.append(
+                GameRecord(
+                    LocalGame(rid, tuple(Participant(*p) for p in participants)),
+                    EquilibriumResult(joint, kind, joint_costs),
+                    np.count_nonzero(feasible) / feasible.size,
+                )
+            )
+        end_clustering, accepted, end = apply_per_candidate(dataset, clustering, pre, plan)
+    score = None
+    if accepted and pre.sse > 0 and pre.load_metric > 0:
+        score = end.sse / pre.sse + end.load_metric / pre.load_metric
+    record = IterationRecord(
+        index=index,
+        sse_before_games=pre.sse,
+        l_before_games=pre.load_metric,
+        games=tuple(games),
+        accepted=accepted,
+        reallocation_score=score,
+        sse_end=end.sse,
+        l_end=end.load_metric,
+        loads_end=tuple(end_clustering.loads.tolist()),
+    )
+    return end_clustering, end, record
+
+
+def run_gtkmeans_reference(dataset, config):
+    """Reference gtkmeans run, end to end, from the oracles above.
+
+    Centers start at k distinct points drawn by the seeded generator.  Each
+    iteration runs one ``lloyd_full_stepwise`` step from the previous end
+    state's centers and then ``game_phase_reference``.  The stop rules:
+
+    * a post-Lloyd assignment that an earlier iteration, ``first``, had
+      after its Lloyd step stops the run before its games.  It is
+      converged when ``first`` is the last iteration and kept nothing, a
+      cycle otherwise; the final state is the end state from ``first`` on
+      with the least SSE/SSE0 + L/L0 against the first iteration's
+      objectives (a zero initial term unscaled), ties to the earliest;
+    * an iteration that kept nothing, after a Lloyd step that left the
+      previous end state's assignment unchanged, is converged;
+    * otherwise the run stops on its budget of outer iterations.
+
+    ``kmeans_iterations`` counts the Lloyd steps run.
+    """
+
+    def ratio(value, reference):
+        return value / reference if reference > 0 else value
+
+    t0 = time.perf_counter()
+    pts = dataset.points
+    centers = pts[np.random.default_rng(config.seed).choice(dataset.n, size=config.k, replace=False)]
+    trace, ends, seen = [], [], {}
+    initial = clustering = final = None
+    termination = "budget"
+    for it in range(1, config.max_outer_iterations + 1):
+        assignment, means, loads, _ = lloyd_full_stepwise(pts, centers, 1)
+        post_lloyd = tuple(assignment.tolist())
+        if post_lloyd in seen:
+            first = seen[post_lloyd]
+            termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
+            scores = [ratio(e.sse, initial.sse) + ratio(e.load_metric, initial.load_metric) for _, e in ends]
+            best = min(range(first, len(ends)), key=lambda i: scores[i])
+            clustering, final = ends[best]
+            break
+        clustering = Clustering(assignment=assignment, k=config.k, centers=means, loads=loads)
+        pre = objectives(dataset, clustering)
+        if initial is None:
+            initial = pre
+        lloyd_stable = bool(ends) and post_lloyd == tuple(ends[-1][0].assignment.tolist())
+        clustering, final, record = game_phase_reference(dataset, clustering, pre, it, config.ns)
+        trace.append(record)
+        ends.append((clustering, final))
+        if lloyd_stable and not record.accepted:
+            termination = "converged"
+            break
+        seen[post_lloyd] = len(ends) - 1
+        centers = clustering.centers
+    return RunReport(
+        config=config,
+        initial=initial,
+        final=final,
+        improvement=improvement_report(initial, final),
+        kmeans_iterations=it,
+        termination=termination,
+        wall_time_s=time.perf_counter() - t0,
+        trace=tuple(trace),
+        final_clustering=clustering,
+    )

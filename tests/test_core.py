@@ -9,16 +9,22 @@ from gameclust import (
     Clustering,
     ConfigError,
     Dataset,
+    Ds1Config,
     StructuralError,
     ObjectiveState,
+    Participant,
+    RunConfig,
+    generate_strategy_set,
     ideal_load,
     improvement_pct,
     improvement_report,
+    lloyd_full,
     load_metric,
     objectives,
+    select_strategies,
     sse,
 )
-from gameclust.core import load_excess, squared_distances
+from gameclust.core import load_excess, squared_distances, whole
 
 from oracles import squared_distances_broadcast, sse_with_centers
 
@@ -210,6 +216,67 @@ class TestDatasetAndClustering:
         ds = Dataset(points=[[0.0], [1.0]])
         with pytest.raises(StructuralError):
             Clustering.from_assignment(ds, [0, 2], 2)
+
+    def test_clustering_rejects_non_integer_labels(self):
+        # truncated, these labels would read [0, 0, 1, 1]
+        ds = Dataset(points=[[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(StructuralError, match="integers"):
+            Clustering.from_assignment(ds, [0, 0.9, 1.7, 1], 2)
+        c = Clustering.from_assignment(ds, np.array([0, 0, 1, 1], dtype=np.int32), np.int64(2))
+        assert c.loads.tolist() == [2, 2] and c.assignment.dtype == np.int64
+
+
+def _four_points():
+    return Dataset(points=[[0.0], [1.0], [10.0], [11.0]])
+
+
+class TestWhole:
+    """Every count argument goes through ``whole``: an integer of at least its least value."""
+
+    def test_returns_the_int(self):
+        assert whole(3, "k") == 3
+        assert whole(np.int64(0), "seed", least=0) == 0 and type(whole(np.uint8(7), "ns")) is int
+
+    def test_messages(self):
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got 3\.0$"):
+            whole(3.0, "k")
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            whole(-1, "seed", least=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RunConfig(k=4, seed=1, ns=2.5),
+            lambda: RunConfig(k=4.0, seed=1),
+            lambda: RunConfig(k=4, seed=1.0),
+            lambda: RunConfig(k=4, seed=1, max_outer_iterations=10.0),
+            lambda: select_strategies(range(11), 2.5),
+            lambda: generate_strategy_set(3.0),
+            lambda: Participant(0, 3.0, (0, 1, 2)),
+            lambda: Ds1Config(n_points=150.0),
+            lambda: Ds1Config(seed=0.0),
+            lambda: lloyd_full(_four_points(), [[0.0], [10.0]], 1.0),
+            lambda: Clustering.from_assignment(_four_points(), [0, 0, 1, 1], 2.0),
+            lambda: ideal_load(10, 2.0),
+        ],
+        ids=[
+            "run-ns", "run-k", "run-seed", "run-budget", "select-ns", "strategy-set",
+            "participant", "ds1-n", "ds1-seed", "lloyd-budget", "from-assignment-k", "ideal-load-k",
+        ],
+    )
+    def test_non_integer_count_rejected(self, call):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        assert RunConfig(k=i(4), seed=i(1), ns=np.int32(2), max_outer_iterations=i(5)).k == 4
+        assert select_strategies(range(11), i(3)) == (0, 3, 6, 9, 10)
+        assert Participant(0, i(3), (0, 1, 2)).moves == (3, 2, 1)
+        assert generate_strategy_set(np.uint8(3)) == (0, 1, 2)
+        assert Ds1Config(n_points=i(20), blob_count=i(4), seed=i(0)).n_points == 20
+        clustering, iterations = lloyd_full(_four_points(), [[0.0], [10.0]], i(3))
+        assert clustering.assignment.tolist() == [0, 0, 1, 1] and iterations == 2
 
 
 class TestSquaredDistances:

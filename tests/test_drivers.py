@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gameclust import (
@@ -30,7 +30,7 @@ from gameclust import (
 )
 from gameclust import drivers, game_engine
 
-from oracles import run_gtkmeans_replaying
+from oracles import run_gtkmeans_reference, run_gtkmeans_replaying
 
 # seed 2 makes the first Lloyd step of the 20-point line instance land on
 # loads that are a permutation of [4, 1, 15] (pinned by search)
@@ -232,6 +232,57 @@ class TestAgainstReplayingReference:
             assert report.trace[9].accepted and not report.trace[10].accepted
             assert report.trace[10].loads_end == report.trace[9].loads_end
             assert assert_matches_replaying_reference(ds1, config) is False
+
+
+@st.composite
+def integer_grid_runs(draw):
+    """A gtkmeans run on points of the integer grid [-3, 3]^dim, so distances tie and points repeat.
+
+    n is at most 40 and k divides it in about half the draws.
+    """
+    k = draw(st.integers(2, 6))
+    rest = 0 if draw(st.booleans()) else draw(st.integers(1, k - 1))
+    n = k * draw(st.integers(1, (40 - rest) // k)) + rest
+    dim = draw(st.integers(1, 3))
+    coordinate = st.integers(-3, 3)
+    points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    config = RunConfig(
+        k=k,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ns=draw(st.sampled_from([None, 1, 2, 3])),
+        max_outer_iterations=draw(st.sampled_from([1, 3, 100])),
+    )
+    return Dataset(points=np.array(points, dtype=np.float64)), config
+
+
+# Two runs the draws above seldom reach, found by a random search over the
+# same space: a reallocation whose score ties the kept state's, so only a
+# strict ``<`` rejects it, and a cycle whose end states include two of
+# equal score, so the earliest must win.
+SCORE_TIE = (
+    Dataset(points=[[1, 2], [-1, 1], [-1, 1], [2, 1], [-1, -1], [2, 2], [1, -1], [0, -2], [-1, 1], [-2, -2], [2, 2]]),
+    RunConfig(k=4, seed=3895660839, ns=2),
+)
+CYCLE_TIE = (
+    Dataset(points=np.array([1, 0, 1, -1, 0, 1, -1, -1, 0, 0, 1, 1, 1, -1, -1, -1, 0, 0, 0]).reshape(-1, 1)),
+    RunConfig(k=2, seed=1773862476),
+)
+
+
+class TestAgainstReference:
+    @given(integer_grid_runs())
+    @example(SCORE_TIE)
+    @example(CYCLE_TIE)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_grids(self, run):
+        dataset, config = run
+        report = run_gtkmeans(dataset, config)
+        ref = run_gtkmeans_reference(dataset, config)
+        assert np.array_equal(report.final_clustering.assignment, ref.final_clustering.assignment)
+        assert np.array_equal(report.final_clustering.centers, ref.final_clustering.centers)
+        assert (report.initial, report.final) == (ref.initial, ref.final)
+        assert (report.termination, report.kmeans_iterations) == (ref.termination, ref.kmeans_iterations)
+        assert report.trace == ref.trace
 
 
 class TestRunPkgame:

@@ -93,6 +93,14 @@ class TestLocalGameTransfers:
         with pytest.raises(ConfigError):
             line20_game().transfers(joint)
 
+    @pytest.mark.parametrize("joint", [(5,), (-1,), (3,)])
+    def test_strategy_index_outside_the_set_rejected(self, joint):
+        # one participant with request 3 and strategies (0, 1, 2): a negative
+        # index would wrap to the last strategy, one past the end has none
+        game = LocalGame(resource_id=2, participants=(Participant(0, 3, (0, 1, 2)),))
+        with pytest.raises(ConfigError, match="does not index"):
+            game.transfers(joint)
+
 
 class TestPayoffGolden:
     def test_tensor_matches_frozen_oracle_values(self, line20):
