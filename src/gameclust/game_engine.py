@@ -90,13 +90,13 @@ class Participant:
     strategies: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        s = self.strategies
         whole(self.request, "request")
-        if not s or list(s) != sorted(set(s)):
+        s = [whole(v, "strategy", least=0) for v in self.strategies]
+        if not s or s != sorted(set(s)):
             raise ConfigError("strategy set must be nonempty, sorted and duplicate-free")
         if s[0] != 0 or s[-1] != self.request - 1:
             raise ConfigError(
-                f"strategy set must span 0..request-1 at its ends, got {s} for request {self.request}"
+                f"strategy set must span 0..request-1 at its ends, got {self.strategies} for request {self.request}"
             )
 
     @property
@@ -225,7 +225,7 @@ def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, L
 
 def detect_conflict(resource_overhead: int, requests: Sequence[int]) -> bool:
     """True when the requested units exceed the resource's spare units."""
-    return sum(int(r) for r in requests) > int(resource_overhead)
+    return sum(whole(r, "request") for r in requests) > whole(resource_overhead, "overhead", least=0)
 
 
 def generate_strategy_set(request: int) -> Tuple[int, ...]:
@@ -241,7 +241,7 @@ def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
     stays available.
     """
     ns = whole(ns, "ns")
-    values = sorted(set(int(v) for v in full))
+    values = sorted(set(whole(v, "strategy", least=0) for v in full))
     if not values or values[0] != 0:
         raise ConfigError("strategy set must contain 0")
     kept = [v for v in values if v % ns == 0]

@@ -8,11 +8,11 @@ call numpy only for the sums and distances whose floats the engine must
 reproduce bit for bit; the per-candidate apply builds each candidate
 through the library's ``Clustering.from_assignment`` and ``objectives``,
 which define the floats the engine's array-level scoring must match.
-The replaying gtkmeans loop reuses the library's Lloyd step and game
-phase: only its stopping rule is the reference.  The end-to-end gtkmeans
-reference reuses neither: it composes the oracles here, scores each
+Each engine has one end-to-end reference, ``run_gtkmeans_reference``
+and ``run_pkgame_reference``.  Both compose the oracles here, score each
 post-Lloyd state with ``objectives`` as ``apply_per_candidate`` scores
-its candidates, and uses the library's types only to hold the report.
+its candidates, write their stop rules out, and use the library's public
+types only to hold the report; no oracle imports a private library name.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from gameclust import (
     EquilibriumResult,
     GameRecord,
     IterationRecord,
-    KMeansConfig,
     LocalGame,
     Participant,
     RunReport,
     improvement_report,
-    init_centers,
-    lloyd_iteration,
     objectives,
 )
-from gameclust.drivers import _play_games
 
 
 def sse_with_centers(points, assignment, centers):
@@ -172,7 +168,7 @@ def pure_nash_set(costs):
     """
     joints = list(costs.keys())
     n_p = len(joints[0])
-    sizes = [max(j[i] for j in joints) + 1 for i in range(n_p)]
+    sizes = [max(column) + 1 for column in zip(*joints)]
     equilibria = []
     for joint in joints:
         is_ne = True
@@ -210,10 +206,8 @@ def pure_nash_pick(costs):
 def tensor_as_dict(costs_array):
     """Adapt an ndarray of shape (*sizes, P) to the dict form pure_nash_set expects."""
     sizes = costs_array.shape[:-1]
-    return {
-        joint: [float(costs_array[joint + (i,)]) for i in range(costs_array.shape[-1])]
-        for joint in itertools.product(*(range(s) for s in sizes))
-    }
+    rows = costs_array.reshape(-1, costs_array.shape[-1]).tolist()  # C order: the order product walks
+    return dict(zip(itertools.product(*(range(s) for s in sizes)), rows))
 
 
 def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
@@ -265,23 +259,21 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
     costs = np.zeros(sizes + (n_p,))
     feasible = np.zeros(sizes, dtype=bool)
     taken = [False] * len(member)
-    p_after = [None] * n_p
+    after_p = [0.0] * n_p  # each participant's SSE after its transfer
     own_balance = [0.0] * n_p
     joint = [0] * n_p
 
     def descend(j, total, r_s, r_q, r_n):
         if j == n_p:
-            after_total = r_q - sum(v * v for v in r_s) / r_n
-            after_each = []
-            for s, q, n in p_after:
-                a = q - sum(v * v for v in s) / n
-                after_each.append(a)
+            after_total = sse_of(r_s, r_q, r_n)
+            for a in after_p:
                 after_total += a
             feasible[tuple(joint)] = True
             if n_p >= 2:
-                for i in range(n_p):
-                    dsse = abs((after_total - after_each[i]) - (before_total - before_p[i]))
-                    costs[tuple(joint) + (i,)] = math.sqrt(dsse * own_balance[i])
+                costs[tuple(joint)] = [
+                    math.sqrt(abs((after_total - after_p[i]) - (before_total - before_p[i])) * own_balance[i])
+                    for i in range(n_p)
+                ]
             return
         base_s, base_q, base_n = base_p[j]
         for si, t in enumerate(transfer[j]):
@@ -300,7 +292,7 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
                 for dd in range(dim):
                     d_s[dd] += x_rows[pos][dd]
                 d_q += x_sq[pos]
-            p_after[j] = ([base_s[dd] + d_s[dd] for dd in range(dim)], base_q + d_q, base_n + t)
+            after_p[j] = sse_of([base_s[dd] + d_s[dd] for dd in range(dim)], base_q + d_q, base_n + t)
             own_balance[j] = balance[j][si]
             joint[j] = si
             descend(j + 1, total + t, [r_s[dd] - d_s[dd] for dd in range(dim)], r_q - d_q, r_n - t)
@@ -337,7 +329,7 @@ def lloyd_full_stepwise(points, centers, max_iterations):
         for d in range(dim):
             diff = pts[:, d, None] - current[None, :, d]
             d2 += diff * diff
-        assignment = [int(np.argmin(row)) for row in d2]
+        assignment = d2.argmin(axis=1).tolist()  # first minimum == lowest center index
         loads = [assignment.count(c) for c in range(k)]
         for empty in range(k):
             if loads[empty]:
@@ -412,67 +404,6 @@ def apply_per_candidate(dataset, clustering, pre, plan):
     return kept, kept is not clustering, kept_state
 
 
-def run_gtkmeans_replaying(dataset, config):
-    """Reference gtkmeans loop: both stopping checks run after each game phase.
-
-    A post-Lloyd assignment seen before is played again, so a run that
-    stops on a repeat replays that iteration's game phase and records it.
-    The converged check comes first: the replay kept nothing and the Lloyd
-    step left the previous assignment unchanged.  Otherwise the run is a
-    cycle, and the final state is the best end state of the cycle's
-    iterations, the replay excluded (SSE/SSE0 + L/L0, a zero initial term
-    unscaled, ties to the earliest).  Returns (report, whether the run
-    stopped on a replayed assignment).
-    """
-
-    def ratio(value, reference):
-        return value / reference if reference > 0 else value
-
-    t0 = time.perf_counter()
-    centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
-    trace = []
-    ends = []
-    seen = {}
-    initial = clustering = final = None
-    termination = "budget"
-    for it in range(1, config.max_outer_iterations + 1):
-        clustering = lloyd_iteration(dataset, centers)
-        pre = objectives(dataset, clustering)
-        if initial is None:
-            initial = pre
-        lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
-        post_lloyd = clustering.assignment.tobytes()
-        clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
-        trace.append(record)
-        ends.append((clustering, final))
-        if not record.accepted and lloyd_stable:
-            termination = "converged"
-            break
-        if post_lloyd in seen:
-            termination = "cycle"
-            first = seen[post_lloyd]
-            best = min(
-                range(first, len(ends) - 1),
-                key=lambda i: ratio(trace[i].sse_end, initial.sse) + ratio(trace[i].l_end, initial.load_metric),
-            )
-            clustering, final = ends[best]
-            break
-        seen[post_lloyd] = len(ends) - 1
-        centers = clustering.centers
-    report = RunReport(
-        config=config,
-        initial=initial,
-        final=final,
-        improvement=improvement_report(initial, final),
-        kmeans_iterations=len(trace),
-        termination=termination,
-        wall_time_s=time.perf_counter() - t0,
-        trace=tuple(trace),
-        final_clustering=clustering,
-    )
-    return report, termination != "budget" and post_lloyd in seen
-
-
 def game_phase_reference(dataset, clustering, pre, index, ns):
     """Reference game phase of one iteration: (end clustering, end objectives, record).
 
@@ -532,12 +463,17 @@ def game_phase_reference(dataset, clustering, pre, index, ns):
     return end_clustering, end, record
 
 
+def seeded_start(dataset, config):
+    """The k distinct start points that the run's seeded generator draws."""
+    return dataset.points[np.random.default_rng(config.seed).choice(dataset.n, size=config.k, replace=False)]
+
+
 def run_gtkmeans_reference(dataset, config):
     """Reference gtkmeans run, end to end, from the oracles above.
 
-    Centers start at k distinct points drawn by the seeded generator.  Each
-    iteration runs one ``lloyd_full_stepwise`` step from the previous end
-    state's centers and then ``game_phase_reference``.  The stop rules:
+    Centers start at ``seeded_start``.  Each iteration runs one
+    ``lloyd_full_stepwise`` step from the previous end state's centers
+    and then ``game_phase_reference``.  The stop rules:
 
     * a post-Lloyd assignment that an earlier iteration, ``first``, had
       after its Lloyd step stops the run before its games.  It is
@@ -557,7 +493,7 @@ def run_gtkmeans_reference(dataset, config):
 
     t0 = time.perf_counter()
     pts = dataset.points
-    centers = pts[np.random.default_rng(config.seed).choice(dataset.n, size=config.k, replace=False)]
+    centers = seeded_start(dataset, config)
     trace, ends, seen = [], [], {}
     initial = clustering = final = None
     termination = "budget"
@@ -593,5 +529,44 @@ def run_gtkmeans_reference(dataset, config):
         termination=termination,
         wall_time_s=time.perf_counter() - t0,
         trace=tuple(trace),
+        final_clustering=clustering,
+    )
+
+
+def run_pkgame_reference(dataset, config):
+    """Reference pkgame run, end to end, from the oracles above.
+
+    From the seeded start, one ``lloyd_full_stepwise`` step gives the
+    initial objectives.  A budget above one spends the rest of it on a
+    second stepwise loop from that step's means, so such a run takes at
+    least two steps.  The run is converged when one more step from the
+    final means leaves the final assignment unchanged, and ends on its
+    budget otherwise.  One ``game_phase_reference`` follows, iteration 1.
+    """
+
+    def clustering_of(assignment, means, loads):
+        return Clustering(assignment=assignment, k=config.k, centers=means, loads=loads)
+
+    t0 = time.perf_counter()
+    pts = dataset.points
+    assignment, means, loads, _ = lloyd_full_stepwise(pts, seeded_start(dataset, config), 1)
+    initial = objectives(dataset, clustering_of(assignment, means, loads))
+    kmeans_iterations = 1
+    if config.max_outer_iterations > 1:
+        assignment, means, loads, steps = lloyd_full_stepwise(pts, means, config.max_outer_iterations - 1)
+        kmeans_iterations += steps
+    next_assignment = lloyd_full_stepwise(pts, means, 1)[0]
+    termination = "converged" if np.array_equal(next_assignment, assignment) else "budget"
+    clustering = clustering_of(assignment, means, loads)
+    clustering, final, record = game_phase_reference(dataset, clustering, objectives(dataset, clustering), 1, config.ns)
+    return RunReport(
+        config=config,
+        initial=initial,
+        final=final,
+        improvement=improvement_report(initial, final),
+        kmeans_iterations=kmeans_iterations,
+        termination=termination,
+        wall_time_s=time.perf_counter() - t0,
+        trace=(record,),
         final_clustering=clustering,
     )

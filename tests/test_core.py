@@ -14,6 +14,7 @@ from gameclust import (
     ObjectiveState,
     Participant,
     RunConfig,
+    detect_conflict,
     generate_strategy_set,
     ideal_load,
     improvement_pct,
@@ -258,10 +259,14 @@ class TestWhole:
             lambda: lloyd_full(_four_points(), [[0.0], [10.0]], 1.0),
             lambda: Clustering.from_assignment(_four_points(), [0, 0, 1, 1], 2.0),
             lambda: ideal_load(10, 2.0),
+            lambda: select_strategies([0, 1.5, 2.7], 1),
+            lambda: detect_conflict(2.9, [1.5, 1.5]),
+            lambda: Participant(0, 3, (0, 1.0, 2)),
         ],
         ids=[
             "run-ns", "run-k", "run-seed", "run-budget", "select-ns", "strategy-set",
             "participant", "ds1-n", "ds1-seed", "lloyd-budget", "from-assignment-k", "ideal-load-k",
+            "select-values", "conflict", "participant-strategy",
         ],
     )
     def test_non_integer_count_rejected(self, call):
@@ -273,6 +278,9 @@ class TestWhole:
         assert RunConfig(k=i(4), seed=i(1), ns=np.int32(2), max_outer_iterations=i(5)).k == 4
         assert select_strategies(range(11), i(3)) == (0, 3, 6, 9, 10)
         assert Participant(0, i(3), (0, 1, 2)).moves == (3, 2, 1)
+        assert Participant(0, 3, (i(0), np.int32(1), i(2))).moves == (3, 2, 1)
+        assert select_strategies([i(0), i(1), np.uint8(2)], 2) == (0, 2)
+        assert detect_conflict(i(2), [i(1), np.int32(2)]) is True
         assert generate_strategy_set(np.uint8(3)) == (0, 1, 2)
         assert Ds1Config(n_points=i(20), blob_count=i(4), seed=i(0)).n_points == 20
         clustering, iterations = lloyd_full(_four_points(), [[0.0], [10.0]], i(3))

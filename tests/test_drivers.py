@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gameclust import (
+    ALGORITHMS,
     ConfigError,
     Dataset,
     KMeansConfig,
@@ -30,7 +32,7 @@ from gameclust import (
 )
 from gameclust import drivers, game_engine
 
-from oracles import run_gtkmeans_reference, run_gtkmeans_replaying
+from oracles import run_gtkmeans_reference, run_pkgame_reference
 
 # seed 2 makes the first Lloyd step of the 20-point line instance land on
 # loads that are a permutation of [4, 1, 15] (pinned by search)
@@ -179,27 +181,78 @@ class TestRunGtkmeans:
                 assert b.game.joint_count <= a.game.joint_count
 
 
-def assert_matches_replaying_reference(dataset, config):
-    """run_gtkmeans equals the replaying loop, whose replayed last record it never plays."""
-    report = run_gtkmeans(dataset, config)
-    ref, replayed = run_gtkmeans_replaying(dataset, config)
+REFERENCES = {"gtkmeans": run_gtkmeans_reference, "pkgame": run_pkgame_reference}
+
+
+def assert_same_run(report, ref):
+    """A run equals its reference run in everything but wall time."""
     assert np.array_equal(report.final_clustering.assignment, ref.final_clustering.assignment)
     assert np.array_equal(report.final_clustering.centers, ref.final_clustering.centers)
     assert (report.initial, report.final) == (ref.initial, ref.final)
     assert (report.termination, report.kmeans_iterations) == (ref.termination, ref.kmeans_iterations)
-    assert report.trace == (ref.trace[:-1] if replayed else ref.trace)
-    return replayed
+    assert report.trace == ref.trace
 
 
-class TestAgainstReplayingReference:
+@st.composite
+def integer_grid_runs(draw):
+    """A run of either engine on points of the integer grid [-3, 3]^dim, so distances tie and points repeat.
+
+    n is at most 40 and k divides it in about half the draws.
+    """
+    k = draw(st.integers(2, 6))
+    rest = 0 if draw(st.booleans()) else draw(st.integers(1, k - 1))
+    n = k * draw(st.integers(1, (40 - rest) // k)) + rest
+    dim = draw(st.integers(1, 3))
+    coordinate = st.integers(-3, 3)
+    points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    config = RunConfig(
+        k=k,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ns=draw(st.sampled_from([None, 1, 2, 3])),
+        max_outer_iterations=draw(st.sampled_from([1, 3, 100])),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+    )
+    return Dataset(points=np.array(points, dtype=np.float64)), config
+
+
+# Three runs the draws above seldom reach, found by a random search over
+# the same space: a gtkmeans reallocation whose score ties the kept state's,
+# so only a strict ``<`` rejects it; a gtkmeans cycle whose end states
+# include two of equal score, so the earliest must win; and a pkgame player
+# whose center is as near two resources' centers, so the lower resource id
+# must win.
+SCORE_TIE = (
+    Dataset(points=[[1, 2], [-1, 1], [-1, 1], [2, 1], [-1, -1], [2, 2], [1, -1], [0, -2], [-1, 1], [-2, -2], [2, 2]]),
+    RunConfig(k=4, seed=3895660839, ns=2),
+)
+CYCLE_TIE = (
+    Dataset(points=np.array([1, 0, 1, -1, 0, 1, -1, -1, 0, 0, 1, 1, 1, -1, -1, -1, 0, 0, 0]).reshape(-1, 1)),
+    RunConfig(k=2, seed=1773862476),
+)
+ROUTE_TIE = (
+    Dataset(points=np.array([1, -3, 0, -1, 3, -1, 3, 3]).reshape(-1, 1)),
+    RunConfig(k=5, seed=3760679096, ns=2, algorithm="pkgame"),
+)
+
+
+class TestAgainstReference:
+    @given(integer_grid_runs())
+    @example(SCORE_TIE)
+    @example(CYCLE_TIE)
+    @example(ROUTE_TIE)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_grids(self, run):
+        dataset, config = run
+        assert_same_run(run_algorithm(dataset, config), REFERENCES[config.algorithm](dataset, config))
+
     def test_ds1_grid(self, ds1):
-        replayed = [
-            assert_matches_replaying_reference(ds1, RunConfig(k=k, seed=seed, ns=ns))
-            for k in (2, 4, 8, 12)
-            for seed in range(40, 50)
-            for ns in (None, 3)
-        ]
-        assert True in replayed
+        reports = []
+        for algorithm, k, seed, ns in itertools.product(ALGORITHMS, (2, 4, 8, 12), range(40, 50), (None, 3)):
+            config = RunConfig(k=k, seed=seed, ns=ns, algorithm=algorithm)
+            reports.append(run_algorithm(ds1, config))
+            assert_same_run(reports[-1], REFERENCES[algorithm](ds1, config))
+        # some gtkmeans run stops on a repeated post-Lloyd state: one Lloyd step more than game phases
+        assert any(r.kmeans_iterations == r.outer_iterations + 1 for r in reports if r.config.algorithm == "gtkmeans")
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -215,9 +268,9 @@ class TestAgainstReplayingReference:
         n = 2 * k + extra
         blob = rng.integers(k, size=n)
         points = np.round(rng.uniform(0, 10, size=(k, 2))[blob] + rng.normal(0, 1.5, size=(n, 2)), 1)
-        assert_matches_replaying_reference(
-            Dataset(points=points), RunConfig(k=k, seed=seed, ns=ns, max_outer_iterations=budget)
-        )
+        dataset = Dataset(points=points)
+        config = RunConfig(k=k, seed=seed, ns=ns, max_outer_iterations=budget)
+        assert_same_run(run_gtkmeans(dataset, config), run_gtkmeans_reference(dataset, config))
 
     def test_converged_after_the_game_phase(self, ds1):
         # k=12 seed 45 ns=3 (pinned): iteration 10 keeps a reallocation,
@@ -231,58 +284,7 @@ class TestAgainstReplayingReference:
             assert report.kmeans_iterations == report.outer_iterations == 11
             assert report.trace[9].accepted and not report.trace[10].accepted
             assert report.trace[10].loads_end == report.trace[9].loads_end
-            assert assert_matches_replaying_reference(ds1, config) is False
-
-
-@st.composite
-def integer_grid_runs(draw):
-    """A gtkmeans run on points of the integer grid [-3, 3]^dim, so distances tie and points repeat.
-
-    n is at most 40 and k divides it in about half the draws.
-    """
-    k = draw(st.integers(2, 6))
-    rest = 0 if draw(st.booleans()) else draw(st.integers(1, k - 1))
-    n = k * draw(st.integers(1, (40 - rest) // k)) + rest
-    dim = draw(st.integers(1, 3))
-    coordinate = st.integers(-3, 3)
-    points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
-    config = RunConfig(
-        k=k,
-        seed=draw(st.integers(0, 2**32 - 1)),
-        ns=draw(st.sampled_from([None, 1, 2, 3])),
-        max_outer_iterations=draw(st.sampled_from([1, 3, 100])),
-    )
-    return Dataset(points=np.array(points, dtype=np.float64)), config
-
-
-# Two runs the draws above seldom reach, found by a random search over the
-# same space: a reallocation whose score ties the kept state's, so only a
-# strict ``<`` rejects it, and a cycle whose end states include two of
-# equal score, so the earliest must win.
-SCORE_TIE = (
-    Dataset(points=[[1, 2], [-1, 1], [-1, 1], [2, 1], [-1, -1], [2, 2], [1, -1], [0, -2], [-1, 1], [-2, -2], [2, 2]]),
-    RunConfig(k=4, seed=3895660839, ns=2),
-)
-CYCLE_TIE = (
-    Dataset(points=np.array([1, 0, 1, -1, 0, 1, -1, -1, 0, 0, 1, 1, 1, -1, -1, -1, 0, 0, 0]).reshape(-1, 1)),
-    RunConfig(k=2, seed=1773862476),
-)
-
-
-class TestAgainstReference:
-    @given(integer_grid_runs())
-    @example(SCORE_TIE)
-    @example(CYCLE_TIE)
-    @settings(max_examples=150, deadline=None)
-    def test_integer_grids(self, run):
-        dataset, config = run
-        report = run_gtkmeans(dataset, config)
-        ref = run_gtkmeans_reference(dataset, config)
-        assert np.array_equal(report.final_clustering.assignment, ref.final_clustering.assignment)
-        assert np.array_equal(report.final_clustering.centers, ref.final_clustering.centers)
-        assert (report.initial, report.final) == (ref.initial, ref.final)
-        assert (report.termination, report.kmeans_iterations) == (ref.termination, ref.kmeans_iterations)
-        assert report.trace == ref.trace
+            assert_same_run(report, run_gtkmeans_reference(ds1, config))
 
 
 class TestRunPkgame:
