@@ -17,13 +17,20 @@ strategy, the cost is the geometric mean of two losses: the absolute SSE
 change over the clusters touched by the rivals' transfers, and the
 distance of i's own resulting load from the ideal.
 
-Transfers are simulated in ascending player id against the input
-clustering's centers, and the input is never modified: each player takes
-the resource points nearest its center that no earlier player took, ties
-to the lowest point index.  One kernel codes that rule: ``_nearest_first``
-orders the resource's points for each player, and ``_first_free`` takes
-the first points of that order still free in each of many states at
-once.  ``build_payoff_tensor`` runs it over a whole frontier of joint
+A resource's takers are other clusters, each listed once, taking in
+ascending id.  One check owns that rule, ``_check_takers``: every id is a
+whole number below k, the takers strictly ascend and none is the
+resource, else ``ConfigError`` names the offending id.  The tensor build
+checks each game, and ``apply_and_evaluate`` each plan entry, before
+indexing anything with its ids; ``route_requests`` checks its roles with
+the same id rule.  Transfers are simulated in that order against the
+input clustering's centers, and the input is never modified: each taker
+takes the resource points nearest its center that no earlier taker took,
+ties to the lowest point index.  One kernel codes that rule:
+``_read_resource`` reads a resource's members and points and orders them
+nearest-first for each taker (``_nearest_first``), and ``_first_free``
+takes the first points of that order still free in each of many states
+at once.  ``build_payoff_tensor`` runs it over a whole frontier of joint
 strategy prefixes per level, and ``apply_and_evaluate`` over the one
 state it executes.
 
@@ -203,12 +210,50 @@ def classify_roles(clustering: Clustering, ideal: Rational) -> RoleAssignment:
     return RoleAssignment(players=tuple(players), resources=tuple(resources))
 
 
+def _cluster_id(value: object, k: int, name: str) -> int:
+    """``value`` as a cluster id, a whole number (``core.whole``) below ``k``; else ``ConfigError`` naming it."""
+    cid = whole(value, name, least=0)
+    if cid >= k:
+        raise ConfigError(f"{name} {cid} is not a cluster below k = {k}")
+    return cid
+
+
+def _check_takers(k: int, resource: object, takers: Sequence[object]) -> List[int]:
+    """The takers rule: ``takers`` as cluster ids, strictly ascending, none of them ``resource``.
+
+    Every id is read by ``_cluster_id``.  A taker that repeats or breaks
+    the ascending order, or that is the resource, raises ``ConfigError``
+    naming it.
+    """
+    rid = _cluster_id(resource, k, "resource id")
+    pids: List[int] = []
+    for value in takers:
+        pid = _cluster_id(value, k, "player id")
+        if pid == rid:
+            raise ConfigError(f"player {pid} is resource {rid} itself")
+        if pids and pid <= pids[-1]:
+            raise ConfigError(
+                f"resource {rid}'s takers must be listed once, in ascending id: player {pid} follows player {pids[-1]}"
+            )
+        pids.append(pid)
+    return pids
+
+
 def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, List[Tuple[int, int]]]:
     """Send each player's request to the resource with the nearest center.
 
     Ties go to the lowest resource cluster id.  Raises if players exist
     without any resource, which cannot happen for a consistent clustering.
+    Raises ``ConfigError``, naming the id, unless every id is a cluster
+    id (``_cluster_id``) listed once across the players and resources.
     """
+    seen = set()
+    for name, pairs in (("player id", roles.players), ("resource id", roles.resources)):
+        for value, _ in pairs:
+            cid = _cluster_id(value, clustering.k, name)
+            if cid in seen:
+                raise ConfigError(f"cluster {cid} is listed more than once among the players and resources")
+            seen.add(cid)
     if roles.players and not roles.resources:
         raise InconsistentStateError("players exist but there is no resource to request from")
     routing: Dict[int, List[Tuple[int, int]]] = {rid: [] for rid, _ in roles.resources}
@@ -278,6 +323,18 @@ def conflicted_games(
     return games
 
 
+def _read_resource(
+    dataset: Dataset, clustering: Clustering, rid: int, pids: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resource ``rid``'s member indices, its points, and each taker's nearest-first order over them.
+
+    The ids are those ``_check_takers`` passed.
+    """
+    member = clustering.members(rid)
+    points = dataset.points.take(member, axis=0)
+    return member, points, _nearest_first(points, clustering.centers.take(pids, axis=0))
+
+
 def _nearest_first(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Each center's order over ``points``, nearest first: an (n_centers, m) array of positions.
 
@@ -318,6 +375,9 @@ def _sse(sums: np.ndarray) -> np.ndarray:
 def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGame) -> PayoffTensor:
     """Evaluate every joint strategy of a local game.
 
+    Raises ``ConfigError``, naming the id, when the game's resource and
+    players break the takers rule (``_check_takers``): each a cluster of
+    ``clustering``, the players other clusters in strictly ascending id.
     Raises ``TensorTooLargeError`` before allocating anything when the
     tensor (8 bytes per cost and 1 per feasibility flag, for each joint)
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
@@ -367,17 +427,18 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     joints get a sentinel cost of 1 + the maximum feasible cost.
     """
     parts = game.participants
+    rid = game.resource_id
+    pids = _check_takers(clustering.k, rid, [p.player_id for p in parts])
     sizes = game.shape
     n_p = len(parts)
     joint_count = game.joint_count
     tensor_bytes = joint_count * (8 * n_p + 1)
     if tensor_bytes > MAX_TENSOR_BYTES:
         raise TensorTooLargeError(
-            f"the game on resource {game.resource_id} has {joint_count} joints for {n_p} players: "
+            f"the game on resource {rid} has {joint_count} joints for {n_p} players: "
             f"a {tensor_bytes}-byte payoff tensor, above the limit of {MAX_TENSOR_BYTES}"
         )
     loads = clustering.loads.tolist()
-    rid = game.resource_id
     m = loads[rid]
     if n_p == 1:
         feasible = np.array(parts[0].moves) < m
@@ -387,9 +448,9 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     # participant, over each cluster's points in ascending index order
     dim = dataset.dim
     width = dim + 2
-    pids = [p.player_id for p in parts]
-    members = {cid: dataset.points[clustering.members(cid)] for cid in (rid, *pids)}
-    sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), loads[cid]] for cid, pts in members.items()])
+    _, x, orders = _read_resource(dataset, clustering, rid, pids)
+    clusters = [(rid, x)] + [(pid, dataset.points[clustering.members(pid)]) for pid in pids]
+    sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), loads[cid]] for cid, pts in clusters])
     before = _sse(sums)
     before_total = before[0] + sum(before[1:])
     before_rest = before_total - before[1:]
@@ -397,8 +458,6 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     # player's excess plus den units per point moved, over den
     excesses, den = load_excess(clustering.loads, ideal_load(dataset.n, clustering.k))
 
-    x = members[rid]
-    orders = _nearest_first(x, clustering.centers.take(pids, axis=0))
     # per resource point: coordinates, squared norm and a count of 1
     xq = np.empty((m, width))
     xq[:, :dim] = x
@@ -521,10 +580,13 @@ def apply_and_evaluate(
     ``pre`` holds the objectives of ``clustering``, the pre-game state.
     ``plan`` maps a resource id to its transfers, (player id, units)
     pairs: the equilibrium of its local game (``LocalGame.transfers``)
-    or its covered requests in full.  They are executed in ascending
-    player id and simulated as in ``build_payoff_tensor``: each player
-    takes the resource's points nearest its input center that no earlier
-    player took.  Resources are taken in ascending id, and one's
+    or its covered requests in full.  Each entry, sorted, must obey the
+    takers rule (``_check_takers``), else ``ConfigError`` names the
+    offending id before anything is indexed with it.  The transfers are
+    executed in ascending player id and simulated as in
+    ``build_payoff_tensor``: each player takes the resource's points
+    nearest its input center that no earlier player took.  Resources are
+    taken in ascending id, and one's
     transfers are kept only when they lower the ``score`` relative to
     ``pre``, SSE/SSE_pre + L/L_pre, below the score of the transfers
     already kept, which starts at 2 for the pre-game state; so every
@@ -548,14 +610,13 @@ def apply_and_evaluate(
     assignment, loads, kept_state = clustering.assignment, clustering.loads, pre
     for rid in sorted(plan):
         moves = sorted(plan[rid])
+        pids = _check_takers(clustering.k, rid, [pid for pid, _ in moves])
         total = sum(count for _, count in moves)
         if total == 0 or total > input_loads[rid] - 1:
             continue  # nothing to move, or it would empty the resource
         # Points only leave their own resource, so its members are the same
         # in the kept state as in the input clustering.
-        member = clustering.members(rid)
-        pids = [pid for pid, _ in moves]
-        orders = _nearest_first(points.take(member, axis=0), clustering.centers.take(pids, axis=0))
+        member, _, orders = _read_resource(dataset, clustering, rid, pids)
         taken = np.zeros((1, len(member)), dtype=bool)
         candidate, candidate_loads = assignment.copy(), loads.copy()
         candidate_loads[rid] -= total

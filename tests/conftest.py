@@ -6,13 +6,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
-from gameclust import Clustering, Dataset, Ds1Config, generate_ds1
+from gameclust import Clustering, Dataset, Ds1Config, KMeansConfig, generate_ds1, init_centers, lloyd_iteration
 
 
 @pytest.fixture(scope="session")
 def ds1():
     """The standard 150-point synthetic benchmark dataset."""
     return generate_ds1(Ds1Config(seed=0))
+
+
+@pytest.fixture(scope="session")
+def ds1_k4(ds1):
+    """ds1 after run seed 1's first Lloyd step at k = 4: loads [24, 45, 21, 60]."""
+    return lloyd_iteration(ds1, init_centers(ds1, KMeansConfig(k=4, seed=1)))
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gameclust import (
     Clustering,
+    ConfigError,
     Dataset,
     EquilibriumResult,
     LocalGame,
@@ -242,6 +243,33 @@ def _random_case(ds, seed, k, spatial, overdraw):
                 for pid, request in routed
             ]
     return c, plan
+
+
+class TestTakersRule:
+    """Each plan entry, sorted, names other clusters of the clustering, each once, in ascending id."""
+
+    # ds1 at k = 4 (loads [24, 45, 21, 60]), the behaviour before the rule
+    # was checked in the comment above each plan
+    @pytest.mark.parametrize(
+        "plan, match",
+        [
+            # numpy ValueError: 'list' argument must have no negative elements
+            ({3: [(-1, 2)]}, "player id must be >= 0, got -1"),
+            # IndexError: index 9 is out of bounds for axis 0 with size 4
+            ({3: [(9, 2)]}, "player id 9 is not a cluster below k = 4"),
+            # moved 3 points to cluster 0 and kept them
+            ({3: [(0, 2), (0, 1)]}, "player 0 follows player 0"),
+            # dropped silently: the points moved from cluster 3 to itself
+            ({3: [(3, 2)]}, "player 3 is resource 3"),
+            # accepted=True with the clustering unchanged, and a kept state
+            # scored on loads that clustering does not have
+            ({-1: [(0, 2)]}, "resource id must be >= 0, got -1"),
+        ],
+        ids=["minus-one", "k-or-more", "repeated", "resource", "resource-minus-one"],
+    )
+    def test_plan_breaking_the_rule_rejected(self, ds1, ds1_k4, plan, match):
+        with pytest.raises(ConfigError, match=match):
+            apply_and_evaluate(ds1, ds1_k4, objectives(ds1, ds1_k4), plan)
 
 
 class TestAgainstPerCandidateReference:

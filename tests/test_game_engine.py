@@ -124,6 +124,32 @@ class TestRouteRequests:
         assert routing[1] == [(0, 2)]
         assert routing[2] == []
 
+    # four clusters far apart, the behaviour before the ids were checked in
+    # the comment above each role set
+    @pytest.mark.parametrize(
+        "players, resources, match",
+        [
+            # player -1 was routed to resource 3 by the last cluster's center
+            (((-1, 3),), ((1, 5), (3, 9)), "player id must be >= 0, got -1"),
+            # IndexError: index 7 is out of bounds for axis 0 with size 4
+            (((7, 3),), ((1, 5), (3, 9)), "player id 7 is not a cluster below k = 4"),
+            # cluster 1 was routed to itself
+            (((1, 3),), ((1, 5), (3, 9)), "cluster 1 is listed more than once"),
+            # player 0's two requests were both routed to resource 2
+            (((0, 3), (0, 2)), ((2, 5), (3, 9)), "cluster 0 is listed more than once"),
+            # the two listings of resource 2 merged into one routing entry
+            (((0, 3),), ((2, 5), (2, 9)), "cluster 2 is listed more than once"),
+            # player 1.5 was routed to resource 2 as if it were cluster 1
+            (((1.5, 3),), ((2, 5), (3, 9)), "player id must be an integer, got 1.5"),
+        ],
+        ids=["player-minus-one", "player-k-or-more", "player-and-resource", "repeated-player",
+             "repeated-resource", "non-integer"],
+    )
+    def test_roles_breaking_the_id_rule_rejected(self, players, resources, match):
+        _, c = clustering_with_loads([4, 1, 8, 9])
+        with pytest.raises(ConfigError, match=match):
+            route_requests(RoleAssignment(players=players, resources=resources), c)
+
     def test_players_without_resources_is_inconsistent(self):
         _, c = clustering_with_loads([4, 1, 8])
         roles = RoleAssignment(players=((0, 3),), resources=())

@@ -175,6 +175,40 @@ class TestSingleParticipant:
         assert find_pure_nash(build_payoff_tensor(ds, c, game)) == EquilibriumResult((first,), PURE_NASH, (0.0,))
 
 
+class TestTakersRule:
+    """A game's players are other clusters of the clustering, each listed once, in ascending id."""
+
+    # Each game is on ds1 at k = 4, the behaviour before the rule was
+    # checked in the comment above it.
+    @pytest.mark.parametrize(
+        "rid, pids, match",
+        [
+            # built a tensor for "2 takes first", not an axis permutation of
+            # the sorted game's; the apply then executed "1 takes first"
+            (0, (2, 1), "player 1 follows player 2"),
+            # IndexError: list index out of range
+            (0, (1, 1), "player 1 follows player 1"),
+            # IndexError: list index out of range
+            (0, (0, 1), "player 0 is resource 0"),
+            # built finite costs and a pure-Nash pick from cluster 3's load,
+            # excess and center
+            (0, (-1, 1), "player id must be >= 0, got -1"),
+            # IndexError: list index out of range
+            (0, (1, 4), "player id 4 is not a cluster below k = 4"),
+            # TypeError: list indices must be integers or slices, not float
+            (0, (1.5, 2), "player id must be an integer, got 1.5"),
+            # a one-player game: returned a one-entry tensor read from
+            # cluster 3's load
+            (-1, (1,), "resource id must be >= 0, got -1"),
+        ],
+        ids=["unsorted", "repeated", "resource", "minus-one", "k", "non-integer", "one-player-resource-minus-one"],
+    )
+    def test_game_breaking_the_rule_rejected(self, ds1, ds1_k4, rid, pids, match):
+        game = LocalGame(rid, tuple(Participant(pid, 3, (0, 1, 2)) for pid in pids))
+        with pytest.raises(ConfigError, match=match):
+            build_payoff_tensor(ds1, ds1_k4, game)
+
+
 class TestPayoffTensorValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
     def test_non_finite_or_negative_cost_rejected(self, bad):
