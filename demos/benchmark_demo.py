@@ -7,14 +7,13 @@ is available from the command line:
     gameclust bench --ds1 --k 6..8 --algo gtkmeans --ns 0,2,3 --reps 10 --seed 0 --out results.json
 """
 
-from gameclust import (
-    Ds1Config,
-    clamp_nonnegative,
-    generate_ds1,
-    geometric_mean_index,
-    jain_index,
-    paired_compare,
-)
+from gameclust import Ds1Config, generate_ds1, improvement_indices, paired_compare
+
+
+def cell(value, spec):
+    """``value`` formatted by ``spec``, or n/a right-aligned in its width when it is None."""
+    return f"{'n/a':>{spec.split('.')[0]}s}" if value is None else format(value, spec)
+
 
 dataset = generate_ds1(Ds1Config(seed=0))
 seeds = list(range(10))
@@ -26,12 +25,10 @@ for k in (6, 8):
     print(header)
     for summary in paired_compare(dataset, k, seeds, [None, 2, 3], algorithms=("gtkmeans",)):
         label = "gtkmeans" if summary.ns is None else f"gtkmeans ns={summary.ns}"
-        improvements = clamp_nonnegative(
-            [summary.mean_sse_improvement_pct, summary.mean_l_improvement_pct]
-        )
+        sse_imp, l_imp = summary.mean_sse_improvement_pct, summary.mean_l_improvement_pct
+        jain, gmi = improvement_indices(sse_imp, l_imp)
         print(
             f"{label:16s} {summary.mean_wall_time_s*1e3:10.1f} "
             f"{summary.mean_strategies_per_player:13.2f} {summary.mean_payoff_entries:9.0f} "
-            f"{summary.mean_sse_improvement_pct:10.1f} {summary.mean_l_improvement_pct:9.1f} "
-            f"{jain_index(improvements):7.4f} {geometric_mean_index(improvements):7.2f}"
+            f"{cell(sse_imp, '10.1f')} {cell(l_imp, '9.1f')} {cell(jain, '7.4f')} {cell(gmi, '7.2f')}"
         )

@@ -42,7 +42,7 @@ from .errors import (
     TensorTooLargeError,
     UndefinedIndexError,
 )
-from .fairness import clamp_nonnegative, geometric_mean_index, jain_index
+from .fairness import clamp_nonnegative, geometric_mean_index, improvement_indices, jain_index
 from .game_engine import (
     FALLBACK_MIN_SOCIAL_COST,
     PURE_NASH,
@@ -104,6 +104,7 @@ __all__ = [
     "generate_ds1",
     "geometric_mean_index",
     "ideal_load",
+    "improvement_indices",
     "improvement_pct",
     "improvement_report",
     "init_centers",

@@ -29,8 +29,8 @@ import numpy as np
 
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
 from .drivers import ALGORITHMS, VariantSummary, paired_compare
-from .errors import GameclustError, StructuralError, UndefinedIndexError
-from .fairness import clamp_nonnegative, geometric_mean_index, jain_index
+from .errors import GameclustError, StructuralError
+from .fairness import improvement_indices
 
 SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "GAMECLUST_OUTPUT_DIR"
@@ -177,15 +177,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
 def _row(summary: VariantSummary) -> Dict[str, object]:
     sse_imp = summary.mean_sse_improvement_pct
     l_imp = summary.mean_l_improvement_pct
-    jain: Optional[float] = None
-    gmi: Optional[float] = None
-    if sse_imp is not None and l_imp is not None:
-        clamped = clamp_nonnegative([sse_imp, l_imp])
-        try:
-            jain = jain_index(clamped)
-        except UndefinedIndexError:
-            jain = None
-        gmi = geometric_mean_index(clamped)
+    jain, gmi = improvement_indices(sse_imp, l_imp)
     return {
         "algorithm": summary.algorithm,
         "ns": summary.ns,

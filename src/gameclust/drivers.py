@@ -353,18 +353,18 @@ def paired_compare(
     ns_values: Sequence[Optional[int]],
     algorithms: Sequence[str] = ALGORITHMS,
 ) -> List[VariantSummary]:
-    """Run every (algorithm, ns) variant over the same seeds.
+    """Run every (algorithm, ns) variant over the same seeds; one summary per variant, algorithm-major.
 
     All variants of a seed start from the identical seeded center
     initialization, so initial objectives match across variants.  Runs
-    execute serially, so their timings do not interfere.
+    execute serially, a seed's variants back to back, so a slow stretch of
+    the machine slows every variant alike, not one variant's block of seeds.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
-    return [
-        VariantSummary(
-            tuple(run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm)) for s in seeds)
-        )
-        for algorithm in algorithms
-        for ns in ns_values
+    variants = [(algorithm, ns) for algorithm in algorithms for ns in ns_values]
+    by_seed = [
+        [run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm)) for algorithm, ns in variants]
+        for s in seeds
     ]
+    return [VariantSummary(reports) for reports in zip(*by_seed)]

@@ -11,7 +11,7 @@ both indices presume nonnegative shares.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, UndefinedIndexError
 
@@ -54,3 +54,15 @@ def geometric_mean_index(values: Sequence[float]) -> float:
 def clamp_nonnegative(values: Sequence[float]) -> List[float]:
     """Clamp negatives to zero, the required preprocessing for both indices."""
     return [max(0.0, float(v)) for v in values]
+
+
+def improvement_indices(sse_pct: Optional[float], l_pct: Optional[float]) -> Tuple[Optional[float], Optional[float]]:
+    """(Jain, GMI) of the clamped pair; both None when either is, Jain None when both clamp to zero."""
+    if sse_pct is None or l_pct is None:
+        return None, None
+    clamped = clamp_nonnegative([sse_pct, l_pct])
+    try:
+        jain: Optional[float] = jain_index(clamped)
+    except UndefinedIndexError:
+        jain = None
+    return jain, geometric_mean_index(clamped)

@@ -581,8 +581,9 @@ def apply_and_evaluate(
     ``plan`` maps a resource id to its transfers, (player id, units)
     pairs: the equilibrium of its local game (``LocalGame.transfers``)
     or its covered requests in full.  Each entry, sorted, must obey the
-    takers rule (``_check_takers``), else ``ConfigError`` names the
-    offending id before anything is indexed with it.  The transfers are
+    takers rule (``_check_takers``) and move whole units, at least 1
+    (``core.whole``), else ``ConfigError`` names the offending id or count
+    before anything is indexed with it.  The transfers are
     executed in ascending player id and simulated as in
     ``build_payoff_tensor``: each player takes the resource's points
     nearest its input center that no earlier player took.  Resources are
@@ -611,7 +612,8 @@ def apply_and_evaluate(
     for rid in sorted(plan):
         moves = sorted(plan[rid])
         pids = _check_takers(clustering.k, rid, [pid for pid, _ in moves])
-        total = sum(count for _, count in moves)
+        counts = [whole(count, "units") for _, count in moves]
+        total = sum(counts)
         if total == 0 or total > input_loads[rid] - 1:
             continue  # nothing to move, or it would empty the resource
         # Points only leave their own resource, so its members are the same
@@ -621,7 +623,7 @@ def apply_and_evaluate(
         candidate, candidate_loads = assignment.copy(), loads.copy()
         candidate_loads[rid] -= total
         done = 0
-        for (pid, count), order in zip(moves, orders):
+        for pid, count, order in zip(pids, counts, orders):
             chosen = _first_free(taken, order, count, done)[0]
             taken[0, chosen] = True
             candidate[member[chosen]] = pid

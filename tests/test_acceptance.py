@@ -23,9 +23,6 @@ from gameclust import (
     Ds1Config,
     KMeansConfig,
     PayoffTensor,
-    RunConfig,
-    VariantSummary,
-    clamp_nonnegative,
     classify_roles,
     detect_conflict,
     find_pure_nash,
@@ -33,11 +30,12 @@ from gameclust import (
     generate_strategy_set,
     geometric_mean_index,
     ideal_load,
+    improvement_indices,
     init_centers,
     jain_index,
     lloyd_full,
     load_metric,
-    run_gtkmeans,
+    paired_compare,
     select_strategies,
 )
 from gameclust.cli import main as cli_main
@@ -58,21 +56,11 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid():
-    """The shared benchmark grid for criteria 5-8.
-
-    The ns arms run one after another for each (k, seed), so a slow
-    stretch of the machine slows every arm alike instead of one arm's
-    whole block of seeds.
-    """
+    """The shared benchmark grid for criteria 5-8, one ``paired_compare`` per k (see it for the run order)."""
     dataset = generate_ds1(Ds1Config(seed=DS1_SEED))
-    runs = {(k, ns): [] for k in K_VALUES for ns in NS_ARMS}
     t0 = time.perf_counter()
-    for k in K_VALUES:
-        for seed in RUN_SEEDS:
-            for ns in NS_ARMS:
-                runs[(k, ns)].append(run_gtkmeans(dataset, RunConfig(k=k, seed=seed, ns=ns)))
+    rows = {(s.k, s.ns): s for k in K_VALUES for s in paired_compare(dataset, k, RUN_SEEDS, NS_ARMS, ("gtkmeans",))}
     grid_runtime = time.perf_counter() - t0
-    rows = {cell: VariantSummary(tuple(reports)) for cell, reports in runs.items()}
     plain_l = {}
     for k in K_VALUES:
         for seed in RUN_SEEDS:
@@ -162,20 +150,17 @@ def test_criterion_6_wall_time_direction(grid):
            f"{pruned.mean_wall_time_s*1e3:.1f} ms -> {ratio:.1f}x faster (need >= 2x)")
 
 
-def fairness_pair(summary):
-    improvements = clamp_nonnegative(
-        [summary.mean_sse_improvement_pct, summary.mean_l_improvement_pct]
-    )
-    return jain_index(improvements), geometric_mean_index(improvements)
-
-
 def test_criterion_7_quality_preservation(grid):
+    indices = {
+        cell: improvement_indices(s.mean_sse_improvement_pct, s.mean_l_improvement_pct)
+        for cell, s in grid["rows"].items()
+    }
     worst_jain = worst_gmi = 0.0
     worst_cell = None
     for k in K_VALUES:
-        base_jain, base_gmi = fairness_pair(grid["rows"][(k, None)])
+        base_jain, base_gmi = indices[(k, None)]
         for ns in (2, 3, 4):
-            jain, gmi = fairness_pair(grid["rows"][(k, ns)])
+            jain, gmi = indices[(k, ns)]
             d_jain, d_gmi = abs(jain - base_jain), abs(gmi - base_gmi)
             if d_jain > worst_jain:
                 worst_jain, worst_cell = d_jain, (k, ns)

@@ -246,7 +246,7 @@ def _random_case(ds, seed, k, spatial, overdraw):
 
 
 class TestTakersRule:
-    """Each plan entry, sorted, names other clusters of the clustering, each once, in ascending id."""
+    """Each plan entry, sorted, names other clusters, each once, in ascending id, and moves whole units."""
 
     # ds1 at k = 4 (loads [24, 45, 21, 60]), the behaviour before the rule
     # was checked in the comment above each plan
@@ -264,8 +264,16 @@ class TestTakersRule:
             # accepted=True with the clustering unchanged, and a kept state
             # scored on loads that clustering does not have
             ({-1: [(0, 2)]}, "resource id must be >= 0, got -1"),
+            # accepted=True with loads [27, 45, 22, 56] and a kept state (SSE
+            # 2200.58, L 893) that is not the returned clustering's (2177.23, 749)
+            ({3: [(0, 3), (2, -1)]}, "units must be >= 1, got -1"),
+            # TypeError from a slice
+            ({3: [(0, 1.5)]}, "units must be an integer, got 1.5"),
         ],
-        ids=["minus-one", "k-or-more", "repeated", "resource", "resource-minus-one"],
+        ids=[
+            "minus-one", "k-or-more", "repeated", "resource", "resource-minus-one",
+            "negative-units", "fractional-units",
+        ],
     )
     def test_plan_breaking_the_rule_rejected(self, ds1, ds1_k4, plan, match):
         with pytest.raises(ConfigError, match=match):

@@ -1,11 +1,10 @@
 import hashlib
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from gameclust import Ds1Config, StructuralError, load_csv
-from gameclust.cli import _format, _row, execute, main, parse_invocation
+from gameclust import Ds1Config, cli, load_csv
+from gameclust.cli import execute, main, parse_invocation
 
 
 def null_wall_times(obj):
@@ -239,21 +238,16 @@ class TestExecute:
         assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_table_holding_inf_is_a_dataset_failure(self, fmt):
+    def test_table_holding_inf_is_a_dataset_failure(self, tmp_path, capsys, monkeypatch, fmt):
         # the objectives of a run are checked already; this is the last guard
         table = {"rows": [{"algorithm": "gtkmeans", "mean_sse_improvement_pct": float("inf")}], "raw": []}
-        with pytest.raises(StructuralError, match="not finite"):
-            _format(table, fmt)
-
-    def test_row_fairness_when_both_improvements_clamp_to_zero(self):
-        summary = SimpleNamespace(
-            algorithm="gtkmeans", ns=None, k=2, seeds=(1,), mean_wall_time_s=0.0,
-            mean_strategies_per_player=0.0, mean_payoff_entries=0.0,
-            mean_sse_improvement_pct=0.0, mean_l_improvement_pct=-5.0,
-        )
-        row = _row(summary)
-        assert row["jain_index"] is None
-        assert row["geometric_mean_index"] == 0.0
+        monkeypatch.setattr(cli, "build_result_table", lambda invocation: table)
+        out = tmp_path / f"o.{fmt}"
+        status, _ = execute(parse_invocation(["run", "--ds1", "--k", "4", "--format", fmt, "--out", str(out)]))
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
 
     def test_gen_with_infinite_std_is_usage_error(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -295,12 +289,10 @@ class TestExecute:
         assert table is not None and len(table["rows"]) == 1
 
     def test_internal_error_exits_3_without_output(self, tmp_path, monkeypatch):
-        import gameclust.cli as cli_module
-
         def boom(*args, **kwargs):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr(cli_module, "paired_compare", boom)
+        monkeypatch.setattr(cli, "paired_compare", boom)
         out = tmp_path / "x.json"
         status = main(["run", "--ds1", "--k", "4", "--out", str(out)])
         assert status == 3

@@ -395,6 +395,18 @@ class TestPairedCompare:
                     summary.algorithm, summary.ns, summary.k
                 )
 
+    def test_variants_of_a_seed_run_back_to_back(self, ds1, monkeypatch):
+        ran = []
+
+        def recording(dataset, config):
+            ran.append((config.seed, config.algorithm, config.ns))
+            return run_algorithm(dataset, config)
+
+        monkeypatch.setattr(drivers, "run_algorithm", recording)
+        paired_compare(ds1, 5, seeds=[3, 4], ns_values=[None, 2], algorithms=("gtkmeans", "pkgame"))
+        variants = [("gtkmeans", None), ("gtkmeans", 2), ("pkgame", None), ("pkgame", 2)]
+        assert ran == [(seed, *variant) for seed in (3, 4) for variant in variants]
+
     def test_means_match_reports(self, ds1):
         (summary,) = paired_compare(ds1, 5, seeds=[0, 1, 2], ns_values=[None], algorithms=("gtkmeans",))
         assert summary.mean_strategies_per_player == pytest.approx(

@@ -7,6 +7,7 @@ from gameclust import (
     UndefinedIndexError,
     clamp_nonnegative,
     geometric_mean_index,
+    improvement_indices,
     jain_index,
 )
 
@@ -103,3 +104,16 @@ class TestClamp:
 
     def test_clamped_values_feed_indices(self):
         assert jain_index(clamp_nonnegative([40.0, -10.0])) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestImprovementIndices:
+    def test_jain_undefined_when_both_improvements_clamp_to_zero(self):
+        assert improvement_indices(0.0, -5.0) == (None, 0.0)
+
+    @pytest.mark.parametrize("sse_pct, l_pct", [(None, 3.0), (3.0, None)])
+    def test_missing_improvement_gives_no_indices(self, sse_pct, l_pct):
+        assert improvement_indices(sse_pct, l_pct) == (None, None)
+
+    def test_positive_pair_is_indexed_as_is(self):
+        pair = [33.5, 94.1]
+        assert improvement_indices(*pair) == (jain_index(pair), geometric_mean_index(pair))
