@@ -15,8 +15,7 @@ from gameclust import (
     init_centers,
     lloyd_full,
     load_metric,
-    run_gtkmeans,
-    run_pkgame,
+    run_algorithm,
     sse,
 )
 
@@ -31,10 +30,10 @@ print("                  SSE:", round(sse(dataset, plain), 1),
       " L:", round(load_metric(plain.loads, ideal_load(dataset.n, K)), 1))
 
 for label, report in [
-    ("gtkmeans", run_gtkmeans(dataset, RunConfig(k=K, seed=SEED))),
-    ("gtkmeans ns=3", run_gtkmeans(dataset, RunConfig(k=K, seed=SEED, ns=3))),
-    ("pkgame", run_pkgame(dataset, RunConfig(k=K, seed=SEED, algorithm="pkgame"))),
-    ("pkgame ns=3", run_pkgame(dataset, RunConfig(k=K, seed=SEED, ns=3, algorithm="pkgame"))),
+    ("gtkmeans", run_algorithm(dataset, RunConfig(k=K, seed=SEED))),
+    ("gtkmeans ns=3", run_algorithm(dataset, RunConfig(k=K, seed=SEED, ns=3))),
+    ("pkgame", run_algorithm(dataset, RunConfig(k=K, seed=SEED, algorithm="pkgame"))),
+    ("pkgame ns=3", run_algorithm(dataset, RunConfig(k=K, seed=SEED, ns=3, algorithm="pkgame"))),
 ]:
     print(f"\n{label:14s} loads:", report.final_clustering.loads.tolist())
     print(f"{'':14s} SSE: {report.final.sse:8.1f}  L: {report.final.load_metric:7.1f}"

@@ -30,8 +30,6 @@ from .drivers import (
     VariantSummary,
     paired_compare,
     run_algorithm,
-    run_gtkmeans,
-    run_pkgame,
 )
 from .errors import (
     ConfigError,
@@ -117,8 +115,6 @@ __all__ = [
     "paired_compare",
     "route_requests",
     "run_algorithm",
-    "run_gtkmeans",
-    "run_pkgame",
     "save_csv",
     "select_strategies",
     "sse",

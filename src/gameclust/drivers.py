@@ -1,9 +1,12 @@
 """End-to-end algorithms with full game and timing instrumentation.
 
-``run_gtkmeans`` interleaves single Lloyd steps with local games.  It
-stops before the game phase when a post-Lloyd assignment repeats, and
-after it when no reallocation is accepted and the assignment is stable;
-no game phase is played twice.  ``run_pkgame``
+``run_algorithm`` is the one way to run an engine: it draws the seeded
+start centers, runs the engine that ``config.algorithm`` names, times
+the whole run and builds its ``RunReport``, whose config is the config
+that ran.  The gtkmeans engine interleaves single Lloyd steps with local
+games.  It stops before the game phase when a post-Lloyd assignment
+repeats, and after it when no reallocation is accepted and the
+assignment is stable; no game phase is played twice.  The pkgame engine
 runs Lloyd to convergence first and then plays one game phase, once.
 Every report names why its run stopped (``TERMINATIONS``).
 ``paired_compare`` runs several variants from identical seeded
@@ -13,7 +16,7 @@ initializations so their results are directly comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,6 +136,11 @@ class RunReport:
         return (sum(set_sizes) / len(set_sizes)) if set_sizes else 0.0
 
 
+# What an engine's run produced: initial, final, kmeans_iterations,
+# termination, trace and final clustering, in ``RunReport``'s field order.
+_RunFacts = Tuple[ObjectiveState, ObjectiveState, int, str, Tuple[IterationRecord, ...], Clustering]
+
+
 def _balanced(clustering: Clustering, ideal: Rational) -> bool:
     """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
     excesses, q = load_excess(clustering.loads, ideal)
@@ -192,7 +200,7 @@ def _play_games(
     return end_clustering, end, record
 
 
-def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
+def _run_gtkmeans(dataset: Dataset, config: RunConfig, centers: np.ndarray) -> _RunFacts:
     """Iterative engine: one Lloyd step, then local games, until stable.
 
     Stops for one of three reasons:
@@ -209,8 +217,6 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
       step left the previous iteration's assignment unchanged;
     * ``budget``: ``max_outer_iterations`` ran out.
     """
-    t0 = time.perf_counter()
-    centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     trace: List[IterationRecord] = []
     ends: List[Tuple[Clustering, ObjectiveState]] = []  # end state of every iteration, in order
     seen: Dict[bytes, int] = {}  # post-Lloyd assignment -> index of its iteration in ends
@@ -240,20 +246,10 @@ def run_gtkmeans(dataset: Dataset, config: RunConfig) -> RunReport:
         seen[post_lloyd] = len(ends) - 1
         centers = clustering.centers
     assert clustering is not None and initial is not None and final is not None
-    return RunReport(
-        config=replace(config, algorithm="gtkmeans"),
-        initial=initial,
-        final=final,
-        improvement=improvement_report(initial, final),
-        kmeans_iterations=it,
-        termination=termination,
-        wall_time_s=time.perf_counter() - t0,
-        trace=tuple(trace),
-        final_clustering=clustering,
-    )
+    return initial, final, it, termination, tuple(trace), clustering
 
 
-def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
+def _run_pkgame(dataset: Dataset, config: RunConfig, centers: np.ndarray) -> _RunFacts:
     """One-shot engine: full Lloyd convergence, then a single game phase.
 
     The termination is ``converged`` when Lloyd's final clustering is a
@@ -261,8 +257,6 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     last step of its ``max_outer_iterations`` budget reached it, and
     ``budget`` otherwise; the game phase itself always completes.
     """
-    t0 = time.perf_counter()
-    centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
     first = lloyd_iteration(dataset, centers)
     initial = objectives(dataset, first)
     if config.max_outer_iterations > 1:
@@ -276,24 +270,29 @@ def run_pkgame(dataset: Dataset, config: RunConfig) -> RunReport:
     termination = "converged" if converged else "budget"
     pre = objectives(dataset, clustering)
     clustering, final, record = _play_games(dataset, clustering, pre, 1, config.ns)
+    return initial, final, kmeans_iterations, termination, (record,), clustering
+
+
+def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
+    """Run the engine that ``config.algorithm`` names, from ``config.seed``'s start centers, timed whole.
+
+    The report's ``config`` is ``config`` itself.
+    """
+    t0 = time.perf_counter()
+    centers = init_centers(dataset, KMeansConfig(k=config.k, seed=config.seed))
+    engine = _run_gtkmeans if config.algorithm == "gtkmeans" else _run_pkgame
+    initial, final, kmeans_iterations, termination, trace, clustering = engine(dataset, config, centers)
     return RunReport(
-        config=replace(config, algorithm="pkgame"),
+        config=config,
         initial=initial,
         final=final,
         improvement=improvement_report(initial, final),
         kmeans_iterations=kmeans_iterations,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,
-        trace=(record,),
+        trace=trace,
         final_clustering=clustering,
     )
-
-
-def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
-    """Dispatch on ``config.algorithm``."""
-    if config.algorithm == "gtkmeans":
-        return run_gtkmeans(dataset, config)
-    return run_pkgame(dataset, config)
 
 
 @dataclass(frozen=True)
@@ -359,12 +358,14 @@ def paired_compare(
     initialization, so initial objectives match across variants.  Runs
     execute serially, a seed's variants back to back, so a slow stretch of
     the machine slows every variant alike, not one variant's block of seeds.
+    Every seed is read by ``core.whole`` before the first run.
     """
+    seeds = [whole(s, "seed", least=0) for s in seeds]
     if not seeds:
         raise ConfigError("need at least one seed")
     variants = [(algorithm, ns) for algorithm in algorithms for ns in ns_values]
     by_seed = [
-        [run_algorithm(dataset, RunConfig(k=k, seed=int(s), ns=ns, algorithm=algorithm)) for algorithm, ns in variants]
+        [run_algorithm(dataset, RunConfig(k=k, seed=s, ns=ns, algorithm=algorithm)) for algorithm, ns in variants]
         for s in seeds
     ]
     return [VariantSummary(reports) for reports in zip(*by_seed)]

@@ -75,6 +75,22 @@ class TestParseInvocation:
         with pytest.raises(SystemExit):
             parse_invocation("bench --ds1 --k four".split())
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("bench --ds1 --k 4 --seed 3..x", "--seed: cannot parse range '3..x'"),
+            ("bench --ds1 --k 4 --seed 5..3", "--seed: empty range '5..3'"),
+            ("bench --ds1 --k 4 --ns -1", "--ns: values must be >= 0, got -1"),
+            ("bench --ds1 --k 4 --reps 0", "--reps: must be >= 1, got 0"),
+        ],
+        ids=["seed-range-unparsable", "seed-range-empty", "ns-negative", "reps-zero"],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            parse_invocation(argv.split())
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_needs_exactly_one_source(self):
         with pytest.raises(SystemExit):
             parse_invocation("run --k 4".split())

@@ -62,6 +62,13 @@ class TestSse:
         c = Clustering.from_assignment(ds, [0, 1], 2)
         assert sse(ds, c) == 0.0
 
+    def test_clustering_of_another_dataset_rejected(self):
+        ds = Dataset(points=[[0.0, 0.0], [1.0, 1.0]])
+        c = Clustering.from_assignment(ds, [0, 1], 2)
+        other = Dataset(points=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(StructuralError, match="clustering covers 2 points, dataset has 3"):
+            sse(other, c)
+
     def test_dimension_mismatch(self):
         ds = Dataset(points=[[0.0, 0.0], [1.0, 1.0]])
         c = Clustering.from_assignment(ds, [0, 1], 2)
@@ -217,6 +224,27 @@ class TestDatasetAndClustering:
         ds = Dataset(points=[[0.0], [1.0]])
         with pytest.raises(StructuralError):
             Clustering.from_assignment(ds, [0, 2], 2)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Dataset(points=[0.0, 1.0]), "points must be a 2-d array"),
+            (lambda: Dataset(points=np.zeros((0, 2))), "need at least one point and one dimension"),
+            (lambda: Clustering(assignment=[[0, 1]], k=2, centers=[[0.0], [1.0]], loads=[1, 1]),
+             "assignment must be 1-d"),
+            (lambda: Clustering(assignment=[0, 1], k=2, centers=[[0.0]], loads=[1, 1]),
+             r"centers must have shape \(k, dim\)"),
+            (lambda: Clustering(assignment=[0, 1], k=2, centers=[[0.0], [1.0]], loads=[[1, 1]]),
+             r"loads must have shape \(k,\)"),
+            (lambda: Clustering.from_assignment(Dataset(points=[[0.0], [1.0]]), [0, 1, 1], 2),
+             "does not match n=2"),
+        ],
+        ids=["points-1d", "no-points", "assignment-2d", "centers-wrong-k", "loads-wrong-shape",
+             "from-assignment-length"],
+    )
+    def test_malformed_input_rejected(self, call, match):
+        with pytest.raises(StructuralError, match=match):
+            call()
 
     def test_clustering_rejects_non_integer_labels(self):
         # truncated, these labels would read [0, 0, 1, 1]

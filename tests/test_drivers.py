@@ -27,8 +27,6 @@ from gameclust import (
     paired_compare,
     route_requests,
     run_algorithm,
-    run_gtkmeans,
-    run_pkgame,
 )
 from gameclust import drivers, game_engine
 
@@ -49,14 +47,14 @@ class TestRunGtkmeans:
         # seed 1 picks one center in each pair (pinned), so the very first
         # Lloyd step is already balanced
         ds = Dataset(points=[[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        report = run_gtkmeans(ds, RunConfig(k=2, seed=1))
+        report = run_algorithm(ds, RunConfig(k=2, seed=1))
         assert report.games_played == 0
         assert report.avg_strategies_per_player == 0.0
         km, _ = lloyd_full(ds, init_centers(ds, KMeansConfig(k=2, seed=1)), 100)
         assert report.final == objectives(ds, km)
 
     def test_worked_example_game_structure(self):
-        report = run_gtkmeans(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED))
+        report = run_algorithm(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED))
         first = report.trace[0]
         assert len(first.games) == 1
         assert sorted(first.games[0].game.shape) == [3, 6]
@@ -64,7 +62,7 @@ class TestRunGtkmeans:
 
     def test_worked_example_records_its_game_and_equilibrium(self):
         ds = line20_dataset()
-        report = run_gtkmeans(ds, RunConfig(k=3, seed=LINE20_SEED))
+        report = run_algorithm(ds, RunConfig(k=3, seed=LINE20_SEED))
         c = lloyd_iteration(ds, init_centers(ds, KMeansConfig(k=3, seed=LINE20_SEED)))
         roles = classify_roles(c, ideal_load(ds.n, 3))
         game = conflicted_games(roles, route_requests(roles, c))[0]
@@ -75,13 +73,13 @@ class TestRunGtkmeans:
         assert record.feasible_fraction == tensor.feasible.mean()
 
     def test_worked_example_with_selection(self):
-        report = run_gtkmeans(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED, ns=2))
+        report = run_algorithm(line20_dataset(), RunConfig(k=3, seed=LINE20_SEED, ns=2))
         first = report.trace[0]
         assert len(first.games) == 1
         assert sorted(first.games[0].game.shape) == [2, 4]
 
     def test_terminates_and_reports(self, ds1):
-        report = run_gtkmeans(ds1, RunConfig(k=6, seed=0))
+        report = run_algorithm(ds1, RunConfig(k=6, seed=0))
         assert 1 <= report.outer_iterations <= 100
         # k=6 seed 0 stops on a repeated post-Lloyd assignment (pinned): its
         # last Lloyd step finds the repeat, and no game phase follows it
@@ -93,7 +91,7 @@ class TestRunGtkmeans:
 
     def test_counts_follow_the_trace(self, ds1):
         # k=6 seed 2 plays two games in its first iteration and more after it (pinned)
-        report = run_gtkmeans(ds1, RunConfig(k=6, seed=2))
+        report = run_algorithm(ds1, RunConfig(k=6, seed=2))
         assert report.outer_iterations > 1 and report.games_played > 2
         first = dataclasses.replace(report, trace=report.trace[:1])
         assert [g.game.shape for g in first.trace[0].games] == [(6, 19), (17,)]
@@ -103,21 +101,21 @@ class TestRunGtkmeans:
         assert first.avg_strategies_per_player == (6 + 19 + 17) / 3
 
     def test_point_count_conserved_every_iteration(self, ds1):
-        report = run_gtkmeans(ds1, RunConfig(k=7, seed=5))
+        report = run_algorithm(ds1, RunConfig(k=7, seed=5))
         for record in report.trace:
             assert sum(record.loads_end) == ds1.n
             assert min(record.loads_end) >= 1
 
     def test_accepted_reallocations_always_score_below_two(self, ds1):
         for seed in range(4):
-            report = run_gtkmeans(ds1, RunConfig(k=8, seed=seed))
+            report = run_algorithm(ds1, RunConfig(k=8, seed=seed))
             for record in report.trace:
                 if record.accepted and record.reallocation_score is not None:
                     assert record.reallocation_score < 2.0
 
     def test_determinism(self, ds1):
-        a = run_gtkmeans(ds1, RunConfig(k=5, seed=9))
-        b = run_gtkmeans(ds1, RunConfig(k=5, seed=9))
+        a = run_algorithm(ds1, RunConfig(k=5, seed=9))
+        b = run_algorithm(ds1, RunConfig(k=5, seed=9))
         assert a.final == b.final
         assert a.payoff_entry_counts == b.payoff_entry_counts
         assert np.array_equal(a.final_clustering.assignment, b.final_clustering.assignment)
@@ -125,7 +123,7 @@ class TestRunGtkmeans:
     def test_lloyd_game_cycle_stops_on_the_repeated_state(self, ds1):
         # k=8 seed 6 falls into a Lloyd-game cycle: each accepted reallocation
         # is undone by the next Lloyd step
-        a = run_gtkmeans(ds1, RunConfig(k=8, seed=6))
+        a = run_algorithm(ds1, RunConfig(k=8, seed=6))
         assert a.termination == "cycle"
         assert a.outer_iterations < 100
         assert len(a.trace) == a.outer_iterations
@@ -140,7 +138,7 @@ class TestRunGtkmeans:
             return sse_value / a.initial.sse + l_value / a.initial.load_metric
 
         assert all(score(a.final.sse, a.final.load_metric) <= score(*end) for end in cycle)
-        b = run_gtkmeans(ds1, RunConfig(k=8, seed=6))
+        b = run_algorithm(ds1, RunConfig(k=8, seed=6))
         assert (b.termination, b.outer_iterations, b.final) == (a.termination, a.outer_iterations, a.final)
         assert np.array_equal(a.final_clustering.assignment, b.final_clustering.assignment)
 
@@ -148,10 +146,10 @@ class TestRunGtkmeans:
         from gameclust import TERMINATIONS
 
         assert set(TERMINATIONS) == {"converged", "cycle", "budget"}
-        converged = run_gtkmeans(Dataset(points=[[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]),
+        converged = run_algorithm(Dataset(points=[[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]),
                                  RunConfig(k=2, seed=1))
         assert converged.termination == "converged"
-        capped = run_gtkmeans(ds1, RunConfig(k=8, seed=6, max_outer_iterations=2))
+        capped = run_algorithm(ds1, RunConfig(k=8, seed=6, max_outer_iterations=2))
         assert capped.termination == "budget"
         assert capped.outer_iterations == 2
 
@@ -160,7 +158,7 @@ class TestRunGtkmeans:
         # points cover cluster 1's request, so no game is played and the
         # player receives the two points nearest its center
         ds = Dataset(points=[[0.0], [0.1], [0.2], [0.3], [0.4], [4.5], [5.0], [10.0], [10.1], [10.2]])
-        report = run_pkgame(ds, RunConfig(k=2, seed=2, algorithm="pkgame"))
+        report = run_algorithm(ds, RunConfig(k=2, seed=2, algorithm="pkgame"))
         assert report.games_played == 0
         assert report.trace[0].l_before_games == 8.0
         assert report.trace[0].accepted is True
@@ -172,8 +170,8 @@ class TestRunGtkmeans:
         # identical initial clustering means identical first-iteration games,
         # where pruned sets are never larger
         for seed in (0, 3, 7):
-            base = run_gtkmeans(ds1, RunConfig(k=8, seed=seed))
-            pruned = run_gtkmeans(ds1, RunConfig(k=8, seed=seed, ns=3))
+            base = run_algorithm(ds1, RunConfig(k=8, seed=seed))
+            pruned = run_algorithm(ds1, RunConfig(k=8, seed=seed, ns=3))
             g0, g1 = base.trace[0].games, pruned.trace[0].games
             assert [g.game.resource_id for g in g0] == [g.game.resource_id for g in g1]
             for a, b in zip(g0, g1):
@@ -270,7 +268,7 @@ class TestAgainstReference:
         points = np.round(rng.uniform(0, 10, size=(k, 2))[blob] + rng.normal(0, 1.5, size=(n, 2)), 1)
         dataset = Dataset(points=points)
         config = RunConfig(k=k, seed=seed, ns=ns, max_outer_iterations=budget)
-        assert_same_run(run_gtkmeans(dataset, config), run_gtkmeans_reference(dataset, config))
+        assert_same_run(run_algorithm(dataset, config), run_gtkmeans_reference(dataset, config))
 
     def test_converged_after_the_game_phase(self, ds1):
         # k=12 seed 45 ns=3 (pinned): iteration 10 keeps a reallocation,
@@ -279,7 +277,7 @@ class TestAgainstReference:
         # that would find the repeat, so a budget of 11 still converges.
         for budget in (11, 100):
             config = RunConfig(k=12, seed=45, ns=3, max_outer_iterations=budget)
-            report = run_gtkmeans(ds1, config)
+            report = run_algorithm(ds1, config)
             assert report.termination == "converged"
             assert report.kmeans_iterations == report.outer_iterations == 11
             assert report.trace[9].accepted and not report.trace[10].accepted
@@ -290,7 +288,7 @@ class TestAgainstReference:
 class TestRunPkgame:
     def test_balanced_after_kmeans_is_pure_lloyd(self):
         ds = Dataset(points=[[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        report = run_pkgame(ds, RunConfig(k=2, seed=1, algorithm="pkgame"))
+        report = run_algorithm(ds, RunConfig(k=2, seed=1, algorithm="pkgame"))
         assert report.games_played == 0
         km, _ = lloyd_full(ds, init_centers(ds, KMeansConfig(k=2, seed=1)), 100)
         assert report.final == objectives(ds, km)
@@ -299,12 +297,12 @@ class TestRunPkgame:
         # Lloyd from run seed 1 reaches its fixed point on step 7 and sees
         # the assignment repeat on step 8; a budget of 6 stops short of it
         for budget, termination in ((6, "budget"), (7, "converged"), (8, "converged")):
-            report = run_pkgame(ds1, RunConfig(k=4, seed=1, max_outer_iterations=budget, algorithm="pkgame"))
+            report = run_algorithm(ds1, RunConfig(k=4, seed=1, max_outer_iterations=budget, algorithm="pkgame"))
             assert report.kmeans_iterations == budget
             assert report.termination == termination
 
     def test_budget_of_one_stops_after_the_first_step(self, ds1):
-        report = run_pkgame(ds1, RunConfig(k=4, seed=1, max_outer_iterations=1, algorithm="pkgame"))
+        report = run_algorithm(ds1, RunConfig(k=4, seed=1, max_outer_iterations=1, algorithm="pkgame"))
         assert report.kmeans_iterations == 1
         assert len(report.trace) == 1
         record = report.trace[0]
@@ -312,7 +310,7 @@ class TestRunPkgame:
         assert report.termination == "budget"
 
     def test_single_game_phase_by_construction(self, ds1):
-        report = run_pkgame(ds1, RunConfig(k=8, seed=1, algorithm="pkgame"))
+        report = run_algorithm(ds1, RunConfig(k=8, seed=1, algorithm="pkgame"))
         assert report.outer_iterations == 1
         assert len(report.trace) == 1
         assert report.kmeans_iterations >= 1
@@ -320,7 +318,7 @@ class TestRunPkgame:
     def test_games_bounded_by_conflicted_resources(self, ds1):
         for seed in range(5):
             config = RunConfig(k=8, seed=seed, algorithm="pkgame")
-            report = run_pkgame(ds1, config)
+            report = run_algorithm(ds1, config)
             centers = init_centers(ds1, KMeansConfig(k=8, seed=seed))
             km, _ = lloyd_full(ds1, centers, 99)
             roles = classify_roles(km, ideal_load(ds1.n, 8))
@@ -330,16 +328,16 @@ class TestRunPkgame:
         # the game phase starts from the same converged clustering, so the
         # per-seed pruning relation is structural for pkgame
         for seed in range(6):
-            base = run_pkgame(ds1, RunConfig(k=8, seed=seed, algorithm="pkgame"))
+            base = run_algorithm(ds1, RunConfig(k=8, seed=seed, algorithm="pkgame"))
             for ns in (2, 3, 4):
-                pruned = run_pkgame(ds1, RunConfig(k=8, seed=seed, ns=ns, algorithm="pkgame"))
+                pruned = run_algorithm(ds1, RunConfig(k=8, seed=seed, ns=ns, algorithm="pkgame"))
                 assert pruned.avg_strategies_per_player <= base.avg_strategies_per_player + 1e-12
                 assert sum(pruned.payoff_entry_counts) <= sum(base.payoff_entry_counts)
 
     def test_initial_state_matches_gtkmeans(self, ds1):
         for seed in (0, 4):
-            a = run_gtkmeans(ds1, RunConfig(k=6, seed=seed))
-            b = run_pkgame(ds1, RunConfig(k=6, seed=seed, algorithm="pkgame"))
+            a = run_algorithm(ds1, RunConfig(k=6, seed=seed))
+            b = run_algorithm(ds1, RunConfig(k=6, seed=seed, algorithm="pkgame"))
             assert a.initial == b.initial
 
 
@@ -358,13 +356,10 @@ class TestRunConfig:
         b = run_algorithm(ds1, RunConfig(k=4, seed=2))
         assert b.config.algorithm == "gtkmeans"
 
-    def test_report_config_names_the_engine_that_ran(self, ds1):
-        config = RunConfig(k=4, seed=1)
-        report = run_pkgame(ds1, config)
-        assert report.config == dataclasses.replace(config, algorithm="pkgame")
-        config = RunConfig(k=4, seed=1, algorithm="pkgame")
-        report = run_gtkmeans(ds1, config)
-        assert report.config == dataclasses.replace(config, algorithm="gtkmeans")
+    def test_report_config_is_the_config_that_ran(self, ds1):
+        for algorithm in ALGORITHMS:
+            config = RunConfig(k=4, seed=1, algorithm=algorithm)
+            assert run_algorithm(ds1, config).config is config
 
 
 class TestPairedCompare:
@@ -425,6 +420,17 @@ class TestPairedCompare:
         with pytest.raises(ConfigError):
             paired_compare(ds1, 4, seeds=[], ns_values=[None])
 
+    def test_seeds_are_whole_numbers(self, ds1):
+        # int(1.5) silently ran seed 1
+        with pytest.raises(ConfigError, match="seed"):
+            paired_compare(ds1, 4, seeds=[1.5], ns_values=[None], algorithms=("gtkmeans",))
+        (summary,) = paired_compare(ds1, 4, seeds=np.array([2]), ns_values=[None], algorithms=("gtkmeans",))
+        assert summary.seeds == (2,)
+        assert type(summary.seeds[0]) is int
+        # a longer array raised ValueError from its truth test
+        (summary,) = paired_compare(ds1, 4, seeds=np.array([2, 3]), ns_values=[None], algorithms=("gtkmeans",))
+        assert summary.seeds == (2, 3)
+
 
 def _root_buffer(array):
     """The array that owns ``array``'s memory."""
@@ -475,7 +481,7 @@ class TestTensorLifetimes:
         # two-player tensor, then raises on a 1,088-byte one
         monkeypatch.setattr(game_engine, "MAX_TENSOR_BYTES", 1000)
         with pytest.raises(TensorTooLargeError):
-            run_gtkmeans(ds1, RunConfig(k=8, seed=1))
+            run_algorithm(ds1, RunConfig(k=8, seed=1))
         assert [n for n, _ in built] == [2]
         assert all(ref() is None for _, ref in built)
         assert gc.collect() == 0

@@ -35,6 +35,10 @@ class TestJainIndex:
         with pytest.raises(ConfigError):
             jain_index([1.0, -0.5])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigError, match="need at least one value"):
+            jain_index([])
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=10))
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_equality_condition(self, values):

@@ -196,6 +196,10 @@ class TestSelectStrategies:
     def test_singleton(self):
         assert select_strategies((0,), 4) == (0,)
 
+    def test_set_without_zero_rejected(self):
+        with pytest.raises(ConfigError, match="strategy set must contain 0"):
+            select_strategies((1, 2), 2)
+
     def test_pruned_size_formula_exhaustive(self):
         # |selected| = floor((r-1)/ns) + 1 + [ (r-1) mod ns != 0 ]
         for request in range(1, 201):
@@ -217,6 +221,21 @@ class TestSelectStrategies:
         assert 0 in selected
         assert max(full) in selected
         assert list(selected) == sorted(set(selected))
+
+
+class TestGameValidation:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Participant(0, 3, (0, 2, 1)), "nonempty, sorted and duplicate-free"),
+            (lambda: Participant(0, 3, (1, 2)), r"must span 0\.\.request-1"),
+            (lambda: LocalGame(0, ()), "at least one participant"),
+        ],
+        ids=["participant-unsorted", "participant-without-zero", "game-without-participants"],
+    )
+    def test_malformed_game_rejected(self, call, match):
+        with pytest.raises(ConfigError, match=match):
+            call()
 
 
 class TestConflictedGames:

@@ -46,6 +46,10 @@ class TestInitCenters:
         with pytest.raises(ConfigError):
             init_centers(line4, KMeansConfig(k=5, seed=0))
 
+    def test_seed_beyond_64_bits_rejected(self):
+        with pytest.raises(ConfigError, match="64 unsigned bits"):
+            KMeansConfig(k=2, seed=2**64)
+
 
 class TestLloydIteration:
     def test_hand_traced_assignment(self, line4):
@@ -64,6 +68,18 @@ class TestLloydIteration:
         c = lloyd_iteration(ds, [[1.0], [3.0]])
         # the middle point at 2.0 is equidistant; cluster 0 wins
         assert c.assignment.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "centers, error, match",
+        [
+            ([0.0, 10.0], StructuralError, "nonempty 2-d array"),
+            ([[0.0], [1.0], [2.0], [10.0], [11.0]], ConfigError, r"more centers \(5\) than points \(4\)"),
+        ],
+        ids=["centers-1d", "more-centers-than-points"],
+    )
+    def test_malformed_centers_rejected(self, line4, centers, error, match):
+        with pytest.raises(error, match=match):
+            lloyd_iteration(line4, centers)
 
     def test_dimension_mismatch(self, line4):
         with pytest.raises(StructuralError):

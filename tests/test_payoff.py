@@ -24,7 +24,7 @@ from gameclust import (
     find_pure_nash,
     generate_strategy_set,
     objectives,
-    run_gtkmeans,
+    run_algorithm,
     select_strategies,
 )
 from gameclust import drivers, game_engine
@@ -488,7 +488,7 @@ class TestWorkingMemory:
             return build(dataset, clustering, game)
 
         monkeypatch.setattr(drivers, "build_payoff_tensor", record)
-        run_gtkmeans(ds1, RunConfig(k=8, seed=41))
+        run_algorithm(ds1, RunConfig(k=8, seed=41))
         largest = max((game for _, game in played), key=lambda game: math.prod(game.shape))
         assert (math.prod(largest.shape), len(largest.participants)) == (40_320, 6)  # the widest rows
         for c, game in played:
