@@ -233,6 +233,12 @@ def load_excess(loads: Sequence[int], ideal: Rational) -> Tuple[List[int], int]:
     return [q * l - p for l in np.asarray(loads, dtype=np.int64).tolist()], q
 
 
+def balanced(loads: Sequence[int], ideal: Rational) -> bool:
+    """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
+    excesses, q = load_excess(loads, ideal)
+    return all(abs(e) < q for e in excesses)
+
+
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:
     """Sum of squared deviations of cluster loads from the ideal load.
 

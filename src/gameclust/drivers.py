@@ -26,10 +26,9 @@ from .core import (
     Dataset,
     ImprovementReport,
     ObjectiveState,
-    Rational,
+    balanced,
     ideal_load,
     improvement_report,
-    load_excess,
     objectives,
     whole,
 )
@@ -61,8 +60,7 @@ class RunConfig:
     algorithm: str = "gtkmeans"
 
     def __post_init__(self) -> None:
-        whole(self.k, "k")
-        whole(self.seed, "seed", least=0)
+        KMeansConfig(k=self.k, seed=self.seed)  # the start centers' rules for k and the seed
         if self.ns is not None:
             whole(self.ns, "ns")
         whole(self.max_outer_iterations, "max_outer_iterations")
@@ -141,12 +139,6 @@ class RunReport:
 _RunFacts = Tuple[ObjectiveState, ObjectiveState, int, str, Tuple[IterationRecord, ...], Clustering]
 
 
-def _balanced(clustering: Clustering, ideal: Rational) -> bool:
-    """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
-    excesses, q = load_excess(clustering.loads, ideal)
-    return all(abs(e) < q for e in excesses)
-
-
 def _play_games(
     dataset: Dataset,
     clustering: Clustering,
@@ -174,7 +166,7 @@ def _play_games(
     end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
     ideal = ideal_load(dataset.n, clustering.k)
-    if not _balanced(clustering, ideal):
+    if not balanced(clustering.loads, ideal):
         roles = classify_roles(clustering, ideal)
         routing = route_requests(roles, clustering)
         plan = dict(routing)
@@ -358,14 +350,13 @@ def paired_compare(
     initialization, so initial objectives match across variants.  Runs
     execute serially, a seed's variants back to back, so a slow stretch of
     the machine slows every variant alike, not one variant's block of seeds.
-    Every seed is read by ``core.whole`` before the first run.
+    Every ``RunConfig`` of the grid is built, and so checked, before the
+    first run, each seed read by ``core.whole``; an empty axis raises.
     """
     seeds = [whole(s, "seed", least=0) for s in seeds]
-    if not seeds:
-        raise ConfigError("need at least one seed")
     variants = [(algorithm, ns) for algorithm in algorithms for ns in ns_values]
-    by_seed = [
-        [run_algorithm(dataset, RunConfig(k=k, seed=s, ns=ns, algorithm=algorithm)) for algorithm, ns in variants]
-        for s in seeds
-    ]
+    if not seeds or not variants:
+        raise ConfigError("need at least one seed, one ns value and one algorithm")
+    grid = [[RunConfig(k=k, seed=s, ns=ns, algorithm=algorithm) for algorithm, ns in variants] for s in seeds]
+    by_seed = [[run_algorithm(dataset, config) for config in configs] for configs in grid]
     return [VariantSummary(reports) for reports in zip(*by_seed)]

@@ -77,7 +77,7 @@ MAX_TENSOR_BYTES = 256 * 2**20
 # The tensor build expands at most this many children at once, and the Nash
 # search sums the social costs of this many candidate joints at once, so
 # their working memory does not grow with the joint count.
-_BLOCK = 1024
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ class PayoffTensor:
 
     @property
     def joint_count(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -399,14 +399,14 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     point by point, and keeps the (row, strategy) children that leave the
     resource at least one point.  The leaf adds the resource's after-SSE
     and writes each child's costs at its flat index.  A block of at most
-    ``_BLOCK`` children (or one prefix, when a participant has more
+    ``BLOCK`` children (or one prefix, when a participant has more
     strategies) is expanded at once, and its children are expanded before
     the rest of its level, so at most one frontier per level waits and
     working memory does not grow with the joint count.
 
     Beside the tensor, the build holds the resource's m points, each
     participant's nearest-first order over them, and at most n_p frontiers
-    of B = max(``_BLOCK``, s) rows, s the most strategies a participant
+    of B = max(``BLOCK``, s) rows, s the most strategies a participant
     has: n_p B (8 ((dim + 2) + 2 n_p + 1) + m) bytes.  Expanding one block
     adds the running sums of its rows' first free points and the positions
     of the points its children take: at most 16 (dim + 2) B r + 11 B c
@@ -497,7 +497,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     while pending:
         j, rows, taken = pending.pop()
         tv, tv_index, count, ranks, most_taken, own, stride, own_balance = levels[j]
-        step = max(1, _BLOCK // len(tv))
+        step = max(1, BLOCK // len(tv))
         if len(rows) > step:
             pending.append((j, rows[step:], taken[step:]))
         block, block_taken = rows[:step], taken[:step]
@@ -543,7 +543,7 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     more per joint while it tests each later participant: 2 bytes per
     joint.  The pick keeps the flat index of each equilibrium, or of
     every joint for the fallback, 8 bytes each, and sums their social
-    costs ``_BLOCK`` at a time, reading the tensor in any memory order.
+    costs ``BLOCK`` at a time, reading the tensor in any memory order.
     """
     costs = tensor.costs
     sizes = tensor.shape
@@ -559,8 +559,8 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     # only a strictly lower social cost replaces the pick, so among equal
     # minima the first, in lexicographic order, wins
     best = math.inf
-    for lo in range(0, candidates.size, _BLOCK):
-        block = candidates[lo : lo + _BLOCK]
+    for lo in range(0, candidates.size, BLOCK):
+        block = candidates[lo : lo + BLOCK]
         social = costs[np.unravel_index(block, sizes)].sum(axis=-1)
         i = int(np.argmin(social))
         if social[i] < best:

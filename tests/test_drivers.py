@@ -12,9 +12,11 @@ from gameclust import (
     ALGORITHMS,
     ConfigError,
     Dataset,
+    ImprovementReport,
     KMeansConfig,
     RunConfig,
     TensorTooLargeError,
+    VariantSummary,
     build_payoff_tensor,
     classify_roles,
     conflicted_games,
@@ -349,6 +351,9 @@ class TestRunConfig:
             RunConfig(k=3, seed=1, ns=0)
         with pytest.raises(ConfigError):
             RunConfig(k=3, seed=1, algorithm="other")
+        # only the start centers checked this bound, so a grid ran its earlier seeds first
+        with pytest.raises(ConfigError, match="64 unsigned bits"):
+            RunConfig(k=4, seed=2**64)
 
     def test_dispatch(self, ds1):
         a = run_algorithm(ds1, RunConfig(k=4, seed=2, algorithm="pkgame"))
@@ -411,10 +416,26 @@ class TestPairedCompare:
             np.mean([sum(r.payoff_entry_counts) for r in summary.reports])
         )
 
-    def test_mean_optional_skips_missing_improvements(self):
+    def test_means_skip_missing_improvements(self, ds1):
         # an improvement percent is None when its initial objective is 0
-        assert drivers._mean_optional([None, None]) is None
-        assert drivers._mean_optional([None, 3.0, 5.0]) == 4.0
+        report = run_algorithm(ds1, RunConfig(k=4, seed=1))
+        reports = [dataclasses.replace(report, improvement=ImprovementReport(None, l)) for l in (3.0, None, 5.0)]
+        summary = VariantSummary(tuple(reports))
+        assert summary.mean_sse_improvement_pct is None
+        assert summary.mean_l_improvement_pct == 4.0
+
+    @pytest.mark.parametrize(
+        "seeds, ns_values, algorithms",
+        [([1], [], ALGORITHMS), ([1], [None], ()), ([1], [None, 2.5], ALGORITHMS), ([1, 2**64], [None], ALGORITHMS)],
+        ids=["no-ns", "no-algorithm", "bad-ns-late", "bad-seed-late"],
+    )
+    def test_every_config_checked_before_any_run(self, ds1, monkeypatch, seeds, ns_values, algorithms):
+        # an empty axis ran nothing and returned []; a bad value raised only after earlier runs
+        ran = []
+        monkeypatch.setattr(drivers, "run_algorithm", lambda dataset, config: ran.append(config))
+        with pytest.raises(ConfigError):
+            paired_compare(ds1, 4, seeds, ns_values, algorithms)
+        assert ran == []
 
     def test_empty_seeds_rejected(self, ds1):
         with pytest.raises(ConfigError):

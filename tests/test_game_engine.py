@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +21,7 @@ from gameclust import (
     route_requests,
     select_strategies,
 )
-from gameclust.drivers import _balanced
-from gameclust.game_engine import _first_free, _nearest_first
+from gameclust.core import balanced
 
 from oracles import balanced_fraction, payoff_costs, roles_fraction
 
@@ -76,17 +74,17 @@ class TestClassifyRoles:
         _, c = clustering_with_loads(loads)
         roles = classify_roles(c, ideal)
         assert (roles.players, roles.resources) == roles_fraction(loads, ideal)
-        assert _balanced(c, ideal) == balanced_fraction(loads, ideal)
+        assert balanced(loads, ideal) == balanced_fraction(loads, ideal)
 
     @pytest.mark.parametrize(
-        "loads, ideal, balanced",
+        "loads, ideal, expected",
         [([6, 8], Fraction(7), False), ([5, 7], Fraction(6), False), ([7, 8], Fraction(15, 2), True),
-         ([5, 6, 6], Fraction(17, 3), True), ([6, 6, 7, 7], Fraction(13, 2), True)],
+         ([5, 6, 6], Fraction(17, 3), True), ([6, 6, 7, 7], Fraction(13, 2), True),
+         ([5, 7, 7, 7], Fraction(13, 2), False)],
     )
-    def test_balanced_is_strictly_within_one_unit(self, loads, ideal, balanced):
-        # a load exactly one unit from the ideal is off balance; any nearer load is not
-        _, c = clustering_with_loads(loads)
-        assert _balanced(c, ideal) == balanced_fraction(loads, ideal) == balanced
+    def test_balanced_is_strictly_within_one_unit(self, loads, ideal, expected):
+        # a load one unit or more from the ideal, below it as above, is off balance; any nearer load is not
+        assert balanced(loads, ideal) == balanced_fraction(loads, ideal) == expected
 
     @given(st.lists(st.integers(1, 120), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -95,7 +93,7 @@ class TestClassifyRoles:
         # so an excess of q or more in size has one of the other sign beside it
         _, c = clustering_with_loads(loads)
         ideal = ideal_load(sum(loads), len(loads))
-        if not _balanced(c, ideal):
+        if not balanced(loads, ideal):
             roles = classify_roles(c, ideal)
             assert roles.players and roles.resources
 
@@ -265,45 +263,8 @@ class TestConflictedGames:
         assert conflicted_games(roles, routing) == []
 
 
-def plan_transfer(ds, c, resource_id, player_id, count, taken=None):
-    """Point indices the nearest-first kernel hands a player from a resource.
-
-    ``taken`` flags resource positions already handed out; the chosen
-    positions are flagged in it too.
-    """
-    member = c.members(resource_id)
-    taken = [False] * len(member) if taken is None else taken
-    (order,) = _nearest_first(ds.points[member], c.centers[[player_id]])
-    chosen = _first_free(np.array([taken]), order, count, sum(taken))[0]
-    for pos in chosen:
-        taken[pos] = True
-    return member[chosen].tolist()
-
-
 class TestPlanTransfer:
-    """One transfer planned by the nearest-first kernel that tensors and apply share."""
-
-    def test_zero_count_empty(self, line20):
-        ds, c = line20
-        assert plan_transfer(ds, c, 2, 1, 0) == []
-
-    def test_nearest_two(self):
-        ds = Dataset(points=[[4.0], [5.0], [6.0], [9.0]])
-        c = Clustering.from_assignment(ds, [0, 1, 1, 1], 2)
-        chosen = plan_transfer(ds, c, 1, 0, 2)
-        assert chosen == [1, 2]  # the points at 5 and 6
-
-    def test_taken_points_are_skipped(self):
-        ds = Dataset(points=[[4.0], [5.0], [6.0], [9.0]])
-        c = Clustering.from_assignment(ds, [0, 1, 1, 1], 2)
-        taken = [True, False, False]  # the point at 5 already went to an earlier player
-        assert plan_transfer(ds, c, 1, 0, 2, taken) == [2, 3]
-        assert taken == [True, True, True]
-
-    def test_tie_breaks_to_lowest_index(self):
-        ds = Dataset(points=[[0.0], [1.0], [-1.0], [5.0]])
-        c = Clustering.from_assignment(ds, [0, 1, 1, 1], 2)
-        assert plan_transfer(ds, c, 1, 0, 1) == [1]
+    """A transfer that would empty its resource is infeasible, in the tensor and in the reference."""
 
     def test_emptying_resource_rejected(self, line20):
         ds, c = line20

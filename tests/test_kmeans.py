@@ -16,7 +16,6 @@ from gameclust import (
     objectives,
     sse,
 )
-from gameclust.kmeans import _bounds
 from oracles import lloyd_full_stepwise
 
 
@@ -186,23 +185,6 @@ def test_non_finite_start_center_rejected(ds1, bad, run):
     # center draws no point or every point and the run goes on
     with pytest.raises(StructuralError, match="finite"):
         run(ds1, [[bad, 0.0], [1.0, 1.0]])
-
-
-def test_bounds_on_any_memory_order():
-    rng = np.random.default_rng(5)
-    d2 = rng.uniform(0.0, 50.0, size=(4, 9))
-    assignment = rng.integers(4, size=9)
-    expected = d2.copy()
-    own = expected[assignment, np.arange(9)]
-    expected[assignment, np.arange(9)] = np.inf
-    wide = np.zeros((5, 18))
-    wide[1:, ::2] = d2
-    # C-ordered, Fortran-ordered, and a strided view into a larger array
-    for layout in (d2.copy(), np.asfortranarray(d2), wide[1:, ::2]):
-        upper, lower = _bounds(layout, assignment)
-        assert np.array_equal(upper, np.maximum(np.sqrt(own), 1e-150))
-        assert np.array_equal(lower, np.sqrt(expected.min(axis=0)))
-        assert np.array_equal(layout, expected)  # the assigned entries are overwritten in place
 
 
 def _lloyd_instance(seed, dim, n, k, exponent, grid, start):

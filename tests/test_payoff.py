@@ -460,7 +460,7 @@ class TestTensorMatchesDepthFirstReference:
             participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in (1, 2, 3)),
         )
         tensor = build_payoff_tensor(ds, c, game)
-        assert tensor.joint_count > game_engine._BLOCK
+        assert tensor.joint_count > game_engine.BLOCK
         costs, feasible = reference_tensor(ds, c, game)
         assert np.array_equal(tensor.feasible, feasible)
         assert np.array_equal(tensor.costs, costs)
@@ -473,7 +473,7 @@ class TestWorkingMemory:
     def bound(ds, c, game):
         """n_p B (8 ((dim + 2) + 2 n_p + 1) + m) for the frontier, 16 (dim + 2) B r + 11 B c for one expansion."""
         n_p, m, width = len(game.participants), int(c.loads[game.resource_id]), ds.dim + 2
-        block = max(game_engine._BLOCK, *game.shape)
+        block = max(game_engine.BLOCK, *game.shape)
         most = [min(p.request, m - 1) for p in game.participants]
         per_strategy = max(math.ceil(t / len(p.strategies)) for t, p in zip(most, game.participants))
         frontier = n_p * block * (8 * (width + 2 * n_p + 1) + m)
