@@ -4,8 +4,10 @@ Every variant starts from the same seeded centers, so differences are
 attributable to the variant, not to initialization luck.  The same grid
 is available from the command line:
 
-    gameclust bench --ds1 --k 6..8 --algo gtkmeans --ns 0,2,3 --reps 10 --seed 0 --out results.json
+    gameclust bench --ds1 --k 6,8 --algo gtkmeans --ns 0,2,3 --reps 10 --seed 0 --out results.json
 """
+
+from itertools import groupby
 
 from gameclust import Ds1Config, generate_ds1, improvement_indices, paired_compare
 
@@ -20,10 +22,10 @@ seeds = list(range(10))
 
 header = f"{'variant':16s} {'time (ms)':>10s} {'strat/player':>13s} {'entries':>9s} {'SSE imp %':>10s} {'L imp %':>9s} {'Jain':>7s} {'GMI':>7s}"
 
-for k in (6, 8):
+for k, summaries in groupby(paired_compare(dataset, [6, 8], seeds, [None, 2, 3], ("gtkmeans",)), lambda s: s.k):
     print(f"\nk = {k}, {len(seeds)} paired seeds")
     print(header)
-    for summary in paired_compare(dataset, k, seeds, [None, 2, 3], algorithms=("gtkmeans",)):
+    for summary in summaries:
         label = "gtkmeans" if summary.ns is None else f"gtkmeans ns={summary.ns}"
         sse_imp, l_imp = summary.mean_sse_improvement_pct, summary.mean_l_improvement_pct
         jain, gmi = improvement_indices(sse_imp, l_imp)

@@ -13,7 +13,7 @@ failure, including results that are not finite (inf or nan, when the
 data's scale overflows the objectives); 3 internal error.  No result is
 written on status 2 or 3.  When --out is omitted, results go to
 $GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to
-stdout.
+stdout; an output directory that does not exist fails before any run.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
 from .drivers import ALGORITHMS, VariantSummary, paired_compare
-from .errors import GameclustError, StructuralError
+from .errors import ConfigError, GameclustError, StructuralError
 from .fairness import improvement_indices
 
 SCHEMA_VERSION = 2
@@ -227,19 +227,11 @@ def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
     else:
         dataset = load_csv(invocation.data_path)
         source = invocation.data_path or ""
-    rows: List[Dict[str, object]] = []
-    raw: List[Dict[str, object]] = []
-    for k in invocation.k_values:
-        summaries = paired_compare(
-            dataset,
-            k,
-            invocation.seeds,
-            invocation.ns_values,
-            algorithms=invocation.algorithms,
-        )
-        for summary in summaries:
-            rows.append(_row(summary))
-            raw.extend(_raw_records(summary))
+    summaries = paired_compare(
+        dataset, invocation.k_values, invocation.seeds, invocation.ns_values, invocation.algorithms
+    )
+    rows = [_row(summary) for summary in summaries]
+    raw = [record for summary in summaries for record in _raw_records(summary)]
     order = {a: i for i, a in enumerate(invocation.algorithms)}
     rows.sort(key=lambda r: (order[r["algorithm"]], r["ns"] or 0, r["k"]))
     raw.sort(key=lambda r: (order[r["algorithm"]], r["ns"] or 0, r["k"], r["seed"]))
@@ -285,15 +277,20 @@ def _format_csv(table: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, invocation: CliInvocation) -> None:
+def _out_path(invocation: CliInvocation) -> Optional[str]:
+    """Where the results go (None: stdout); its directory must exist, checked before any run."""
     path = invocation.out_path
+    if path is None and os.environ.get(OUTPUT_DIR_ENV):
+        path = os.path.join(os.environ[OUTPUT_DIR_ENV], f"results.{invocation.out_format}")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output directory {os.path.dirname(path)!r} does not exist")
+    return path
+
+
+def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
-        out_dir = os.environ.get(OUTPUT_DIR_ENV)
-        if out_dir:
-            path = os.path.join(out_dir, f"results.{invocation.out_format}")
-        else:
-            sys.stdout.write(text)
-            return
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -312,8 +309,9 @@ def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]
                 assert invocation.gen is not None
                 save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
             else:
+                path = _out_path(invocation)
                 table = build_result_table(invocation)
-                _emit(_format(table, invocation.out_format), invocation)
+                _emit(_format(table, invocation.out_format), path)
     except (GameclustError, OSError) as exc:
         # dataset, configuration and output-path failures are the caller's to fix
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ repeats, and after it when no reallocation is accepted and the
 assignment is stable; no game phase is played twice.  The pkgame engine
 runs Lloyd to convergence first and then plays one game phase, once.
 Every report names why its run stopped (``TERMINATIONS``).
-``paired_compare`` runs several variants from identical seeded
-initializations so their results are directly comparable.
+``paired_compare`` runs a grid of (k, algorithm, ns) variants from
+identical seeded initializations so their results are directly comparable.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class VariantSummary:
-    """One (algorithm, ns) variant's runs over paired seeds; all else is read from the runs."""
+    """One (k, algorithm, ns) variant's runs over paired seeds; all else is read from the runs."""
 
     reports: Tuple[RunReport, ...]
 
@@ -339,24 +339,25 @@ def _mean_optional(values: Sequence[Optional[float]]) -> Optional[float]:
 
 def paired_compare(
     dataset: Dataset,
-    k: int,
+    k_values: Sequence[int],
     seeds: Sequence[int],
     ns_values: Sequence[Optional[int]],
     algorithms: Sequence[str] = ALGORITHMS,
 ) -> List[VariantSummary]:
-    """Run every (algorithm, ns) variant over the same seeds; one summary per variant, algorithm-major.
+    """Run every (k, algorithm, ns) variant over the same seeds; one summary per variant, in that order.
 
-    All variants of a seed start from the identical seeded center
-    initialization, so initial objectives match across variants.  Runs
-    execute serially, a seed's variants back to back, so a slow stretch of
-    the machine slows every variant alike, not one variant's block of seeds.
-    Every ``RunConfig`` of the grid is built, and so checked, before the
-    first run, each seed read by ``core.whole``; an empty axis raises.
+    All variants of a seed start from the same seeded centers for their k.
+    Runs execute serially, a seed's variants back to back across every k,
+    so a slow stretch of the machine slows every variant alike.  Every
+    ``RunConfig``, each seed (``core.whole``) and each k against n
+    (``core.ideal_load``) is checked before the first run; an empty axis raises.
     """
     seeds = [whole(s, "seed", least=0) for s in seeds]
-    variants = [(algorithm, ns) for algorithm in algorithms for ns in ns_values]
+    variants = [(k, algorithm, ns) for k in k_values for algorithm in algorithms for ns in ns_values]
     if not seeds or not variants:
-        raise ConfigError("need at least one seed, one ns value and one algorithm")
-    grid = [[RunConfig(k=k, seed=s, ns=ns, algorithm=algorithm) for algorithm, ns in variants] for s in seeds]
+        raise ConfigError("need at least one k, one seed, one ns value and one algorithm")
+    grid = [[RunConfig(k=k, seed=s, ns=ns, algorithm=algorithm) for k, algorithm, ns in variants] for s in seeds]
+    for k in k_values:
+        ideal_load(dataset.n, k)
     by_seed = [[run_algorithm(dataset, config) for config in configs] for configs in grid]
     return [VariantSummary(reports) for reports in zip(*by_seed)]

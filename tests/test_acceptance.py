@@ -56,10 +56,10 @@ def report(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid():
-    """The shared benchmark grid for criteria 5-8, one ``paired_compare`` per k (see it for the run order)."""
+    """The shared benchmark grid for criteria 5-8, one ``paired_compare`` call (see it for the run order)."""
     dataset = generate_ds1(Ds1Config(seed=DS1_SEED))
     t0 = time.perf_counter()
-    rows = {(s.k, s.ns): s for k in K_VALUES for s in paired_compare(dataset, k, RUN_SEEDS, NS_ARMS, ("gtkmeans",))}
+    rows = {(s.k, s.ns): s for s in paired_compare(dataset, K_VALUES, RUN_SEEDS, NS_ARMS, ("gtkmeans",))}
     grid_runtime = time.perf_counter() - t0
     plain_l = {}
     for k in K_VALUES:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gameclust import Ds1Config, cli, load_csv
+from gameclust import Ds1Config, cli, drivers, load_csv
 from gameclust.cli import execute, main, parse_invocation
 
 
@@ -17,6 +17,20 @@ def null_wall_times(obj):
     if isinstance(obj, list):
         return [null_wall_times(v) for v in obj]
     return obj
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The k of every run the CLI starts, in order; the runs still happen."""
+    ks = []
+    run_algorithm = drivers.run_algorithm
+
+    def recording(dataset, config):
+        ks.append(config.k)
+        return run_algorithm(dataset, config)
+
+    monkeypatch.setattr(drivers, "run_algorithm", recording)
+    return ks
 
 
 class TestParseInvocation:
@@ -161,6 +175,26 @@ class TestExecute:
         data.write_text("1,2\n3,4\n5,6\n")
         status = main(["run", "--data", str(data), "--k", "4", "--out", str(tmp_path / "o.json")])
         assert status == 2
+
+    def test_k_above_n_in_a_bench_grid_exits_2_before_any_run(self, tmp_path, capsys, ran):
+        out = tmp_path / "k.json"
+        argv = ["bench", "--ds1", "--k", "4,200", "--reps", "2", "--algo", "gtkmeans", "--ns", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert ran == []
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "k <= n" in err[0]
+
+    @pytest.mark.parametrize("subcommand", ["run", "bench"])
+    def test_missing_output_directory_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, ran, subcommand):
+        missing = tmp_path / "absent"
+        assert main([subcommand, "--ds1", "--k", "4", "--out", str(missing / "r.json")]) == 2
+        monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(missing))
+        assert main([subcommand, "--ds1", "--k", "4"]) == 2
+        assert ran == []
+        assert not missing.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error:") and "absent" in line for line in err)
 
     def test_run_emits_single_row_table(self, tmp_path):
         out = tmp_path / "r.json"

@@ -370,7 +370,7 @@ class TestRunConfig:
 class TestPairedCompare:
     def test_shared_initial_state_across_variants(self, ds1):
         summaries = paired_compare(
-            ds1, 5, seeds=[3, 4], ns_values=[None, 2], algorithms=("gtkmeans", "pkgame")
+            ds1, [5], seeds=[3, 4], ns_values=[None, 2], algorithms=("gtkmeans", "pkgame")
         )
         assert len(summaries) == 4
         by_seed = {}
@@ -381,11 +381,11 @@ class TestPairedCompare:
             assert all(s == states[0] for s in states), seed
 
     def test_single_ns_gives_one_row_per_algorithm(self, ds1):
-        summaries = paired_compare(ds1, 4, seeds=[1], ns_values=[None])
+        summaries = paired_compare(ds1, [4], seeds=[1], ns_values=[None])
         assert [(s.algorithm, s.ns) for s in summaries] == [("gtkmeans", None), ("pkgame", None)]
 
     def test_summary_identity_is_its_reports_config(self, ds1):
-        summaries = paired_compare(ds1, 5, seeds=[3, 4], ns_values=[None, 2])
+        summaries = paired_compare(ds1, [5], seeds=[3, 4], ns_values=[None, 2])
         assert [(s.algorithm, s.ns, s.k) for s in summaries] == [
             ("gtkmeans", None, 5), ("gtkmeans", 2, 5), ("pkgame", None, 5), ("pkgame", 2, 5)
         ]
@@ -399,16 +399,17 @@ class TestPairedCompare:
         ran = []
 
         def recording(dataset, config):
-            ran.append((config.seed, config.algorithm, config.ns))
+            ran.append((config.seed, config.k, config.algorithm, config.ns))
             return run_algorithm(dataset, config)
 
         monkeypatch.setattr(drivers, "run_algorithm", recording)
-        paired_compare(ds1, 5, seeds=[3, 4], ns_values=[None, 2], algorithms=("gtkmeans", "pkgame"))
-        variants = [("gtkmeans", None), ("gtkmeans", 2), ("pkgame", None), ("pkgame", 2)]
+        summaries = paired_compare(ds1, [5, 4], [3, 4], ns_values=[None, 2], algorithms=("gtkmeans", "pkgame"))
+        variants = [(k, a, ns) for k in (5, 4) for a in ("gtkmeans", "pkgame") for ns in (None, 2)]
         assert ran == [(seed, *variant) for seed in (3, 4) for variant in variants]
+        assert [(s.k, s.algorithm, s.ns) for s in summaries] == variants
 
     def test_means_match_reports(self, ds1):
-        (summary,) = paired_compare(ds1, 5, seeds=[0, 1, 2], ns_values=[None], algorithms=("gtkmeans",))
+        (summary,) = paired_compare(ds1, [5], seeds=[0, 1, 2], ns_values=[None], algorithms=("gtkmeans",))
         assert summary.mean_strategies_per_player == pytest.approx(
             np.mean([r.avg_strategies_per_player for r in summary.reports])
         )
@@ -425,31 +426,38 @@ class TestPairedCompare:
         assert summary.mean_l_improvement_pct == 4.0
 
     @pytest.mark.parametrize(
-        "seeds, ns_values, algorithms",
-        [([1], [], ALGORITHMS), ([1], [None], ()), ([1], [None, 2.5], ALGORITHMS), ([1, 2**64], [None], ALGORITHMS)],
-        ids=["no-ns", "no-algorithm", "bad-ns-late", "bad-seed-late"],
+        "k_values, seeds, ns_values, algorithms",
+        [
+            ([4], [1], [], ALGORITHMS),
+            ([4], [1], [None], ()),
+            ([], [1], [None], ALGORITHMS),
+            ([4], [1], [None, 2.5], ALGORITHMS),
+            ([4], [1, 2**64], [None], ALGORITHMS),
+            ([4, 200], [1], [None], ALGORITHMS),
+        ],
+        ids=["no-ns", "no-algorithm", "no-k", "bad-ns-late", "bad-seed-late", "k-above-n-late"],
     )
-    def test_every_config_checked_before_any_run(self, ds1, monkeypatch, seeds, ns_values, algorithms):
+    def test_every_config_checked_before_any_run(self, ds1, monkeypatch, k_values, seeds, ns_values, algorithms):
         # an empty axis ran nothing and returned []; a bad value raised only after earlier runs
         ran = []
         monkeypatch.setattr(drivers, "run_algorithm", lambda dataset, config: ran.append(config))
         with pytest.raises(ConfigError):
-            paired_compare(ds1, 4, seeds, ns_values, algorithms)
+            paired_compare(ds1, k_values, seeds, ns_values, algorithms)
         assert ran == []
 
     def test_empty_seeds_rejected(self, ds1):
         with pytest.raises(ConfigError):
-            paired_compare(ds1, 4, seeds=[], ns_values=[None])
+            paired_compare(ds1, [4], seeds=[], ns_values=[None])
 
     def test_seeds_are_whole_numbers(self, ds1):
         # int(1.5) silently ran seed 1
         with pytest.raises(ConfigError, match="seed"):
-            paired_compare(ds1, 4, seeds=[1.5], ns_values=[None], algorithms=("gtkmeans",))
-        (summary,) = paired_compare(ds1, 4, seeds=np.array([2]), ns_values=[None], algorithms=("gtkmeans",))
+            paired_compare(ds1, [4], seeds=[1.5], ns_values=[None], algorithms=("gtkmeans",))
+        (summary,) = paired_compare(ds1, [4], seeds=np.array([2]), ns_values=[None], algorithms=("gtkmeans",))
         assert summary.seeds == (2,)
         assert type(summary.seeds[0]) is int
         # a longer array raised ValueError from its truth test
-        (summary,) = paired_compare(ds1, 4, seeds=np.array([2, 3]), ns_values=[None], algorithms=("gtkmeans",))
+        (summary,) = paired_compare(ds1, [4], seeds=np.array([2, 3]), ns_values=[None], algorithms=("gtkmeans",))
         assert summary.seeds == (2, 3)
 
 
