@@ -7,13 +7,16 @@ Subcommands:
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
 Results are emitted as JSON (canonical, schema_version 2) or CSV (the
-means block only).  Identical invocations are byte-identical except for
-wall-time fields.  Exit status: 0 success; 2 usage or dataset/config
-failure, including results that are not finite (inf or nan, when the
-data's scale overflows the objectives); 3 internal error.  No result is
-written on status 2 or 3.  When --out is omitted, results go to
-$GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to
-stdout; an output directory that does not exist fails before any run.
+means block only), byte-identical across identical invocations except
+for wall-time fields.  Without --out they go to
+$GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to stdout.
+Exit status: 0 success; 3 internal error; 2 for a usage error (the
+parser's own rules: syntax, ranges, one source, one value per flag for
+``run``), a bad k, algorithm or seed (the library's rules, which
+``paired_compare`` checks for the whole grid) or an output path that is
+empty, a directory or in a missing one, each refused before the first
+run; an unreadable dataset; or results that are not finite (the data's
+scale overflows the objectives).  No result is written on status 2 or 3.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
-from .drivers import ALGORITHMS, VariantSummary, paired_compare
+from .drivers import VariantSummary, paired_compare
 from .errors import ConfigError, GameclustError, StructuralError
 from .fairness import improvement_indices
 
@@ -134,13 +137,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
     if bool(args.data) == bool(args.ds1):
         parser.error("exactly one of --data and --ds1 is required")
     k_values = _parse_int_list(args.k, "--k", parser)
-    for k in k_values:
-        if k < 2:
-            parser.error(f"--k: values must be >= 2, got {k}")
     algorithms = tuple(dict.fromkeys(a.strip() for a in args.algo.split(",")))  # first occurrences kept, in order
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            parser.error(f"--algo: unknown algorithm {a!r}")
     ns_raw = _parse_int_list(args.ns, "--ns", parser)
     for v in ns_raw:
         if v < 0:
@@ -278,10 +275,12 @@ def _format_csv(table: Dict[str, object]) -> str:
 
 
 def _out_path(invocation: CliInvocation) -> Optional[str]:
-    """Where the results go (None: stdout); its directory must exist, checked before any run."""
+    """Where the results go (None: stdout): a file name in an existing directory, checked before any run."""
     path = invocation.out_path
     if path is None and os.environ.get(OUTPUT_DIR_ENV):
         path = os.path.join(os.environ[OUTPUT_DIR_ENV], f"results.{invocation.out_format}")
+    if path is not None and (not path or os.path.isdir(path)):
+        raise ConfigError(f"output path {path!r} names no file")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"output directory {os.path.dirname(path)!r} does not exist")
     return path
@@ -307,7 +306,7 @@ def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]
         with np.errstate(over="ignore", invalid="ignore"):
             if invocation.subcommand == "gen":
                 assert invocation.gen is not None
-                save_csv(generate_ds1(invocation.gen), invocation.out_path or "ds1.csv")
+                save_csv(generate_ds1(invocation.gen), invocation.out_path)
             else:
                 path = _out_path(invocation)
                 table = build_result_table(invocation)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,12 @@ def null_wall_times(obj):
     if isinstance(obj, list):
         return [null_wall_times(v) for v in obj]
     return obj
+
+
+@pytest.fixture(autouse=True)
+def no_output_dir(monkeypatch):
+    """Results go where each test says, whatever $GAMECLUST_OUTPUT_DIR the caller's shell sets."""
+    monkeypatch.delenv("GAMECLUST_OUTPUT_DIR", raising=False)
 
 
 @pytest.fixture
@@ -71,19 +81,10 @@ class TestParseInvocation:
         assert err.value.code == 2
         assert not out.exists()
 
-    def test_k_zero_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            parse_invocation("run --ds1 --k 0".split())
-        assert err.value.code == 2
-
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_invocation("run --ds1 --k 4 --bogus".split())
         assert err.value.code == 2
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(SystemExit):
-            parse_invocation("run --ds1 --k 4 --algo turbo".split())
 
     def test_unparsable_number_rejected(self):
         with pytest.raises(SystemExit):
@@ -185,16 +186,33 @@ class TestExecute:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "k <= n" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [("--k 0", "k must be >= 1, got 0"), ("--k 4 --algo turbo", "algorithm must be one of")],
+        ids=["k-zero", "unknown-algorithm"],
+    )
+    def test_bad_k_or_algorithm_exits_2_before_any_run(self, tmp_path, capsys, ran, argv, message):
+        out = tmp_path / "r.json"
+        assert main(["run", "--ds1", *argv.split(), "--out", str(out)]) == 2
+        assert ran == []
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
     @pytest.mark.parametrize("subcommand", ["run", "bench"])
     def test_missing_output_directory_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, ran, subcommand):
-        missing = tmp_path / "absent"
-        assert main([subcommand, "--ds1", "--k", "4", "--out", str(missing / "r.json")]) == 2
+        missing, existing = tmp_path / "absent", tmp_path / "present"
+        existing.mkdir()
+        for out in (str(missing / "r.json"), str(existing), ""):  # also a directory, and no name at all
+            assert main([subcommand, "--ds1", "--k", "4", "--out", out]) == 2
         monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(missing))
         assert main([subcommand, "--ds1", "--k", "4"]) == 2
         assert ran == []
         assert not missing.exists()
+        assert list(existing.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith("error:") and "absent" in line for line in err)
+        assert len(err) == 4 and all(line.startswith("error:") for line in err)
+        assert all(name in line for name, line in zip(("absent", "present", "''", "absent"), err))
 
     def test_run_emits_single_row_table(self, tmp_path):
         out = tmp_path / "r.json"
@@ -333,10 +351,11 @@ class TestExecute:
         assert len(err) == 1 and err[0].startswith("error:") and "seed must be >= 0" in err[0]
 
     def test_execute_returns_table(self):
-        inv = parse_invocation("run --ds1 --k 4 --seed 1".split())
-        status, table = execute(inv)
-        assert status == 0
-        assert table is not None and len(table["rows"]) == 1
+        for k in (4, 1):  # k = 1 is one balanced cluster, so no game is played
+            status, table = execute(parse_invocation(f"run --ds1 --k {k} --seed 1".split()))
+            assert status == 0
+            assert table is not None and len(table["rows"]) == 1
+        assert table["raw"][0]["games_played"] == 0
 
     def test_internal_error_exits_3_without_output(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -352,6 +371,14 @@ class TestExecute:
         assert main(["run", "--ds1", "--k", "4", "--seed", "1"]) == 0
         printed = capsys.readouterr().out
         assert json.loads(printed)["schema_version"] == 2
+
+    def test_module_entry_point_prints_a_table(self, monkeypatch):
+        src = Path(__file__).resolve().parent.parent / "src"
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "gameclust", "run", "--ds1", "--k", "4", "--seed", "1"]
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["schema_version"] == 2
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(tmp_path))
