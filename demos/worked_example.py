@@ -48,7 +48,7 @@ for p in game.participants:
 
 print("\nwith selection granularity 2 the sets shrink to:")
 for p in game.participants:
-    print(f"  player {p.player_id}: {select_strategies(p.strategies, 2)}")
+    print(f"  player {p.player_id}: {select_strategies(p.request, 2)}")
 
 tensor = build_payoff_tensor(dataset, clustering, game)
 print(f"\npayoff tensor: {tensor.shape} joints x {tensor.n_participants} costs "

@@ -55,7 +55,6 @@ from .game_engine import (
     conflicted_games,
     detect_conflict,
     find_pure_nash,
-    generate_strategy_set,
     route_requests,
     select_strategies,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "conflicted_games",
     "detect_conflict",
     "find_pure_nash",
-    "generate_strategy_set",
     "generate_ds1",
     "geometric_mean_index",
     "ideal_load",

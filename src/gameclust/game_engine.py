@@ -7,10 +7,11 @@ requests routed to it serves each of them in full.  When a resource
 cannot cover them, the competing players play a one-shot game: a
 strategy is the number of requested units a player forgoes, so the full
 strategy set for a request r is {0, ..., r-1} and a player never forgoes
-everything.  Strategy selection with granularity ns keeps only the
-multiples of ns plus the largest strategy, which is the same as
-transferring points in sub-groups of the ns nearest units and shrinks
-payoff tensors multiplicatively.
+everything.  One function of (r, ns), ``select_strategies``, makes every
+strategy set: with granularity ns it keeps only the multiples of ns plus
+the largest strategy r-1, so the smallest transfer stays available.  That
+is the same as transferring points in sub-groups of the ns nearest units,
+and it shrinks payoff tensors multiplicatively.
 
 Payoffs are costs (lower is better).  For participant i under a joint
 strategy, the cost is the geometric mean of two losses: the absolute SSE
@@ -273,25 +274,18 @@ def detect_conflict(resource_overhead: int, requests: Sequence[int]) -> bool:
     return sum(whole(r, "request") for r in requests) > whole(resource_overhead, "overhead", least=0)
 
 
-def generate_strategy_set(request: int) -> Tuple[int, ...]:
-    """Full strategy set {0, ..., request-1}: units of the request a player may forgo."""
-    return tuple(range(whole(request, "request")))
+def select_strategies(request: int, ns: Optional[int] = None) -> Tuple[int, ...]:
+    """A request's strategy set: the multiples of ns below ``request``, plus the largest strategy ``request - 1``.
 
-
-def select_strategies(full: Sequence[int], ns: int) -> Tuple[int, ...]:
-    """Keep the multiples of ns plus the largest strategy.
-
-    Equivalent to moving points in sub-groups of ns nearest units; the
+    With ns None every strategy {0, ..., request-1} is kept.  Selection is
+    equivalent to moving points in sub-groups of ns nearest units; the
     largest strategy is always kept so the smallest possible transfer
-    stays available.
+    stays available.  Both counts are read by ``core.whole``.
     """
-    ns = whole(ns, "ns")
-    values = sorted(set(whole(v, "strategy", least=0) for v in full))
-    if not values or values[0] != 0:
-        raise ConfigError("strategy set must contain 0")
-    kept = [v for v in values if v % ns == 0]
-    if kept[-1] != values[-1]:
-        kept.append(values[-1])
+    request = whole(request, "request")
+    kept = list(range(0, request, 1 if ns is None else whole(ns, "ns")))
+    if kept[-1] != request - 1:
+        kept.append(request - 1)
     return tuple(kept)
 
 
@@ -302,10 +296,10 @@ def conflicted_games(
 ) -> List[LocalGame]:
     """One local game per conflicted resource, in ascending resource id.
 
-    Participants are ordered by ascending player id; strategy sets are
-    pruned with ``select_strategies`` when ns is given.  Resources whose
-    spare units cover all routed requests produce no game.  A game holds
-    no load: the clustering it is built and applied against supplies it.
+    Participants are ordered by ascending player id; each one's strategy
+    set is ``select_strategies(request, ns)``.  Resources whose spare
+    units cover all routed requests produce no game.  A game holds no
+    load: the clustering it is built and applied against supplies it.
     """
     overhead = dict(roles.resources)
     games: List[LocalGame] = []
@@ -313,13 +307,8 @@ def conflicted_games(
         routed = sorted(routing[rid])
         if not detect_conflict(overhead[rid], [req for _, req in routed]):
             continue
-        participants = []
-        for pid, request in routed:
-            strategies = generate_strategy_set(request)
-            if ns is not None:
-                strategies = select_strategies(strategies, ns)
-            participants.append(Participant(player_id=pid, request=request, strategies=strategies))
-        games.append(LocalGame(resource_id=rid, participants=tuple(participants)))
+        participants = tuple(Participant(pid, request, select_strategies(request, ns)) for pid, request in routed)
+        games.append(LocalGame(resource_id=rid, participants=participants))
     return games
 
 

@@ -87,7 +87,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import Clustering, Dataset, mean_centers, squared_distances, whole
+from .core import Clustering, Dataset, ideal_load, mean_centers, squared_distances, whole
 from .errors import ConfigError, StructuralError
 
 
@@ -105,9 +105,11 @@ class KMeansConfig:
 
 
 def init_centers(dataset: Dataset, config: KMeansConfig) -> np.ndarray:
-    """k distinct data points drawn uniformly without replacement by the seeded generator."""
-    if config.k > dataset.n:
-        raise ConfigError(f"k={config.k} exceeds number of points n={dataset.n}")
+    """k distinct data points drawn uniformly without replacement by the seeded generator.
+
+    k above n raises ``ConfigError`` by ``core.ideal_load``'s rule.
+    """
+    ideal_load(dataset.n, config.k)
     rng = np.random.default_rng(config.seed)
     idx = rng.choice(dataset.n, size=config.k, replace=False)
     return dataset.points[idx].copy()

@@ -16,7 +16,6 @@ from gameclust import (
     classify_roles,
     conflicted_games,
     detect_conflict,
-    generate_strategy_set,
     ideal_load,
     route_requests,
     select_strategies,
@@ -167,58 +166,61 @@ class TestDetectConflict:
 
 
 class TestGenerateStrategySet:
+    """Without a granularity, ``select_strategies(request)`` generates the full set {0, ..., request-1}."""
+
     def test_worked_examples(self):
-        assert generate_strategy_set(3) == (0, 1, 2)
-        assert generate_strategy_set(6) == (0, 1, 2, 3, 4, 5)
+        assert select_strategies(3) == (0, 1, 2)
+        assert select_strategies(6) == (0, 1, 2, 3, 4, 5)
 
     def test_minimal_request(self):
-        assert generate_strategy_set(1) == (0,)
+        assert select_strategies(1) == (0,)
 
     def test_zero_request_invalid(self):
         with pytest.raises(ConfigError):
-            generate_strategy_set(0)
+            select_strategies(0)
 
 
 class TestSelectStrategies:
     def test_worked_example_ns2(self):
-        assert select_strategies((0, 1, 2, 3, 4, 5), 2) == (0, 2, 4, 5)
-        assert select_strategies((0, 1, 2), 2) == (0, 2)
+        assert select_strategies(6, 2) == (0, 2, 4, 5)
+        assert select_strategies(3, 2) == (0, 2)
 
     def test_ns3_keeps_last(self):
-        assert select_strategies((0, 1, 2, 3, 4, 5), 3) == (0, 3, 5)
+        assert select_strategies(6, 3) == (0, 3, 5)
 
     def test_ns1_is_identity(self):
-        full = generate_strategy_set(9)
-        assert select_strategies(full, 1) == full
+        assert select_strategies(9, 1) == select_strategies(9)
 
     def test_singleton(self):
-        assert select_strategies((0,), 4) == (0,)
+        assert select_strategies(1, 4) == (0,)
 
-    def test_set_without_zero_rejected(self):
-        with pytest.raises(ConfigError, match="strategy set must contain 0"):
-            select_strategies((1, 2), 2)
+    def test_zero_ns_rejected(self):
+        # ns=0 is no granularity, not "no selection"
+        with pytest.raises(ConfigError, match=r"^ns must be >= 1, got 0$"):
+            select_strategies(3, 0)
 
     def test_pruned_size_formula_exhaustive(self):
         # |selected| = floor((r-1)/ns) + 1 + [ (r-1) mod ns != 0 ]
         for request in range(1, 201):
-            full = generate_strategy_set(request)
             for ns in range(1, 11):
-                selected = select_strategies(full, ns)
+                selected = select_strategies(request, ns)
                 expected = (request - 1) // ns + 1 + (1 if (request - 1) % ns != 0 else 0)
                 assert len(selected) == expected, (request, ns)
-                assert set(selected) <= set(full)
+                assert set(selected) <= set(range(request))
                 assert selected[0] == 0
                 assert selected[-1] == request - 1
 
-    @given(st.integers(1, 400), st.integers(1, 20))
+    @given(st.integers(1, 400), st.none() | st.integers(1, 20))
     @settings(max_examples=150, deadline=None)
     def test_subset_and_endpoints(self, request, ns):
-        full = generate_strategy_set(request)
-        selected = select_strategies(full, ns)
-        assert set(selected) <= set(full)
+        selected = select_strategies(request, ns)
+        assert set(selected) <= set(range(request))
         assert 0 in selected
-        assert max(full) in selected
+        assert request - 1 in selected
         assert list(selected) == sorted(set(selected))
+        assert all(type(v) is int for v in selected)
+        if ns is None:
+            assert selected == tuple(range(request))
 
 
 class TestGameValidation:
@@ -276,7 +278,7 @@ class TestPlanTransfer:
         # resource 2 has 15 points: taking all 15 is infeasible, 14 is not
         drain = LocalGame(
             resource_id=2,
-            participants=(Participant(0, 15, generate_strategy_set(15)),),
+            participants=(Participant(0, 15, select_strategies(15)),),
         )
         tensor = build_payoff_tensor(ds, c, drain)
         assert tensor.feasible.tolist() == [False] + [True] * 14

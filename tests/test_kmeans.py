@@ -42,7 +42,7 @@ class TestInitCenters:
         assert centers.tolist() == [[10.0, 0.0], [10.0, 1.0]]
 
     def test_k_larger_than_n_rejected(self, line4):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="need 1 <= k <= n"):
             init_centers(line4, KMeansConfig(k=5, seed=0))
 
     def test_seed_beyond_64_bits_rejected(self):

@@ -22,7 +22,6 @@ from gameclust import (
     apply_and_evaluate,
     build_payoff_tensor,
     find_pure_nash,
-    generate_strategy_set,
     objectives,
     run_algorithm,
     select_strategies,
@@ -65,8 +64,8 @@ def line20_game():
     return LocalGame(
         resource_id=2,
         participants=(
-            Participant(0, 3, generate_strategy_set(3)),
-            Participant(1, 6, generate_strategy_set(6)),
+            Participant(0, 3, select_strategies(3)),
+            Participant(1, 6, select_strategies(6)),
         ),
     )
 
@@ -80,7 +79,7 @@ class TestLocalGameTransfers:
         pruned = LocalGame(
             resource_id=game.resource_id,
             participants=tuple(
-                Participant(p.player_id, p.request, select_strategies(p.strategies, 2))
+                Participant(p.player_id, p.request, select_strategies(p.request, 2))
                 for p in game.participants
             ),
         )
@@ -166,9 +165,7 @@ class TestSingleParticipant:
         # a resource of ``load`` points on a line, and one far player point
         ds = Dataset(points=[[float(i)] for i in range(load)] + [[1000.0]])
         c = Clustering.from_assignment(ds, [0] * load + [1], 2)
-        strategies = generate_strategy_set(requested)
-        if ns is not None:
-            strategies = select_strategies(strategies, ns)
+        strategies = select_strategies(requested, ns)
         game = LocalGame(resource_id=0, participants=(Participant(1, requested, strategies),))
         # every feasible strategy costs 0, so the first one moving at most load - 1 units wins
         first = next(i for i, v in enumerate(strategies) if requested - v <= load - 1)
@@ -253,8 +250,8 @@ class TestTensorShape:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 3, select_strategies(generate_strategy_set(3), 2)),
-                Participant(1, 6, select_strategies(generate_strategy_set(6), 2)),
+                Participant(0, 3, select_strategies(3, 2)),
+                Participant(1, 6, select_strategies(6, 2)),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -268,7 +265,7 @@ class TestTensorShape:
             pruned_game = LocalGame(
                 resource_id=2,
                 participants=tuple(
-                    Participant(p.player_id, p.request, select_strategies(p.strategies, ns))
+                    Participant(p.player_id, p.request, select_strategies(p.request, ns))
                     for p in line20_game().participants
                 ),
             )
@@ -307,8 +304,8 @@ class TestInfeasibleJoints:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 4, generate_strategy_set(4)),
-                Participant(1, 5, generate_strategy_set(5)),
+                Participant(0, 4, select_strategies(4)),
+                Participant(1, 5, select_strategies(5)),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -323,8 +320,8 @@ class TestInfeasibleJoints:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 4, generate_strategy_set(4)),
-                Participant(1, 5, generate_strategy_set(5)),
+                Participant(0, 4, select_strategies(4)),
+                Participant(1, 5, select_strategies(5)),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -368,7 +365,7 @@ class TestRandomCrossCheck:
             participants = []
             for pid in range(n_players):
                 request = int(rng.integers(1, 4))
-                participants.append(Participant(pid, request, generate_strategy_set(request)))
+                participants.append(Participant(pid, request, select_strategies(request)))
             game = LocalGame(
                 resource_id=resource,
                 participants=tuple(participants),
@@ -417,10 +414,8 @@ class TestTensorMatchesDepthFirstReference:
         participants = []
         for pid in range(1, k):
             request = int(rng.integers(1, self.MAX_REQUEST[n_players] + 1))
-            strategies = generate_strategy_set(request)
-            if pruned:
-                strategies = select_strategies(strategies, int(rng.integers(2, 5)))
-            participants.append(Participant(pid, request, strategies))
+            ns = int(rng.integers(2, 5)) if pruned else None
+            participants.append(Participant(pid, request, select_strategies(request, ns)))
         return ds, c, LocalGame(resource_id=0, participants=tuple(participants))
 
     @staticmethod
@@ -457,7 +452,7 @@ class TestTensorMatchesDepthFirstReference:
         c = Clustering.from_assignment(ds, np.repeat(np.arange(4), loads), 4)
         game = LocalGame(
             resource_id=0,
-            participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in (1, 2, 3)),
+            participants=tuple(Participant(pid, 20, select_strategies(20)) for pid in (1, 2, 3)),
         )
         tensor = build_payoff_tensor(ds, c, game)
         assert tensor.joint_count > game_engine.BLOCK
@@ -510,7 +505,7 @@ class TestSizeGuard:
         c = Clustering.from_assignment(ds, np.repeat(np.arange(21), loads), 21)
         game = LocalGame(
             resource_id=0,
-            participants=tuple(Participant(pid, 20, generate_strategy_set(20)) for pid in range(1, 21)),
+            participants=tuple(Participant(pid, 20, select_strategies(20)) for pid in range(1, 21)),
         )
         return ds, c, game
 
