@@ -7,11 +7,11 @@ requests routed to it serves each of them in full.  When a resource
 cannot cover them, the competing players play a one-shot game: a
 strategy is the number of requested units a player forgoes, so the full
 strategy set for a request r is {0, ..., r-1} and a player never forgoes
-everything.  One function of (r, ns), ``select_strategies``, makes every
-strategy set: with granularity ns it keeps only the multiples of ns plus
-the largest strategy r-1, so the smallest transfer stays available.  That
-is the same as transferring points in sub-groups of the ns nearest units,
-and it shrinks payoff tensors multiplicatively.
+everything.  A participant is (player id, r, ns); ``select_strategies``
+derives its set once: with granularity ns, the multiples of ns plus the
+largest strategy r-1, kept so the smallest transfer stays available.  It
+is the same as moving points in sub-groups of the ns nearest units, and
+it shrinks payoff tensors multiplicatively.
 
 Payoffs are costs (lower is better).  For participant i under a joint
 strategy, the cost is the geometric mean of two losses: the absolute SSE
@@ -48,7 +48,7 @@ plain arrays with ``core``'s rules (``mean_centers``, ``assigned_sse``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,21 +91,18 @@ class RoleAssignment:
 
 @dataclass(frozen=True)
 class Participant:
-    """One player inside a local game: cluster id, requested units, strategy set."""
+    """One player inside a local game: cluster id, requested units, selection granularity ns.
+
+    ``strategies`` is derived once, on construction, as ``select_strategies(request, ns)``.
+    """
 
     player_id: int
     request: int
-    strategies: Tuple[int, ...]
+    ns: Optional[int] = None
+    strategies: Tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        whole(self.request, "request")
-        s = [whole(v, "strategy", least=0) for v in self.strategies]
-        if not s or s != sorted(set(s)):
-            raise ConfigError("strategy set must be nonempty, sorted and duplicate-free")
-        if s[0] != 0 or s[-1] != self.request - 1:
-            raise ConfigError(
-                f"strategy set must span 0..request-1 at its ends, got {self.strategies} for request {self.request}"
-            )
+        object.__setattr__(self, "strategies", select_strategies(self.request, self.ns))
 
     @property
     def moves(self) -> Tuple[int, ...]:
@@ -260,7 +257,7 @@ def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, L
     routing: Dict[int, List[Tuple[int, int]]] = {rid: [] for rid, _ in roles.resources}
     if not roles.players:
         return routing
-    resource_ids = np.array([rid for rid, _ in roles.resources], dtype=np.int64)
+    resource_ids = np.array(sorted(rid for rid, _ in roles.resources), dtype=np.int64)
     player_ids = np.array([pid for pid, _ in roles.players], dtype=np.int64)
     d2 = squared_distances(clustering.centers[player_ids], clustering.centers[resource_ids])
     nearest = resource_ids[d2.argmin(axis=1)].tolist()  # first minimum == lowest resource id
@@ -296,10 +293,10 @@ def conflicted_games(
 ) -> List[LocalGame]:
     """One local game per conflicted resource, in ascending resource id.
 
-    Participants are ordered by ascending player id; each one's strategy
-    set is ``select_strategies(request, ns)``.  Resources whose spare
-    units cover all routed requests produce no game.  A game holds no
-    load: the clustering it is built and applied against supplies it.
+    Participants are ordered by ascending player id, each built as
+    ``Participant(pid, request, ns)``.  Resources whose spare units cover
+    all routed requests produce no game.  A game holds no load: the
+    clustering it is built and applied against supplies it.
     """
     overhead = dict(roles.resources)
     games: List[LocalGame] = []
@@ -307,7 +304,7 @@ def conflicted_games(
         routed = sorted(routing[rid])
         if not detect_conflict(overhead[rid], [req for _, req in routed]):
             continue
-        participants = tuple(Participant(pid, request, select_strategies(request, ns)) for pid, request in routed)
+        participants = tuple(Participant(pid, request, ns) for pid, request in routed)
         games.append(LocalGame(resource_id=rid, participants=participants))
     return games
 

@@ -435,12 +435,15 @@ def game_phase_reference(dataset, clustering, pre, index, ns):
                 if strategies[-1] != request - 1:
                     strategies.append(request - 1)
                 participants.append((pid, request, tuple(strategies)))
+            # the engine's participants derive their sets by its own rule, which must agree
+            game = LocalGame(rid, tuple(Participant(pid, request, ns) for pid, request in routed))
+            assert [p.strategies for p in game.participants] == [kept for _, _, kept in participants]
             costs, feasible = payoff_tensor_dfs(points, assignment, centers, rid, participants)
             joint, kind, joint_costs = pure_nash_pick(tensor_as_dict(costs))
             plan[rid] = [(pid, request - kept[si]) for (pid, request, kept), si in zip(participants, joint)]
             games.append(
                 GameRecord(
-                    LocalGame(rid, tuple(Participant(*p) for p in participants)),
+                    game,
                     EquilibriumResult(joint, kind, joint_costs),
                     np.count_nonzero(feasible) / feasible.size,
                 )

@@ -48,7 +48,7 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0, 0, 0, 1], 2)
         game = LocalGame(
             resource_id=0,
-            participants=(Participant(1, 1, (0,)),),
+            participants=(Participant(1, 1),),
         )
         before_sse, before_l = sse(ds, c), load_metric(c.loads, 2)
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
@@ -66,7 +66,7 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0, 0, 1, 1, 1], 2)
         game = LocalGame(
             resource_id=0,
-            participants=(Participant(1, 1, (0,)),),
+            participants=(Participant(1, 1),),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
@@ -79,7 +79,7 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0, 0, 1, 1], 2)
         game = LocalGame(
             resource_id=1,
-            participants=(Participant(0, 1, (0,)),),
+            participants=(Participant(0, 1),),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
@@ -108,7 +108,7 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0, 1, 2, 2], 3)
         game = LocalGame(
             resource_id=2,
-            participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
+            participants=(Participant(0, 1), Participant(1, 1)),
         )
         new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
         assert accepted is False
@@ -119,8 +119,8 @@ class TestApplyAndEvaluate:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 3, (0, 1, 2)),
-                Participant(1, 6, (0, 1, 2, 3, 4, 5)),
+                Participant(0, 3),
+                Participant(1, 6),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -140,7 +140,7 @@ class TestApplyAndEvaluate:
         snapshot = c.assignment.copy()
         game = LocalGame(
             resource_id=2,
-            participants=(Participant(1, 6, (0, 1, 2, 3, 4, 5)),),
+            participants=(Participant(1, 6),),
         )
         tensor = build_payoff_tensor(ds, c, game)
         apply_and_evaluate(ds, c, objectives(ds, c), plan((game, find_pure_nash(tensor))))
@@ -162,8 +162,8 @@ class TestApplyAndEvaluate:
         xs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 3.0, 3.1, 10.0, 10.1, 10.2, 10.3, 12.0, 13.0, 13.1, 13.2]
         ds = Dataset(points=np.array(xs).reshape(-1, 1))
         c = Clustering.from_assignment(ds, [0] * 6 + [1] * 2 + [2] * 5 + [3] * 3, 4)
-        draining = LocalGame(resource_id=0, participants=(Participant(1, 5, (0, 4)),))
-        paying = LocalGame(resource_id=2, participants=(Participant(3, 1, (0,)),))
+        draining = LocalGame(resource_id=0, participants=(Participant(1, 5, 4),))
+        paying = LocalGame(resource_id=2, participants=(Participant(3, 1),))
         ideal = ideal_load(ds.n, 4)
 
         def score(state):
@@ -194,7 +194,7 @@ class TestApplyAndEvaluate:
             c = Clustering.from_assignment(ds, assignment, 3)
             game = LocalGame(
                 resource_id=2,
-                participants=(Participant(0, 4, (0, 1, 2, 3)), Participant(1, 5, (0, 1, 2, 3, 4))),
+                participants=(Participant(0, 4), Participant(1, 5)),
             )
             for joint in np.ndindex(*game.shape):
                 eq = EquilibriumResult(joint=joint, kind=PURE_NASH, costs=())

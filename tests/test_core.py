@@ -280,7 +280,7 @@ class TestWhole:
             lambda: RunConfig(k=4, seed=1, max_outer_iterations=10.0),
             lambda: select_strategies(11, 2.5),
             lambda: select_strategies(3.0),
-            lambda: Participant(0, 3.0, (0, 1, 2)),
+            lambda: Participant(0, 3.0),
             lambda: Ds1Config(n_points=150.0),
             lambda: Ds1Config(seed=0.0),
             lambda: lloyd_full(_four_points(), [[0.0], [10.0]], 1.0),
@@ -288,7 +288,7 @@ class TestWhole:
             lambda: ideal_load(10, 2.0),
             lambda: select_strategies(3.0, 2),
             lambda: detect_conflict(2.9, [1.5, 1.5]),
-            lambda: Participant(0, 3, (0, 1.0, 2)),
+            lambda: Participant(0, 3, 2.0),
         ],
         ids=[
             "run-ns", "run-k", "run-seed", "run-budget", "select-ns", "strategy-set",
@@ -304,8 +304,7 @@ class TestWhole:
         i = np.int64
         assert RunConfig(k=i(4), seed=i(1), ns=np.int32(2), max_outer_iterations=i(5)).k == 4
         assert select_strategies(i(11), i(3)) == (0, 3, 6, 9, 10)
-        assert Participant(0, i(3), (0, 1, 2)).moves == (3, 2, 1)
-        assert Participant(0, 3, (i(0), np.int32(1), i(2))).moves == (3, 2, 1)
+        assert Participant(0, i(3), np.int32(1)).moves == (3, 2, 1)
         assert select_strategies(np.uint8(3), 2) == (0, 2)
         assert detect_conflict(i(2), [i(1), np.int32(2)]) is True
         assert select_strategies(np.uint8(3)) == (0, 1, 2)

@@ -64,8 +64,8 @@ def line20_game():
     return LocalGame(
         resource_id=2,
         participants=(
-            Participant(0, 3, select_strategies(3)),
-            Participant(1, 6, select_strategies(6)),
+            Participant(0, 3),
+            Participant(1, 6),
         ),
     )
 
@@ -79,7 +79,7 @@ class TestLocalGameTransfers:
         pruned = LocalGame(
             resource_id=game.resource_id,
             participants=tuple(
-                Participant(p.player_id, p.request, select_strategies(p.request, 2))
+                Participant(p.player_id, p.request, 2)
                 for p in game.participants
             ),
         )
@@ -96,7 +96,7 @@ class TestLocalGameTransfers:
     def test_strategy_index_outside_the_set_rejected(self, joint):
         # one participant with request 3 and strategies (0, 1, 2): a negative
         # index would wrap to the last strategy, one past the end has none
-        game = LocalGame(resource_id=2, participants=(Participant(0, 3, (0, 1, 2)),))
+        game = LocalGame(resource_id=2, participants=(Participant(0, 3),))
         with pytest.raises(ConfigError, match="does not index"):
             game.transfers(joint)
 
@@ -148,7 +148,7 @@ class TestSingleParticipant:
         c = Clustering.from_assignment(ds, [0, 0, 1, 2, 2, 2], 3)
         game = LocalGame(
             resource_id=2,
-            participants=(Participant(1, 1, (0,)),),
+            participants=(Participant(1, 1),),
         )
         tensor = build_payoff_tensor(ds, c, game)
         assert tensor.costs.shape == (1, 1)
@@ -166,7 +166,7 @@ class TestSingleParticipant:
         ds = Dataset(points=[[float(i)] for i in range(load)] + [[1000.0]])
         c = Clustering.from_assignment(ds, [0] * load + [1], 2)
         strategies = select_strategies(requested, ns)
-        game = LocalGame(resource_id=0, participants=(Participant(1, requested, strategies),))
+        game = LocalGame(resource_id=0, participants=(Participant(1, requested, ns),))
         # every feasible strategy costs 0, so the first one moving at most load - 1 units wins
         first = next(i for i, v in enumerate(strategies) if requested - v <= load - 1)
         assert find_pure_nash(build_payoff_tensor(ds, c, game)) == EquilibriumResult((first,), PURE_NASH, (0.0,))
@@ -201,7 +201,7 @@ class TestTakersRule:
         ids=["unsorted", "repeated", "resource", "minus-one", "k", "non-integer", "one-player-resource-minus-one"],
     )
     def test_game_breaking_the_rule_rejected(self, ds1, ds1_k4, rid, pids, match):
-        game = LocalGame(rid, tuple(Participant(pid, 3, (0, 1, 2)) for pid in pids))
+        game = LocalGame(rid, tuple(Participant(pid, 3) for pid in pids))
         with pytest.raises(ConfigError, match=match):
             build_payoff_tensor(ds1, ds1_k4, game)
 
@@ -250,8 +250,8 @@ class TestTensorShape:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 3, select_strategies(3, 2)),
-                Participant(1, 6, select_strategies(6, 2)),
+                Participant(0, 3, 2),
+                Participant(1, 6, 2),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -265,7 +265,7 @@ class TestTensorShape:
             pruned_game = LocalGame(
                 resource_id=2,
                 participants=tuple(
-                    Participant(p.player_id, p.request, select_strategies(p.request, ns))
+                    Participant(p.player_id, p.request, ns)
                     for p in line20_game().participants
                 ),
             )
@@ -281,7 +281,7 @@ class TestInfeasibleJoints:
         c = Clustering.from_assignment(ds, [0, 1, 2, 2], 3)
         game = LocalGame(
             resource_id=2,
-            participants=(Participant(0, 1, (0,)), Participant(1, 1, (0,))),
+            participants=(Participant(0, 1), Participant(1, 1)),
         )
         return ds, c, game
 
@@ -304,8 +304,8 @@ class TestInfeasibleJoints:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 4, select_strategies(4)),
-                Participant(1, 5, select_strategies(5)),
+                Participant(0, 4),
+                Participant(1, 5),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -320,8 +320,8 @@ class TestInfeasibleJoints:
         game = LocalGame(
             resource_id=2,
             participants=(
-                Participant(0, 4, select_strategies(4)),
-                Participant(1, 5, select_strategies(5)),
+                Participant(0, 4),
+                Participant(1, 5),
             ),
         )
         tensor = build_payoff_tensor(ds, c, game)
@@ -365,7 +365,7 @@ class TestRandomCrossCheck:
             participants = []
             for pid in range(n_players):
                 request = int(rng.integers(1, 4))
-                participants.append(Participant(pid, request, select_strategies(request)))
+                participants.append(Participant(pid, request))
             game = LocalGame(
                 resource_id=resource,
                 participants=tuple(participants),
@@ -415,7 +415,7 @@ class TestTensorMatchesDepthFirstReference:
         for pid in range(1, k):
             request = int(rng.integers(1, self.MAX_REQUEST[n_players] + 1))
             ns = int(rng.integers(2, 5)) if pruned else None
-            participants.append(Participant(pid, request, select_strategies(request, ns)))
+            participants.append(Participant(pid, request, ns))
         return ds, c, LocalGame(resource_id=0, participants=tuple(participants))
 
     @staticmethod
@@ -452,7 +452,7 @@ class TestTensorMatchesDepthFirstReference:
         c = Clustering.from_assignment(ds, np.repeat(np.arange(4), loads), 4)
         game = LocalGame(
             resource_id=0,
-            participants=tuple(Participant(pid, 20, select_strategies(20)) for pid in (1, 2, 3)),
+            participants=tuple(Participant(pid, 20) for pid in (1, 2, 3)),
         )
         tensor = build_payoff_tensor(ds, c, game)
         assert tensor.joint_count > game_engine.BLOCK
@@ -505,7 +505,7 @@ class TestSizeGuard:
         c = Clustering.from_assignment(ds, np.repeat(np.arange(21), loads), 21)
         game = LocalGame(
             resource_id=0,
-            participants=tuple(Participant(pid, 20, select_strategies(20)) for pid in range(1, 21)),
+            participants=tuple(Participant(pid, 20) for pid in range(1, 21)),
         )
         return ds, c, game
 
