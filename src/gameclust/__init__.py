@@ -13,7 +13,6 @@ from .core import (
     ImprovementReport,
     ObjectiveState,
     ideal_load,
-    improvement_pct,
     improvement_report,
     load_metric,
     objectives,
@@ -35,12 +34,10 @@ from .errors import (
     ConfigError,
     CsvFormatError,
     GameclustError,
-    InconsistentStateError,
     StructuralError,
     TensorTooLargeError,
-    UndefinedIndexError,
 )
-from .fairness import clamp_nonnegative, geometric_mean_index, improvement_indices, jain_index
+from .fairness import geometric_mean_index, improvement_indices, jain_index
 from .game_engine import (
     FALLBACK_MIN_SOCIAL_COST,
     PURE_NASH,
@@ -74,7 +71,6 @@ __all__ = [
     "GameRecord",
     "GameclustError",
     "ImprovementReport",
-    "InconsistentStateError",
     "IterationRecord",
     "KMeansConfig",
     "LocalGame",
@@ -88,11 +84,9 @@ __all__ = [
     "TERMINATIONS",
     "StructuralError",
     "TensorTooLargeError",
-    "UndefinedIndexError",
     "VariantSummary",
     "apply_and_evaluate",
     "build_payoff_tensor",
-    "clamp_nonnegative",
     "classify_roles",
     "conflicted_games",
     "detect_conflict",
@@ -101,7 +95,6 @@ __all__ = [
     "geometric_mean_index",
     "ideal_load",
     "improvement_indices",
-    "improvement_pct",
     "improvement_report",
     "init_centers",
     "jain_index",

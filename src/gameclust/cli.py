@@ -60,25 +60,39 @@ class CliInvocation:
         return len(self.seeds)
 
 
-def _parse_int_list(text: str, flag: str, parser: argparse.ArgumentParser) -> List[int]:
+def _int_list(text: str) -> Tuple[int, ...]:
+    """The ``type`` of --k and --seed: comma-separated integers and lo..hi ranges, first occurrences kept, in order."""
     out: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo_s, _, hi_s = part.partition("..")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                parser.error(f"{flag}: cannot parse range {part!r}")
-            if hi < lo:
-                parser.error(f"{flag}: empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                parser.error(f"{flag}: cannot parse {part!r}")
-    return list(dict.fromkeys(out))  # first occurrences kept, in order
+    for part in (p.strip() for p in text.split(",")):
+        lo, dots, hi = part.partition("..")
+        try:
+            values = range(int(lo), int(hi) + 1) if dots else [int(lo)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {'range ' if dots else ''}{part!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range {part!r}")
+        out.extend(values)
+    return tuple(dict.fromkeys(out))
+
+
+def _ns_list(text: str) -> Tuple[int, ...]:
+    """The ``type`` of --ns: an integer list of values >= 0, where 0 disables selection."""
+    values = _int_list(text)
+    for v in values:
+        if v < 0:
+            raise argparse.ArgumentTypeError(f"values must be >= 0, got {v}")
+    return values
+
+
+def _reps(text: str) -> int:
+    """The ``type`` of --reps: an integer >= 1."""
+    try:
+        reps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if reps < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {reps}")
+    return reps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,27 +102,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_source(p: argparse.ArgumentParser) -> None:
+    def add_shared(name: str, help_text: str, algo_default: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", help="CSV file of points, one row per point")
         p.add_argument("--ds1", action="store_true", help="use the built-in synthetic blob dataset")
         p.add_argument("--ds1-seed", type=int, default=0, help="seed for --ds1 (default 0)")
         p.add_argument("--out", help="output path (default: stdout, or $GAMECLUST_OUTPUT_DIR)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+        p.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
+        p.add_argument("--algo", default=algo_default, help="comma list of algorithms: gtkmeans, pkgame")
+        p.add_argument("--ns", type=_ns_list, default="0", help="comma list of ns values, 0 disables selection")
+        p.add_argument("--seed", type=_int_list, default="0", help="base seed or comma list of seeds")
+        return p
 
-    run = sub.add_parser("run", help="run one algorithm once")
-    add_source(run)
-    run.add_argument("--k", required=True, help="number of clusters")
-    run.add_argument("--algo", default="gtkmeans", help="gtkmeans or pkgame")
-    run.add_argument("--ns", default="0", help="strategy selection granularity, 0 disables")
-    run.add_argument("--seed", default="0", help="run seed")
-
-    bench = sub.add_parser("bench", help="benchmark a grid of variants over paired seeds")
-    add_source(bench)
-    bench.add_argument("--k", required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
-    bench.add_argument("--algo", default="gtkmeans,pkgame", help="comma list of algorithms")
-    bench.add_argument("--ns", default="0", help="comma list of ns values, 0 disables selection")
-    bench.add_argument("--seed", default="0", help="base seed or comma list of seeds")
-    bench.add_argument("--reps", type=int, default=1, help="repetitions (seeds base..base+reps-1)")
+    add_shared("run", "run one algorithm once (one value per flag)", "gtkmeans")
+    bench = add_shared("bench", "benchmark a grid of variants over paired seeds", "gtkmeans,pkgame")
+    bench.add_argument("--reps", type=_reps, default=1, help="repetitions (seeds base..base+reps-1)")
 
     gen = sub.add_parser("gen", help="generate a synthetic blob dataset CSV")
     gen.add_argument("--out", required=True, help="CSV file to write")
@@ -136,35 +145,26 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
 
     if bool(args.data) == bool(args.ds1):
         parser.error("exactly one of --data and --ds1 is required")
-    k_values = _parse_int_list(args.k, "--k", parser)
     algorithms = tuple(dict.fromkeys(a.strip() for a in args.algo.split(",")))  # first occurrences kept, in order
-    ns_raw = _parse_int_list(args.ns, "--ns", parser)
-    for v in ns_raw:
-        if v < 0:
-            parser.error(f"--ns: values must be >= 0, got {v}")
-    ns_values = tuple(None if v == 0 else v for v in ns_raw)
-    seed_list = _parse_int_list(str(args.seed), "--seed", parser)
     if args.subcommand == "run":
-        for flag, values in (("--k", k_values), ("--algo", algorithms), ("--ns", ns_raw), ("--seed", seed_list)):
+        for flag, values in (("--k", args.k), ("--algo", algorithms), ("--ns", args.ns), ("--seed", args.seed)):
             if len(values) > 1:
                 parser.error(f"{flag}: run takes one value, got {len(values)}; use bench for a grid")
     reps = getattr(args, "reps", 1)
-    if reps < 1:
-        parser.error(f"--reps: must be >= 1, got {reps}")
-    if len(seed_list) > 1:
-        if reps not in (1, len(seed_list)):
-            parser.error(f"--reps={reps} conflicts with {len(seed_list)} explicit seeds")
-        seeds = tuple(seed_list)
+    if len(args.seed) > 1:
+        if reps not in (1, len(args.seed)):
+            parser.error(f"--reps={reps} conflicts with {len(args.seed)} explicit seeds")
+        seeds = args.seed
     else:
-        seeds = tuple(seed_list[0] + i for i in range(reps))
+        seeds = tuple(args.seed[0] + i for i in range(reps))
     return CliInvocation(
         subcommand=args.subcommand,
         data_path=args.data,
         use_ds1=args.ds1,
         ds1_seed=args.ds1_seed,
-        k_values=tuple(k_values),
+        k_values=args.k,
         algorithms=algorithms,
-        ns_values=ns_values,
+        ns_values=tuple(None if v == 0 else v for v in args.ns),
         seeds=seeds,
         out_path=args.out,
         out_format=args.format,
@@ -325,7 +325,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     invocation = parse_invocation(sys.argv[1:] if argv is None else argv)
     status, _ = execute(invocation)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,12 +31,15 @@ Rational = Union[int, Fraction]
 def whole(value: object, name: str, least: int = 1) -> int:
     """The one rule for a count argument: ``value`` as an int of at least ``least``, else ``ConfigError``.
 
-    Whole means accepted by ``operator.index``: numpy integers are, floats (even 3.0) are not.
+    Whole means accepted by ``operator.index`` and not a bool: numpy integers
+    are, floats (even 3.0) and ``True`` are not.
     """
     try:
         number = operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if number < least:
         raise ConfigError(f"{name} must be >= {least}, got {number}")
     return number
@@ -251,13 +254,6 @@ def load_metric(loads: Sequence[int], ideal: Rational) -> float:
     return sum(e * e for e in excesses) / (q * q)
 
 
-def improvement_pct(initial: float, final: float) -> float:
-    """Percent improvement of ``final`` over ``initial``; positive is better."""
-    if initial <= 0:
-        raise ConfigError(f"initial value must be positive, got {initial}")
-    return 100.0 * (initial - final) / initial
-
-
 def objectives(dataset: Dataset, clustering: Clustering) -> ObjectiveState:
     """Evaluate both objectives, the load metric against the ideal load n/k.
 
@@ -275,13 +271,15 @@ def objectives(dataset: Dataset, clustering: Clustering) -> ObjectiveState:
 def improvement_report(initial: ObjectiveState, final: ObjectiveState) -> ImprovementReport:
     """Improvements of ``final`` over ``initial`` for both objectives.
 
-    A zero initial objective yields 0.0 when the final one is also zero
-    (nothing to improve) and None otherwise (undefined percentage).
+    Each is 100 * (initial - final) / initial, positive when the objective
+    got smaller.  A zero initial objective yields 0.0 when the final one
+    is also zero (nothing to improve) and None otherwise (undefined
+    percentage).
     """
 
     def one(a: float, b: float) -> Optional[float]:
         if a > 0:
-            return improvement_pct(a, b)
+            return 100.0 * (a - b) / a
         return 0.0 if b == 0 else None
 
     return ImprovementReport(

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A caller's value that a rule of the package refuses is a
+``ConfigError``.  Two such values: all-zero input to ``jain_index``,
+which ``fairness.improvement_indices`` never passes, since it clamps
+negative improvements to zero and tests for the all-zero pair itself;
+and roles with players but no resource, which ``route_requests`` refuses.
+"""
 
 
 class GameclustError(Exception):
@@ -13,16 +20,8 @@ class StructuralError(GameclustError, ValueError):
     """Structurally inconsistent inputs (shape/dimension mismatches, bad assignments)."""
 
 
-class InconsistentStateError(GameclustError, RuntimeError):
-    """A role configuration that cannot arise from a consistent clustering."""
-
-
 class TensorTooLargeError(GameclustError, ValueError):
     """A local game whose payoff tensor would exceed the size limit."""
-
-
-class UndefinedIndexError(GameclustError, ValueError):
-    """A fairness index is undefined for the given values."""
 
 
 class CsvFormatError(GameclustError, ValueError):

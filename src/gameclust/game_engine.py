@@ -66,7 +66,7 @@ from .core import (
     squared_distances,
     whole,
 )
-from .errors import ConfigError, InconsistentStateError, StructuralError, TensorTooLargeError
+from .errors import ConfigError, StructuralError, TensorTooLargeError
 
 PURE_NASH = "pure-nash"
 FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
@@ -240,10 +240,10 @@ def _check_takers(k: int, resource: object, takers: Sequence[object]) -> List[in
 def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, List[Tuple[int, int]]]:
     """Send each player's request to the resource with the nearest center.
 
-    Ties go to the lowest resource cluster id.  Raises if players exist
-    without any resource, which cannot happen for a consistent clustering.
-    Raises ``ConfigError``, naming the id, unless every id is a cluster
-    id (``_cluster_id``) listed once across the players and resources.
+    Ties go to the lowest resource cluster id.  Raises ``ConfigError``,
+    naming the id, unless every id is a cluster id (``_cluster_id``)
+    listed once across the players and resources, and when players exist
+    without any resource, which no consistent clustering's roles have.
     """
     seen = set()
     for name, pairs in (("player id", roles.players), ("resource id", roles.resources)):
@@ -253,7 +253,7 @@ def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, L
                 raise ConfigError(f"cluster {cid} is listed more than once among the players and resources")
             seen.add(cid)
     if roles.players and not roles.resources:
-        raise InconsistentStateError("players exist but there is no resource to request from")
+        raise ConfigError("players exist but there is no resource to request from")
     routing: Dict[int, List[Tuple[int, int]]] = {rid: [] for rid, _ in roles.resources}
     if not roles.players:
         return routing

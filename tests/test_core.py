@@ -16,7 +16,6 @@ from gameclust import (
     RunConfig,
     detect_conflict,
     ideal_load,
-    improvement_pct,
     improvement_report,
     lloyd_full,
     load_metric,
@@ -154,20 +153,21 @@ class TestLoadExcess:
         assert load_excess([15, 14], Fraction(59, 4)) == ([1, -3], 4)
 
 
+def _pcts(initial, final):
+    """``improvement_report``'s (SSE %, L %) for two (SSE, L) pairs."""
+    report = improvement_report(ObjectiveState(*initial), ObjectiveState(*final))
+    return report.sse_improvement_pct, report.l_improvement_pct
+
+
 class TestImprovementPct:
+    """The percentage ``improvement_report`` gives each objective: 100 * (initial - final) / initial."""
+
     def test_examples(self):
-        assert improvement_pct(100, 50) == 50.0
-        assert improvement_pct(100, 100) == 0.0
-        assert improvement_pct(46, 0) == 100.0
+        assert _pcts((100.0, 100.0), (50.0, 100.0)) == (50.0, 0.0)
+        assert _pcts((46.0, 8.0), (0.0, 2.0)) == (100.0, 75.0)
 
     def test_can_be_negative(self):
-        assert improvement_pct(10, 15) == -50.0
-
-    def test_invalid_input(self):
-        with pytest.raises(ConfigError):
-            improvement_pct(0, 5)
-        with pytest.raises(ConfigError):
-            improvement_pct(-1, 5)
+        assert _pcts((10.0, 4.0), (15.0, 5.0)) == (-50.0, -25.0)
 
 
 class TestObjectives:
@@ -289,11 +289,14 @@ class TestWhole:
             lambda: select_strategies(3.0, 2),
             lambda: detect_conflict(2.9, [1.5, 1.5]),
             lambda: Participant(0, 3, 2.0),
+            # a bool is not a count: True would run as ns = 1, k = True would fail inside numpy
+            lambda: RunConfig(k=4, seed=1, ns=True),
+            lambda: RunConfig(k=True, seed=False),
         ],
         ids=[
             "run-ns", "run-k", "run-seed", "run-budget", "select-ns", "strategy-set",
             "participant", "ds1-n", "ds1-seed", "lloyd-budget", "from-assignment-k", "ideal-load-k",
-            "select-request", "conflict", "participant-strategy",
+            "select-request", "conflict", "participant-strategy", "run-ns-bool", "run-k-bool",
         ],
     )
     def test_non_integer_count_rejected(self, call):

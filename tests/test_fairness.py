@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from gameclust import (
     ConfigError,
-    UndefinedIndexError,
-    clamp_nonnegative,
     geometric_mean_index,
     improvement_indices,
     jain_index,
@@ -28,7 +26,7 @@ class TestJainIndex:
         assert jain_index([1e200, 1e200]) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_undefined(self):
-        with pytest.raises(UndefinedIndexError):
+        with pytest.raises(ConfigError, match="^Jain's index is undefined for all-zero values$"):
             jain_index([0.0, 0.0])
 
     def test_negative_rejected(self):
@@ -103,11 +101,15 @@ class TestGeometricMeanIndex:
 
 
 class TestClamp:
+    """``improvement_indices`` clamps a negative improvement to zero before indexing."""
+
     def test_negatives_to_zero(self):
-        assert clamp_nonnegative([-5.0, 3.0, -0.1]) == [0.0, 3.0, 0.0]
+        assert improvement_indices(-5.0, 3.0) == (jain_index([0.0, 3.0]), 0.0)
+        assert improvement_indices(3.0, -0.1) == (jain_index([3.0, 0.0]), 0.0)
 
     def test_clamped_values_feed_indices(self):
-        assert jain_index(clamp_nonnegative([40.0, -10.0])) == pytest.approx(0.5, abs=1e-12)
+        jain, gmi = improvement_indices(40.0, -10.0)
+        assert jain == pytest.approx(0.5, abs=1e-12) and gmi == 0.0
 
 
 class TestImprovementIndices:

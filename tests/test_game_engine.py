@@ -9,7 +9,6 @@ from gameclust import (
     Clustering,
     ConfigError,
     Dataset,
-    InconsistentStateError,
     LocalGame,
     Participant,
     RoleAssignment,
@@ -154,7 +153,7 @@ class TestRouteRequests:
     def test_players_without_resources_is_inconsistent(self):
         _, c = clustering_with_loads([4, 1, 8])
         roles = RoleAssignment(players=((0, 3),), resources=())
-        with pytest.raises(InconsistentStateError):
+        with pytest.raises(ConfigError, match="^players exist but there is no resource to request from$"):
             route_requests(roles, c)
 
 

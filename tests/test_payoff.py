@@ -13,6 +13,7 @@ from gameclust import (
     ConfigError,
     Dataset,
     EquilibriumResult,
+    KMeansConfig,
     LocalGame,
     Participant,
     PayoffTensor,
@@ -21,8 +22,14 @@ from gameclust import (
     TensorTooLargeError,
     apply_and_evaluate,
     build_payoff_tensor,
+    classify_roles,
+    conflicted_games,
     find_pure_nash,
+    ideal_load,
+    init_centers,
+    lloyd_iteration,
     objectives,
+    route_requests,
     run_algorithm,
     select_strategies,
 )
@@ -459,6 +466,33 @@ class TestTensorMatchesDepthFirstReference:
         costs, feasible = reference_tensor(ds, c, game)
         assert np.array_equal(tensor.feasible, feasible)
         assert np.array_equal(tensor.costs, costs)
+
+
+class TestOriginShift:
+    """Moving every point and start center by one vector moves no cost of a game."""
+
+    @staticmethod
+    def resource_7_tensor(dataset, centers):
+        """Resource 7's game after the first Lloyd step from ``centers`` at k = 8, ns off."""
+        clustering = lloyd_iteration(dataset, centers)
+        roles = classify_roles(clustering, ideal_load(dataset.n, clustering.k))
+        games = conflicted_games(roles, route_requests(roles, clustering), None)
+        return build_payoff_tensor(dataset, clustering, next(g for g in games if g.resource_id == 7))
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="ROADMAP item 13: the build forms each SSE as sum |x|^2 - |sum x|^2 / count on raw "
+        "coordinates, which cancels far from the origin (worst relative change 0.28 at +1e5)",
+    )
+    def test_feasible_costs_do_not_move_with_the_origin(self, ds1):
+        # ds1, k = 8, run seed 12: a (17, 11, 10, 3, 6) game whose worst
+        # relative cost change is 1e-5 at a shift of 1e3 and 0.0028 at 1e4
+        centers = init_centers(ds1, KMeansConfig(k=8, seed=12))
+        base = self.resource_7_tensor(ds1, centers)
+        shifted = self.resource_7_tensor(Dataset(ds1.points + 1e5), centers + 1e5)
+        if base.shape != (17, 11, 10, 3, 6) or not np.array_equal(base.feasible, shifted.feasible):
+            pytest.fail("the shift changed the game or its feasible joints, not only its costs")
+        np.testing.assert_allclose(shifted.costs[shifted.feasible], base.costs[base.feasible], rtol=1e-6)
 
 
 class TestWorkingMemory:
