@@ -4,7 +4,7 @@ Every variant starts from the same seeded centers, so differences are
 attributable to the variant, not to initialization luck.  The same grid
 is available from the command line:
 
-    gameclust bench --ds1 --k 6,8 --algo gtkmeans --ns 0,2,3 --reps 10 --seed 0 --out results.json
+    gameclust bench --ds1 --k 6,8 --algo gtkmeans --ns 0,2,3 --seed 0..9 --out results.json
 """
 
 from itertools import groupby

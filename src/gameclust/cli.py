@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``   -- one algorithm, one k, one ns, one seed; emits a one-row table.
-* ``bench`` -- full (algorithm x ns x k) grid over repeated paired seeds.
+* ``bench`` -- full (algorithm x ns x k) grid over paired seeds.
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
 Results are emitted as JSON (canonical, schema_version 2) or CSV (the
@@ -11,12 +11,13 @@ means block only), byte-identical across identical invocations except
 for wall-time fields.  Without --out they go to
 $GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to stdout.
 Exit status: 0 success; 3 internal error; 2 for a usage error (the
-parser's own rules: syntax, ranges, one source, one value per flag for
-``run``), a bad k, algorithm or seed (the library's rules, which
-``paired_compare`` checks for the whole grid) or an output path that is
-empty, a directory or in a missing one, each refused before the first
-run; an unreadable dataset; or results that are not finite (the data's
-scale overflows the objectives).  No result is written on status 2 or 3.
+parser's own rules: syntax, ranges, at most ``MAX_FLAG_VALUES`` values
+a flag, one source, one value per flag for ``run``), a bad k, algorithm
+or seed (the library's rules, which ``paired_compare`` checks for the
+whole grid) or an output path that is empty, a directory or in a
+missing one, each refused before the first run; an unreadable dataset;
+or results that are not finite (the data's scale overflows the
+objectives).  No result is written on status 2 or 3.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .fairness import improvement_indices
 
 SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "GAMECLUST_OUTPUT_DIR"
+# Parsing costs about 120 bytes a value, and a bench grid runs every seed,
+# so a typo such as --seed 0..1000000000 is refused before it is expanded.
+MAX_FLAG_VALUES = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,6 @@ class CliInvocation:
     out_format: str = "json"
     gen: Optional[Ds1Config] = None
 
-    @property
-    def reps(self) -> int:
-        return len(self.seeds)
-
 
 def _int_list(text: str) -> Tuple[int, ...]:
     """The ``type`` of --k and --seed: comma-separated integers and lo..hi ranges, first occurrences kept, in order."""
@@ -66,12 +66,14 @@ def _int_list(text: str) -> Tuple[int, ...]:
     for part in (p.strip() for p in text.split(",")):
         lo, dots, hi = part.partition("..")
         try:
-            values = range(int(lo), int(hi) + 1) if dots else [int(lo)]
+            first, last = int(lo), int(hi if dots else lo)
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse {'range ' if dots else ''}{part!r}") from None
-        if not values:
+        if last < first:
             raise argparse.ArgumentTypeError(f"empty range {part!r}")
-        out.extend(values)
+        if len(out) + last - first + 1 > MAX_FLAG_VALUES:
+            raise argparse.ArgumentTypeError(f"more than {MAX_FLAG_VALUES:,} values, at {part!r}")
+        out.extend(range(first, last + 1))
     return tuple(dict.fromkeys(out))
 
 
@@ -82,17 +84,6 @@ def _ns_list(text: str) -> Tuple[int, ...]:
         if v < 0:
             raise argparse.ArgumentTypeError(f"values must be >= 0, got {v}")
     return values
-
-
-def _reps(text: str) -> int:
-    """The ``type`` of --reps: an integer >= 1."""
-    try:
-        reps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
-    if reps < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {reps}")
-    return reps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,12 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
         p.add_argument("--algo", default=algo_default, help="comma list of algorithms: gtkmeans, pkgame")
         p.add_argument("--ns", type=_ns_list, default="0", help="comma list of ns values, 0 disables selection")
-        p.add_argument("--seed", type=_int_list, default="0", help="base seed or comma list of seeds")
+        p.add_argument("--seed", type=_int_list, default="0", help="seeds, e.g. 0 or 0..49 or 1,5,9")
         return p
 
     add_shared("run", "run one algorithm once (one value per flag)", "gtkmeans")
-    bench = add_shared("bench", "benchmark a grid of variants over paired seeds", "gtkmeans,pkgame")
-    bench.add_argument("--reps", type=_reps, default=1, help="repetitions (seeds base..base+reps-1)")
+    add_shared("bench", "benchmark a grid of variants over paired seeds", "gtkmeans,pkgame")
 
     gen = sub.add_parser("gen", help="generate a synthetic blob dataset CSV")
     gen.add_argument("--out", required=True, help="CSV file to write")
@@ -150,13 +140,6 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         for flag, values in (("--k", args.k), ("--algo", algorithms), ("--ns", args.ns), ("--seed", args.seed)):
             if len(values) > 1:
                 parser.error(f"{flag}: run takes one value, got {len(values)}; use bench for a grid")
-    reps = getattr(args, "reps", 1)
-    if len(args.seed) > 1:
-        if reps not in (1, len(args.seed)):
-            parser.error(f"--reps={reps} conflicts with {len(args.seed)} explicit seeds")
-        seeds = args.seed
-    else:
-        seeds = tuple(args.seed[0] + i for i in range(reps))
     return CliInvocation(
         subcommand=args.subcommand,
         data_path=args.data,
@@ -165,7 +148,7 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
         k_values=args.k,
         algorithms=algorithms,
         ns_values=tuple(None if v == 0 else v for v in args.ns),
-        seeds=seeds,
+        seeds=args.seed,
         out_path=args.out,
         out_format=args.format,
     )
@@ -240,7 +223,7 @@ def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
             "algorithms": list(invocation.algorithms),
             "ns_values": [0 if v is None else v for v in invocation.ns_values],
             "seeds": list(invocation.seeds),
-            "reps": invocation.reps,
+            "reps": len(invocation.seeds),
         },
         "rows": rows,
         "raw": raw,

@@ -100,8 +100,8 @@ def load_csv(path: str) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
-    """Write points one per row, 9 significant digits, no header."""
+    """Write points one per row, no header, each value as the shortest text that reads back to the same float."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in dataset.points:
-            writer.writerow([f"{v:.9g}" for v in row])
+            writer.writerow([repr(float(v)) for v in row])  # numpy 2's repr of a float64 is np.float64(...)

@@ -210,7 +210,7 @@ def test_criterion_9_fairness_metric_units():
 
 def test_criterion_10_cli_determinism(tmp_path):
     args = ["bench", "--ds1", "--k", "4", "--algo", "gtkmeans,pkgame", "--ns", "0,2",
-            "--reps", "2", "--seed", "5"]
+            "--seed", "5..6"]
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     status_a = cli_main(args + ["--out", str(out_a)])
     status_b = cli_main(args + ["--out", str(out_b)])

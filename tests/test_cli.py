@@ -46,14 +46,13 @@ def ran(monkeypatch):
 class TestParseInvocation:
     def test_full_bench_matrix(self):
         inv = parse_invocation(
-            "bench --ds1 --k 4..8 --algo gtkmeans,pkgame --ns 0,2,3 --reps 50 --seed 7 --out r.json".split()
+            "bench --ds1 --k 4..8 --algo gtkmeans,pkgame --ns 0,2,3 --seed 7..56 --out r.json".split()
         )
         assert inv.subcommand == "bench"
         assert inv.use_ds1 is True
         assert inv.k_values == (4, 5, 6, 7, 8)
         assert inv.algorithms == ("gtkmeans", "pkgame")
         assert inv.ns_values == (None, 2, 3)
-        assert inv.reps == 50
         assert inv.seeds == tuple(range(7, 57))
         assert inv.out_path == "r.json"
 
@@ -64,7 +63,7 @@ class TestParseInvocation:
         assert inv.k_values == (5,)
         assert inv.algorithms == ("pkgame",)
         assert inv.ns_values == (3,)
-        assert inv.reps == 1
+        assert len(inv.seeds) == 1
 
     @pytest.mark.parametrize(
         "grid", ["--k 4,8", "--algo gtkmeans,pkgame", "--ns 0,3", "--seed 1,2", "--k 4..6", "--seed 0..3"]
@@ -96,9 +95,11 @@ class TestParseInvocation:
             ("bench --ds1 --k 4 --seed 3..x", "--seed: cannot parse range '3..x'"),
             ("bench --ds1 --k 4 --seed 5..3", "--seed: empty range '5..3'"),
             ("bench --ds1 --k 4 --ns -1", "--ns: values must be >= 0, got -1"),
-            ("bench --ds1 --k 4 --reps 0", "--reps: must be >= 1, got 0"),
+            # sized before it is expanded, so this returns at once
+            ("bench --ds1 --k 4 --seed 0..1000000000000", "--seed: more than 100,000 values, at '0..1000000000000'"),
+            ("bench --ds1 --k 4 --seed 0..59999,60000..100000", "--seed: more than 100,000 values, at '60000..100000'"),
         ],
-        ids=["seed-range-unparsable", "seed-range-empty", "ns-negative", "reps-zero"],
+        ids=["seed-range-unparsable", "seed-range-empty", "ns-negative", "seed-range-too-long", "seed-list-too-long"],
     )
     def test_bad_value_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
@@ -115,7 +116,17 @@ class TestParseInvocation:
     def test_explicit_seed_list(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 5,9,13".split())
         assert inv.seeds == (5, 9, 13)
-        assert inv.reps == 3
+
+    def test_seed_range_at_the_value_bound(self):
+        inv = parse_invocation(f"bench --ds1 --k 4 --seed 1..{cli.MAX_FLAG_VALUES}".split())
+        assert inv.seeds == tuple(range(1, cli.MAX_FLAG_VALUES + 1))
+
+    def test_reps_is_not_an_option(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--ds1", "--k", "4", "--reps", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
 
     def test_repeated_seeds_keep_their_first_occurrence(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 3,1..4,2".split())
@@ -124,10 +135,6 @@ class TestParseInvocation:
     def test_repeated_algorithms_keep_their_first_occurrence(self):
         inv = parse_invocation("bench --ds1 --k 4 --algo pkgame,gtkmeans,pkgame,gtkmeans".split())
         assert inv.algorithms == ("pkgame", "gtkmeans")
-
-    def test_seed_list_conflicting_reps(self):
-        with pytest.raises(SystemExit):
-            parse_invocation("bench --ds1 --k 4 --seed 5,9 --reps 3".split())
 
     def test_gen_invocation(self):
         inv = parse_invocation("gen --out d.csv --seed 3 --n 60 --blobs 4".split())
@@ -179,7 +186,7 @@ class TestExecute:
 
     def test_k_above_n_in_a_bench_grid_exits_2_before_any_run(self, tmp_path, capsys, ran):
         out = tmp_path / "k.json"
-        argv = ["bench", "--ds1", "--k", "4,200", "--reps", "2", "--algo", "gtkmeans", "--ns", "0", "--out", str(out)]
+        argv = ["bench", "--ds1", "--k", "4,200", "--seed", "0..1", "--algo", "gtkmeans", "--ns", "0", "--out", str(out)]
         assert main(argv) == 2
         assert ran == []
         assert not out.exists()
@@ -242,7 +249,7 @@ class TestExecute:
         out = tmp_path / "b.json"
         status = main(
             ["bench", "--ds1", "--k", "4,5", "--algo", "gtkmeans,pkgame", "--ns", "0,3",
-             "--reps", "3", "--seed", "1", "--out", str(out)]
+             "--seed", "1..3", "--out", str(out)]
         )
         assert status == 0
         table = json.loads(out.read_text())
@@ -266,7 +273,7 @@ class TestExecute:
 
     def test_fairness_columns_present(self, tmp_path):
         out = tmp_path / "b.json"
-        main(["bench", "--ds1", "--k", "5", "--algo", "gtkmeans", "--reps", "2", "--seed", "0", "--out", str(out)])
+        main(["bench", "--ds1", "--k", "5", "--algo", "gtkmeans", "--seed", "0..1", "--out", str(out)])
         row = json.loads(out.read_text())["rows"][0]
         assert 0.0 <= row["jain_index"] <= 1.0
         assert row["geometric_mean_index"] >= 0.0
@@ -289,7 +296,7 @@ class TestExecute:
         [
             ("json", ["run", "--k", "2"]),
             ("csv", ["run", "--k", "2"]),
-            ("json", ["bench", "--k", "2,3", "--reps", "3", "--algo", "gtkmeans,pkgame"]),
+            ("json", ["bench", "--k", "2,3", "--seed", "0..2", "--algo", "gtkmeans,pkgame"]),
         ],
         ids=["json", "csv", "bench"],
     )
@@ -390,7 +397,7 @@ class TestExecute:
 class TestDeterminism:
     def test_identical_invocations_byte_identical_modulo_wall_time(self, tmp_path):
         args = ["bench", "--ds1", "--k", "4,5", "--algo", "gtkmeans,pkgame", "--ns", "0,2",
-                "--reps", "2", "--seed", "5"]
+                "--seed", "5..6"]
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
@@ -405,7 +412,7 @@ class TestDeterminism:
         # change outside the *wall_time* fields changes the digest
         out = tmp_path / "pin.json"
         args = ["bench", "--ds1", "--k", "4,8", "--algo", "gtkmeans,pkgame", "--ns", "0,3",
-                "--reps", "2", "--seed", "1", "--out", str(out)]
+                "--seed", "1..2", "--out", str(out)]
         assert main(args) == 0
         canonical = json.dumps(null_wall_times(json.loads(out.read_text())), sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()

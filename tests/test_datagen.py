@@ -67,7 +67,7 @@ class TestCsv:
         back = load_csv(str(path))
         assert back.n == 59
         assert back.dim == 2
-        assert np.allclose(back.points, ds.points, rtol=1e-8, atol=1e-12)
+        assert np.array_equal(back.points, ds.points)
 
     def test_header_auto_detected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -138,9 +138,9 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 2: field larger than field limit"):
             load_csv(str(path))
 
-    def test_nine_significant_digits(self, tmp_path):
+    def test_shortest_round_trip_digits(self, tmp_path):
         ds = Dataset(points=[[1.23456789123456, -0.000012345678912]])
         path = tmp_path / "p.csv"
         save_csv(ds, str(path))
         text = path.read_text().strip()
-        assert text == "1.23456789,-1.23456789e-05"
+        assert text == "1.23456789123456,-1.2345678912e-05"
