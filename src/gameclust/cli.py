@@ -6,6 +6,12 @@ Subcommands:
 * ``bench`` -- full (algorithm x ns x k) grid over paired seeds.
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
+The parser is the one declaration of the command line: each flag's
+argparse ``type`` yields the value the library takes (--k, --seed and
+--ns as integer tuples, --ns 0 as ``None``, --algo as a tuple of names),
+and ``parse_invocation`` returns the namespace argparse builds, adding
+only ``gen``'s checked ``Ds1Config`` as ``gen``.
+
 Results are emitted as JSON (canonical, schema_version 2) or CSV (the
 means block only), byte-identical across identical invocations except
 for wall-time fields.  Without --out they go to
@@ -26,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,23 +46,6 @@ OUTPUT_DIR_ENV = "GAMECLUST_OUTPUT_DIR"
 # Parsing costs about 120 bytes a value, and a bench grid runs every seed,
 # so a typo such as --seed 0..1000000000 is refused before it is expanded.
 MAX_FLAG_VALUES = 100_000
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """A validated command line."""
-
-    subcommand: str
-    data_path: Optional[str] = None
-    use_ds1: bool = False
-    ds1_seed: int = 0
-    k_values: Tuple[int, ...] = ()
-    algorithms: Tuple[str, ...] = ()
-    ns_values: Tuple[Optional[int], ...] = ()
-    seeds: Tuple[int, ...] = ()
-    out_path: Optional[str] = None
-    out_format: str = "json"
-    gen: Optional[Ds1Config] = None
 
 
 def _int_list(text: str) -> Tuple[int, ...]:
@@ -77,13 +65,18 @@ def _int_list(text: str) -> Tuple[int, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _ns_list(text: str) -> Tuple[int, ...]:
-    """The ``type`` of --ns: an integer list of values >= 0, where 0 disables selection."""
+def _ns_list(text: str) -> Tuple[Optional[int], ...]:
+    """The ``type`` of --ns: an integer list of values >= 0, where 0 is None (selection off)."""
     values = _int_list(text)
     for v in values:
         if v < 0:
             raise argparse.ArgumentTypeError(f"values must be >= 0, got {v}")
-    return values
+    return tuple(None if v == 0 else v for v in values)
+
+
+def _algo_list(text: str) -> Tuple[str, ...]:
+    """The ``type`` of --algo: comma-separated names, stripped, first occurrences kept, in order."""
+    return tuple(dict.fromkeys(a.strip() for a in text.split(",")))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout, or $GAMECLUST_OUTPUT_DIR)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
-        p.add_argument("--algo", default=algo_default, help="comma list of algorithms: gtkmeans, pkgame")
+        p.add_argument(
+            "--algo", type=_algo_list, default=algo_default, help="comma list of algorithms: gtkmeans, pkgame"
+        )
         p.add_argument("--ns", type=_ns_list, default="0", help="comma list of ns values, 0 disables selection")
         p.add_argument("--seed", type=_int_list, default="0", help="seeds, e.g. 0 or 0..49 or 1,5,9")
         return p
@@ -119,39 +114,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_invocation(argv: Sequence[str]) -> CliInvocation:
-    """Parse and validate argv; usage problems exit with status 2."""
+def parse_invocation(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse and validate argv into argparse's namespace; usage problems exit with status 2."""
     parser = _build_parser()
     args = parser.parse_args(list(argv))
     if args.subcommand == "gen":
         try:
-            cfg = Ds1Config(
+            args.gen = Ds1Config(
                 n_points=args.n, dim=args.dim, blob_count=args.blobs,
                 std_dev=args.std, seed=args.seed,
             )
         except GameclustError as exc:
             parser.error(str(exc))
-        return CliInvocation(subcommand="gen", out_path=args.out, gen=cfg)
+        return args
 
     if bool(args.data) == bool(args.ds1):
         parser.error("exactly one of --data and --ds1 is required")
-    algorithms = tuple(dict.fromkeys(a.strip() for a in args.algo.split(",")))  # first occurrences kept, in order
     if args.subcommand == "run":
-        for flag, values in (("--k", args.k), ("--algo", algorithms), ("--ns", args.ns), ("--seed", args.seed)):
+        for flag, values in (("--k", args.k), ("--algo", args.algo), ("--ns", args.ns), ("--seed", args.seed)):
             if len(values) > 1:
                 parser.error(f"{flag}: run takes one value, got {len(values)}; use bench for a grid")
-    return CliInvocation(
-        subcommand=args.subcommand,
-        data_path=args.data,
-        use_ds1=args.ds1,
-        ds1_seed=args.ds1_seed,
-        k_values=args.k,
-        algorithms=algorithms,
-        ns_values=tuple(None if v == 0 else v for v in args.ns),
-        seeds=args.seed,
-        out_path=args.out,
-        out_format=args.format,
-    )
+    return args
 
 
 def _row(summary: VariantSummary) -> Dict[str, object]:
@@ -199,31 +182,29 @@ def _raw_records(summary: VariantSummary) -> List[Dict[str, object]]:
     return records
 
 
-def build_result_table(invocation: CliInvocation) -> Dict[str, object]:
+def build_result_table(invocation: argparse.Namespace) -> Dict[str, object]:
     """Run the configured matrix and assemble the result table."""
-    if invocation.use_ds1:
+    if invocation.ds1:
         dataset = generate_ds1(Ds1Config(seed=invocation.ds1_seed))
         source = f"ds1(seed={invocation.ds1_seed})"
     else:
-        dataset = load_csv(invocation.data_path)
-        source = invocation.data_path or ""
-    summaries = paired_compare(
-        dataset, invocation.k_values, invocation.seeds, invocation.ns_values, invocation.algorithms
-    )
+        dataset = load_csv(invocation.data)
+        source = invocation.data
+    summaries = paired_compare(dataset, invocation.k, invocation.seed, invocation.ns, invocation.algo)
     rows = [_row(summary) for summary in summaries]
     raw = [record for summary in summaries for record in _raw_records(summary)]
-    order = {a: i for i, a in enumerate(invocation.algorithms)}
+    order = {a: i for i, a in enumerate(invocation.algo)}
     rows.sort(key=lambda r: (order[r["algorithm"]], r["ns"] or 0, r["k"]))
     raw.sort(key=lambda r: (order[r["algorithm"]], r["ns"] or 0, r["k"], r["seed"]))
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
             "source": source,
-            "k_values": list(invocation.k_values),
-            "algorithms": list(invocation.algorithms),
-            "ns_values": [0 if v is None else v for v in invocation.ns_values],
-            "seeds": list(invocation.seeds),
-            "reps": len(invocation.seeds),
+            "k_values": list(invocation.k),
+            "algorithms": list(invocation.algo),
+            "ns_values": [0 if v is None else v for v in invocation.ns],
+            "seeds": list(invocation.seed),
+            "reps": len(invocation.seed),
         },
         "rows": rows,
         "raw": raw,
@@ -257,11 +238,11 @@ def _format_csv(table: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _out_path(invocation: CliInvocation) -> Optional[str]:
+def _out_path(invocation: argparse.Namespace) -> Optional[str]:
     """Where the results go (None: stdout): a file name in an existing directory, checked before any run."""
-    path = invocation.out_path
+    path = invocation.out
     if path is None and os.environ.get(OUTPUT_DIR_ENV):
-        path = os.path.join(os.environ[OUTPUT_DIR_ENV], f"results.{invocation.out_format}")
+        path = os.path.join(os.environ[OUTPUT_DIR_ENV], f"results.{invocation.format}")
     if path is not None and (not path or os.path.isdir(path)):
         raise ConfigError(f"output path {path!r} names no file")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
@@ -277,7 +258,7 @@ def _emit(text: str, path: Optional[str]) -> None:
         fh.write(text)
 
 
-def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]]:
+def execute(invocation: argparse.Namespace) -> Tuple[int, Optional[Dict[str, object]]]:
     """Run an invocation; returns (exit status, result table when one was produced).
 
     numpy's overflow and invalid-value warnings are silenced: squared
@@ -288,12 +269,11 @@ def execute(invocation: CliInvocation) -> Tuple[int, Optional[Dict[str, object]]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if invocation.subcommand == "gen":
-                assert invocation.gen is not None
-                save_csv(generate_ds1(invocation.gen), invocation.out_path)
+                save_csv(generate_ds1(invocation.gen), invocation.out)
             else:
                 path = _out_path(invocation)
                 table = build_result_table(invocation)
-                _emit(_format(table, invocation.out_format), path)
+                _emit(_format(table, invocation.format), path)
     except (GameclustError, OSError) as exc:
         # dataset, configuration and output-path failures are the caller's to fix
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,11 @@ input clustering's centers, and the input is never modified: each taker
 takes the resource points nearest its center that no earlier taker took,
 ties to the lowest point index.  One kernel codes that rule:
 ``_read_resource`` reads a resource's members and points and orders them
-nearest-first for each taker (``_nearest_first``), and ``_first_free``
-takes the first points of that order still free in each of many states
-at once.  ``build_payoff_tensor`` runs it over a whole frontier of joint
-strategy prefixes per level, and ``apply_and_evaluate`` over the one
-state it executes.
+nearest-first for each taker, and ``_first_free`` takes the first points
+of that order still free in each of many states at once.
+``build_payoff_tensor`` runs it over a whole frontier of joint strategy
+prefixes per level, and ``apply_and_evaluate`` over the one state it
+executes.
 
 The game phase decides each resource's transfers once, in a plan of
 resource id -> (player id, units) pairs: covered requests in full, or a
@@ -314,20 +314,14 @@ def _read_resource(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resource ``rid``'s member indices, its points, and each taker's nearest-first order over them.
 
-    The ids are those ``_check_takers`` passed.
+    The order is a (takers, m) array of positions, sorted by (squared
+    distance to the taker's center, position); members ascend, so ties go
+    to the lowest point index.  The ids are those ``_check_takers`` passed.
     """
     member = clustering.members(rid)
     points = dataset.points.take(member, axis=0)
-    return member, points, _nearest_first(points, clustering.centers.take(pids, axis=0))
-
-
-def _nearest_first(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Each center's order over ``points``, nearest first: an (n_centers, m) array of positions.
-
-    Positions are ordered by (squared distance, position), so ties go to
-    the lowest point index when ``points`` are in ascending index order.
-    """
-    return squared_distances(centers, points).argsort(axis=-1, kind="stable")
+    order = squared_distances(clustering.centers.take(pids, axis=0), points).argsort(axis=-1, kind="stable")
+    return member, points, order
 
 
 def _first_free(taken: np.ndarray, order: np.ndarray, count: int, most_taken: int) -> np.ndarray:

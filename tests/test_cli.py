@@ -49,21 +49,21 @@ class TestParseInvocation:
             "bench --ds1 --k 4..8 --algo gtkmeans,pkgame --ns 0,2,3 --seed 7..56 --out r.json".split()
         )
         assert inv.subcommand == "bench"
-        assert inv.use_ds1 is True
-        assert inv.k_values == (4, 5, 6, 7, 8)
-        assert inv.algorithms == ("gtkmeans", "pkgame")
-        assert inv.ns_values == (None, 2, 3)
-        assert inv.seeds == tuple(range(7, 57))
-        assert inv.out_path == "r.json"
+        assert inv.ds1 is True
+        assert inv.k == (4, 5, 6, 7, 8)
+        assert inv.algo == ("gtkmeans", "pkgame")
+        assert inv.ns == (None, 2, 3)
+        assert inv.seed == tuple(range(7, 57))
+        assert inv.out == "r.json"
 
     def test_single_run(self):
         inv = parse_invocation("run --data gtd.csv --k 5 --algo pkgame --ns 3".split())
         assert inv.subcommand == "run"
-        assert inv.data_path == "gtd.csv"
-        assert inv.k_values == (5,)
-        assert inv.algorithms == ("pkgame",)
-        assert inv.ns_values == (3,)
-        assert len(inv.seeds) == 1
+        assert inv.data == "gtd.csv"
+        assert inv.k == (5,)
+        assert inv.algo == ("pkgame",)
+        assert inv.ns == (3,)
+        assert len(inv.seed) == 1
 
     @pytest.mark.parametrize(
         "grid", ["--k 4,8", "--algo gtkmeans,pkgame", "--ns 0,3", "--seed 1,2", "--k 4..6", "--seed 0..3"]
@@ -115,11 +115,11 @@ class TestParseInvocation:
 
     def test_explicit_seed_list(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 5,9,13".split())
-        assert inv.seeds == (5, 9, 13)
+        assert inv.seed == (5, 9, 13)
 
     def test_seed_range_at_the_value_bound(self):
         inv = parse_invocation(f"bench --ds1 --k 4 --seed 1..{cli.MAX_FLAG_VALUES}".split())
-        assert inv.seeds == tuple(range(1, cli.MAX_FLAG_VALUES + 1))
+        assert inv.seed == tuple(range(1, cli.MAX_FLAG_VALUES + 1))
 
     def test_reps_is_not_an_option(self, tmp_path):
         out = tmp_path / "r.json"
@@ -128,13 +128,18 @@ class TestParseInvocation:
         assert err.value.code == 2
         assert not out.exists()
 
+    def test_defaults_pass_through_the_flag_types(self):
+        inv = parse_invocation("run --ds1 --k 4".split())
+        assert (inv.algo, inv.ns, inv.seed) == (("gtkmeans",), (None,), (0,))
+        assert parse_invocation("bench --ds1 --k 4".split()).algo == ("gtkmeans", "pkgame")
+
     def test_repeated_seeds_keep_their_first_occurrence(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 3,1..4,2".split())
-        assert inv.seeds == (3, 1, 2, 4)
+        assert inv.seed == (3, 1, 2, 4)
 
     def test_repeated_algorithms_keep_their_first_occurrence(self):
         inv = parse_invocation("bench --ds1 --k 4 --algo pkgame,gtkmeans,pkgame,gtkmeans".split())
-        assert inv.algorithms == ("pkgame", "gtkmeans")
+        assert inv.algo == ("pkgame", "gtkmeans")
 
     def test_gen_invocation(self):
         inv = parse_invocation("gen --out d.csv --seed 3 --n 60 --blobs 4".split())
