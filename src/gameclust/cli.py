@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", help="CSV file of points, one row per point")
         p.add_argument("--ds1", action="store_true", help="use the built-in synthetic blob dataset")
-        p.add_argument("--ds1-seed", type=int, default=0, help="seed for --ds1 (default 0)")
         p.add_argument("--out", help="output path (default: stdout, or $GAMECLUST_OUTPUT_DIR)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
@@ -185,8 +184,8 @@ def _raw_records(summary: VariantSummary) -> List[Dict[str, object]]:
 def build_result_table(invocation: argparse.Namespace) -> Dict[str, object]:
     """Run the configured matrix and assemble the result table."""
     if invocation.ds1:
-        dataset = generate_ds1(Ds1Config(seed=invocation.ds1_seed))
-        source = f"ds1(seed={invocation.ds1_seed})"
+        dataset = generate_ds1(Ds1Config())
+        source = f"ds1(seed={Ds1Config.seed})"
     else:
         dataset = load_csv(invocation.data)
         source = invocation.data

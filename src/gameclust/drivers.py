@@ -293,6 +293,10 @@ class VariantSummary:
 
     reports: Tuple[RunReport, ...]
 
+    def __post_init__(self) -> None:
+        if not self.reports:
+            raise ConfigError("a variant summary needs at least one run")
+
     @property
     def algorithm(self) -> str:
         return self.reports[0].config.algorithm

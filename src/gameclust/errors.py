@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
 A caller's value that a rule of the package refuses is a
-``ConfigError``.  Two such values: all-zero input to ``jain_index``,
+``ConfigError``.  Three such values: all-zero input to ``jain_index``,
 which ``fairness.improvement_indices`` never passes, since it clamps
 negative improvements to zero and tests for the all-zero pair itself;
-and roles with players but no resource, which ``route_requests`` refuses.
+a NaN or infinite input to the fairness indices, which
+``improvement_indices`` passes on rather than clamping; and roles with
+players but no resource, which ``route_requests`` refuses.
 """
 
 

@@ -4,10 +4,11 @@ Jain's index rates how evenly a set of nonnegative values is spread:
 1 when all values are equal, down to 1/n when a single value carries
 everything.  The geometric mean index collapses the values into one
 number; with two improvements measured in percent, 100 is the ideal.
-Both indices presume nonnegative shares and refuse negative values;
-``improvement_indices`` clamps a negative improvement to zero, and
-gives no Jain index for a pair that clamps to all zeros, where
-``jain_index`` raises ``ConfigError``.
+Both indices presume finite, nonnegative shares and refuse NaN, ±inf
+and negative values with ``ConfigError``.  ``improvement_indices``
+clamps a finite negative improvement to zero, passes a non-finite one
+on to that refusal, and gives no Jain index for a pair that clamps to
+all zeros, where ``jain_index`` raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ def _validated(values: Sequence[float]) -> List[float]:
     xs = [float(v) for v in values]
     if not xs:
         raise ConfigError("need at least one value")
+    if not all(math.isfinite(x) for x in xs):
+        raise ConfigError(f"values must be finite, got {xs}")
     if any(x < 0 for x in xs):
         raise ConfigError(f"values must be nonnegative, got {xs}")
     return xs
 
 
 def jain_index(values: Sequence[float]) -> float:
-    """(sum x)^2 / (n * sum x^2), in [1/n, 1]; ``ConfigError`` when all values are zero.
+    """(sum x)^2 / (n * sum x^2), in [1/n, 1]; ``ConfigError`` when all values are zero or one is not finite.
 
     The values are first scaled by the power of two that brings the
     largest into [0.5, 1).  That scaling is exact, so it changes no result
@@ -54,9 +57,12 @@ def geometric_mean_index(values: Sequence[float]) -> float:
 
 
 def improvement_indices(sse_pct: Optional[float], l_pct: Optional[float]) -> Tuple[Optional[float], Optional[float]]:
-    """(Jain, GMI) of the clamped pair; both None when either is, Jain None when both clamp to zero."""
+    """(Jain, GMI) of the clamped pair; both None when either is, Jain None when both clamp to zero.
+
+    Raises ``ConfigError`` when either improvement is NaN or infinite.
+    """
     if sse_pct is None or l_pct is None:
         return None, None
-    clamped = [max(0.0, float(sse_pct)), max(0.0, float(l_pct))]
+    clamped = [max(0.0, x) if math.isfinite(x) else x for x in (float(sse_pct), float(l_pct))]
     jain = None if clamped == [0.0, 0.0] else jain_index(clamped)
     return jain, geometric_mean_index(clamped)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gameclust import Ds1Config, cli, drivers, load_csv
+from gameclust import Ds1Config, cli, drivers, generate_ds1, load_csv
 from gameclust.cli import execute, main, parse_invocation
 
 
@@ -122,11 +123,13 @@ class TestParseInvocation:
         assert inv.seed == tuple(range(1, cli.MAX_FLAG_VALUES + 1))
 
     def test_reps_is_not_an_option(self, tmp_path):
+        # nor --ds1-seed: --ds1 is the pinned instance, and another comes from gen --seed N and --data
         out = tmp_path / "r.json"
-        with pytest.raises(SystemExit) as err:
-            main(["bench", "--ds1", "--k", "4", "--reps", "2", "--out", str(out)])
-        assert err.value.code == 2
-        assert not out.exists()
+        for flag in (["--reps", "2"], ["--ds1-seed", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(["bench", "--ds1", "--k", "4", *flag, "--out", str(out)])
+            assert err.value.code == 2
+            assert not out.exists()
 
     def test_defaults_pass_through_the_flag_types(self):
         inv = parse_invocation("run --ds1 --k 4".split())
@@ -160,6 +163,7 @@ class TestExecute:
         ds = load_csv(str(out))
         assert ds.n == 40
         assert ds.dim == 2
+        assert np.array_equal(ds.points, generate_ds1(Ds1Config(seed=3, n_points=40, blob_count=4)).points)
 
     def test_missing_dataset_exits_2(self, tmp_path):
         status = main(
@@ -353,14 +357,6 @@ class TestExecute:
         assert not out.exists()
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "seed must be >= 0" in errors[0]
-
-    def test_run_with_negative_ds1_seed_exits_2_without_output(self, tmp_path, capsys):
-        out = tmp_path / "r.json"
-        status = main(["run", "--ds1", "--ds1-seed", "-1", "--k", "3", "--out", str(out)])
-        assert status == 2
-        assert not out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "seed must be >= 0" in err[0]
 
     def test_execute_returns_table(self):
         for k in (4, 1):  # k = 1 is one balanced cluster, so no game is played

@@ -47,7 +47,7 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("demo", ["worked_example.py", "clustering_demo.py", "benchmark_demo.py"])
+@pytest.mark.parametrize("demo", ["worked_example.py", "clustering_demo.py"])
 def test_demo_exits_cleanly(demo):
     result = run_python([str(ROOT / "demos" / demo)])
     assert result.returncode == 0, result.stderr

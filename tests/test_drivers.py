@@ -425,6 +425,11 @@ class TestPairedCompare:
         assert summary.mean_sse_improvement_pct is None
         assert summary.mean_l_improvement_pct == 4.0
 
+    def test_summary_of_no_runs_rejected(self):
+        # .algorithm raised IndexError and .mean_wall_time_s warned "Mean of empty slice"
+        with pytest.raises(ConfigError, match="at least one run"):
+            VariantSummary(())
+
     @pytest.mark.parametrize(
         "k_values, seeds, ns_values, algorithms",
         [

@@ -9,6 +9,7 @@ from gameclust import (
     jain_index,
 )
 
+NAN, INF = float("nan"), float("inf")
 positive_floats = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 
@@ -30,8 +31,10 @@ class TestJainIndex:
             jain_index([0.0, 0.0])
 
     def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            jain_index([1.0, -0.5])
+        # NaN and inf gave nan, outside the promised [1/n, 1]
+        for values in ([1.0, -0.5], [NAN, 1.0], [INF, 1.0], [-INF, 1.0]):
+            with pytest.raises(ConfigError):
+                jain_index(values)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="need at least one value"):
@@ -79,6 +82,12 @@ class TestGeometricMeanIndex:
     def test_zero_factor_collapses(self):
         assert geometric_mean_index([0.0, 80.0]) == 0.0
 
+    @pytest.mark.parametrize("values", [[INF, 0.0], [NAN, 4.0]], ids=["inf", "nan"])
+    def test_non_finite_rejected(self, values):
+        # inf times zero returned nan
+        with pytest.raises(ConfigError, match="values must be finite"):
+            geometric_mean_index(values)
+
     @given(st.lists(positive_floats, min_size=1, max_size=6), positive_floats)
     @settings(max_examples=100, deadline=None)
     def test_scales_linearly(self, values, scale):
@@ -115,6 +124,12 @@ class TestClamp:
 class TestImprovementIndices:
     def test_jain_undefined_when_both_improvements_clamp_to_zero(self):
         assert improvement_indices(0.0, -5.0) == (None, 0.0)
+
+    @pytest.mark.parametrize("sse_pct, l_pct", [(NAN, 5.0), (5.0, NAN), (-INF, 5.0), (INF, 5.0)])
+    def test_non_finite_improvement_rejected(self, sse_pct, l_pct):
+        # NaN and -inf were clamped to 0 and indexed as (0.5, 0.0); inf gave a nan Jain index
+        with pytest.raises(ConfigError, match="values must be finite"):
+            improvement_indices(sse_pct, l_pct)
 
     @pytest.mark.parametrize("sse_pct, l_pct", [(None, 3.0), (3.0, None)])
     def test_missing_improvement_gives_no_indices(self, sse_pct, l_pct):
