@@ -1,16 +1,17 @@
-"""Command-line front end: single runs, benchmark grids, data generation.
+"""Command-line front end: benchmark grids and data generation.
 
 Subcommands:
 
-* ``run``   -- one algorithm, one k, one ns, one seed; emits a one-row table.
-* ``bench`` -- full (algorithm x ns x k) grid over paired seeds.
+* ``bench`` -- full (algorithm x ns x k) grid over paired seeds; one
+  value per flag is a single run, emitted as a one-row table.
 * ``gen``   -- write a synthetic blob dataset to CSV.
 
 The parser is the one declaration of the command line: each flag's
 argparse ``type`` yields the value the library takes (--k, --seed and
 --ns as integer tuples, --ns 0 as ``None``, --algo as a tuple of names),
-and ``parse_invocation`` returns the namespace argparse builds, adding
-only ``gen``'s checked ``Ds1Config`` as ``gen``.
+--data and --ds1 form a required mutually exclusive group, and
+``parse_invocation`` returns the namespace argparse builds, adding only
+``gen``'s checked ``Ds1Config`` as ``gen``.
 
 Results are emitted as JSON (canonical, schema_version 2) or CSV (the
 means block only), byte-identical across identical invocations except
@@ -18,12 +19,12 @@ for wall-time fields.  Without --out they go to
 $GAMECLUST_OUTPUT_DIR/results.<fmt> if the variable is set, else to stdout.
 Exit status: 0 success; 3 internal error; 2 for a usage error (the
 parser's own rules: syntax, ranges, at most ``MAX_FLAG_VALUES`` values
-a flag, one source, one value per flag for ``run``), a bad k, algorithm
-or seed (the library's rules, which ``paired_compare`` checks for the
-whole grid) or an output path that is empty, a directory or in a
-missing one, each refused before the first run; an unreadable dataset;
-or results that are not finite (the data's scale overflows the
-objectives).  No result is written on status 2 or 3.
+a flag, one source), a bad k, algorithm or seed (the library's rules,
+which ``paired_compare`` checks for the whole grid) or an output path
+that is empty, a directory or in a missing one, each refused before the
+first run; an unreadable dataset; or results that are not finite (the
+data's scale overflows the objectives).  No result is written on status
+2 or 3.
 """
 
 from __future__ import annotations
@@ -86,22 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_shared(name: str, help_text: str, algo_default: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--data", help="CSV file of points, one row per point")
-        p.add_argument("--ds1", action="store_true", help="use the built-in synthetic blob dataset")
-        p.add_argument("--out", help="output path (default: stdout, or $GAMECLUST_OUTPUT_DIR)")
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-        p.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
-        p.add_argument(
-            "--algo", type=_algo_list, default=algo_default, help="comma list of algorithms: gtkmeans, pkgame"
-        )
-        p.add_argument("--ns", type=_ns_list, default="0", help="comma list of ns values, 0 disables selection")
-        p.add_argument("--seed", type=_int_list, default="0", help="seeds, e.g. 0 or 0..49 or 1,5,9")
-        return p
-
-    add_shared("run", "run one algorithm once (one value per flag)", "gtkmeans")
-    add_shared("bench", "benchmark a grid of variants over paired seeds", "gtkmeans,pkgame")
+    bench = sub.add_parser("bench", help="benchmark a grid of variants over paired seeds")
+    source = bench.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="CSV file of points, one row per point")
+    source.add_argument("--ds1", action="store_true", help="use the built-in synthetic blob dataset")
+    bench.add_argument("--out", help="output path (default: stdout, or $GAMECLUST_OUTPUT_DIR)")
+    bench.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    bench.add_argument("--k", type=_int_list, required=True, help="k values, e.g. 5 or 4..8 or 4,6,8")
+    bench.add_argument(
+        "--algo", type=_algo_list, default="gtkmeans,pkgame", help="comma list of algorithms: gtkmeans, pkgame"
+    )
+    bench.add_argument("--ns", type=_ns_list, default="0", help="comma list of ns values, 0 disables selection")
+    bench.add_argument("--seed", type=_int_list, default="0", help="seeds, e.g. 0 or 0..49 or 1,5,9")
 
     gen = sub.add_parser("gen", help="generate a synthetic blob dataset CSV")
     gen.add_argument("--out", required=True, help="CSV file to write")
@@ -125,14 +122,6 @@ def parse_invocation(argv: Sequence[str]) -> argparse.Namespace:
             )
         except GameclustError as exc:
             parser.error(str(exc))
-        return args
-
-    if bool(args.data) == bool(args.ds1):
-        parser.error("exactly one of --data and --ds1 is required")
-    if args.subcommand == "run":
-        for flag, values in (("--k", args.k), ("--algo", args.algo), ("--ns", args.ns), ("--seed", args.seed)):
-            if len(values) > 1:
-                parser.error(f"{flag}: run takes one value, got {len(values)}; use bench for a grid")
     return args
 
 

@@ -272,14 +272,16 @@ def improvement_report(initial: ObjectiveState, final: ObjectiveState) -> Improv
     """Improvements of ``final`` over ``initial`` for both objectives.
 
     Each is 100 * (initial - final) / initial, positive when the objective
-    got smaller.  A zero initial objective yields 0.0 when the final one
-    is also zero (nothing to improve) and None otherwise (undefined
-    percentage).
+    got smaller.  Where 100 * (initial - final) overflows, the ratio is
+    taken first, so finite objectives always give a finite percentage.
+    A zero initial objective yields 0.0 when the final one is also zero
+    (nothing to improve) and None otherwise (undefined percentage).
     """
 
     def one(a: float, b: float) -> Optional[float]:
         if a > 0:
-            return 100.0 * (a - b) / a
+            pct = 100.0 * (a - b) / a
+            return pct if math.isfinite(pct) else 100.0 * ((a - b) / a)
         return 0.0 if b == 0 else None
 
     return ImprovementReport(

@@ -58,32 +58,19 @@ class TestParseInvocation:
         assert inv.out == "r.json"
 
     def test_single_run(self):
-        inv = parse_invocation("run --data gtd.csv --k 5 --algo pkgame --ns 3".split())
-        assert inv.subcommand == "run"
+        # one value per flag: a grid of one variant and one seed
+        inv = parse_invocation("bench --data gtd.csv --k 5 --algo pkgame --ns 3".split())
+        assert inv.subcommand == "bench"
         assert inv.data == "gtd.csv"
+        assert inv.ds1 is False
         assert inv.k == (5,)
         assert inv.algo == ("pkgame",)
         assert inv.ns == (3,)
         assert len(inv.seed) == 1
 
-    @pytest.mark.parametrize(
-        "grid", ["--k 4,8", "--algo gtkmeans,pkgame", "--ns 0,3", "--seed 1,2", "--k 4..6", "--seed 0..3"]
-    )
-    def test_run_with_several_values_is_usage_error(self, grid):
-        with pytest.raises(SystemExit) as err:
-            parse_invocation(f"run --ds1 --k 4 {grid}".split())
-        assert err.value.code == 2
-
-    def test_run_with_a_list_exits_2_without_output(self, tmp_path):
-        out = tmp_path / "r.json"
-        with pytest.raises(SystemExit) as err:
-            main(f"run --ds1 --k 4,8 --algo gtkmeans,pkgame --ns 0,3 --seed 1,2 --out {out}".split())
-        assert err.value.code == 2
-        assert not out.exists()
-
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
-            parse_invocation("run --ds1 --k 4 --bogus".split())
+            parse_invocation("bench --ds1 --k 4 --bogus".split())
         assert err.value.code == 2
 
     def test_unparsable_number_rejected(self):
@@ -108,11 +95,15 @@ class TestParseInvocation:
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_needs_exactly_one_source(self):
-        with pytest.raises(SystemExit):
-            parse_invocation("run --k 4".split())
-        with pytest.raises(SystemExit):
-            parse_invocation("run --ds1 --data x.csv --k 4".split())
+    def test_needs_exactly_one_source(self, capsys):
+        for argv, message in (
+            ("bench --k 4", "one of the arguments --data --ds1 is required"),
+            ("bench --ds1 --data x.csv --k 4", "argument --data: not allowed with argument --ds1"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                parse_invocation(argv.split())
+            assert err.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_explicit_seed_list(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 5,9,13".split())
@@ -123,18 +114,22 @@ class TestParseInvocation:
         assert inv.seed == tuple(range(1, cli.MAX_FLAG_VALUES + 1))
 
     def test_reps_is_not_an_option(self, tmp_path):
-        # nor --ds1-seed: --ds1 is the pinned instance, and another comes from gen --seed N and --data
+        # nor --ds1-seed: --ds1 is the pinned instance, and another comes from gen --seed N and --data;
+        # nor the run subcommand: bench with one value per flag is a single run
         out = tmp_path / "r.json"
-        for flag in (["--reps", "2"], ["--ds1-seed", "3"]):
+        for argv in (
+            ["bench", "--ds1", "--k", "4", "--reps", "2"],
+            ["bench", "--ds1", "--k", "4", "--ds1-seed", "3"],
+            ["run", "--ds1", "--k", "4"],
+        ):
             with pytest.raises(SystemExit) as err:
-                main(["bench", "--ds1", "--k", "4", *flag, "--out", str(out)])
+                main([*argv, "--out", str(out)])
             assert err.value.code == 2
             assert not out.exists()
 
     def test_defaults_pass_through_the_flag_types(self):
-        inv = parse_invocation("run --ds1 --k 4".split())
-        assert (inv.algo, inv.ns, inv.seed) == (("gtkmeans",), (None,), (0,))
-        assert parse_invocation("bench --ds1 --k 4".split()).algo == ("gtkmeans", "pkgame")
+        inv = parse_invocation("bench --ds1 --k 4".split())
+        assert (inv.algo, inv.ns, inv.seed) == (("gtkmeans", "pkgame"), (None,), (0,))
 
     def test_repeated_seeds_keep_their_first_occurrence(self):
         inv = parse_invocation("bench --ds1 --k 4 --seed 3,1..4,2".split())
@@ -165,12 +160,13 @@ class TestExecute:
         assert ds.dim == 2
         assert np.array_equal(ds.points, generate_ds1(Ds1Config(seed=3, n_points=40, blob_count=4)).points)
 
-    def test_missing_dataset_exits_2(self, tmp_path):
-        status = main(
-            ["run", "--data", str(tmp_path / "absent.csv"), "--k", "4", "--out", str(tmp_path / "o.json")]
-        )
-        assert status == 2
-        assert not (tmp_path / "o.json").exists()
+    def test_missing_dataset_exits_2(self, tmp_path, capsys):
+        for data in (str(tmp_path / "absent.csv"), ""):  # an empty path is a file that cannot be read
+            status = main(["bench", "--data", data, "--k", "4", "--out", str(tmp_path / "o.json")])
+            assert status == 2
+            assert not (tmp_path / "o.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: cannot read") for line in err)
 
     @pytest.mark.parametrize(
         "content",
@@ -181,7 +177,7 @@ class TestExecute:
         data = tmp_path / "bad.csv"
         data.write_bytes(content)
         out = tmp_path / "o.json"
-        status = main(["run", "--data", str(data), "--k", "2", "--out", str(out)])
+        status = main(["bench", "--data", str(data), "--k", "2", "--out", str(out)])
         assert status == 2
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
@@ -190,7 +186,7 @@ class TestExecute:
     def test_k_exceeding_n_exits_2(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text("1,2\n3,4\n5,6\n")
-        status = main(["run", "--data", str(data), "--k", "4", "--out", str(tmp_path / "o.json")])
+        status = main(["bench", "--data", str(data), "--k", "4", "--out", str(tmp_path / "o.json")])
         assert status == 2
 
     def test_k_above_n_in_a_bench_grid_exits_2_before_any_run(self, tmp_path, capsys, ran):
@@ -209,20 +205,19 @@ class TestExecute:
     )
     def test_bad_k_or_algorithm_exits_2_before_any_run(self, tmp_path, capsys, ran, argv, message):
         out = tmp_path / "r.json"
-        assert main(["run", "--ds1", *argv.split(), "--out", str(out)]) == 2
+        assert main(["bench", "--ds1", *argv.split(), "--out", str(out)]) == 2
         assert ran == []
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
-    @pytest.mark.parametrize("subcommand", ["run", "bench"])
-    def test_missing_output_directory_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, ran, subcommand):
+    def test_missing_output_directory_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, ran):
         missing, existing = tmp_path / "absent", tmp_path / "present"
         existing.mkdir()
         for out in (str(missing / "r.json"), str(existing), ""):  # also a directory, and no name at all
-            assert main([subcommand, "--ds1", "--k", "4", "--out", out]) == 2
+            assert main(["bench", "--ds1", "--k", "4", "--out", out]) == 2
         monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(missing))
-        assert main([subcommand, "--ds1", "--k", "4"]) == 2
+        assert main(["bench", "--ds1", "--k", "4"]) == 2
         assert ran == []
         assert not missing.exists()
         assert list(existing.iterdir()) == []
@@ -233,7 +228,7 @@ class TestExecute:
     def test_run_emits_single_row_table(self, tmp_path):
         out = tmp_path / "r.json"
         status = main(
-            ["run", "--ds1", "--k", "4", "--algo", "pkgame", "--ns", "2", "--seed", "11", "--out", str(out)]
+            ["bench", "--ds1", "--k", "4", "--algo", "pkgame", "--ns", "2", "--seed", "11", "--out", str(out)]
         )
         assert status == 0
         table = json.loads(out.read_text())
@@ -303,8 +298,8 @@ class TestExecute:
     @pytest.mark.parametrize(
         "fmt, grid",
         [
-            ("json", ["run", "--k", "2"]),
-            ("csv", ["run", "--k", "2"]),
+            ("json", ["bench", "--k", "2", "--algo", "gtkmeans"]),
+            ("csv", ["bench", "--k", "2", "--algo", "gtkmeans"]),
             ("json", ["bench", "--k", "2,3", "--seed", "0..2", "--algo", "gtkmeans,pkgame"]),
         ],
         ids=["json", "csv", "bench"],
@@ -327,7 +322,7 @@ class TestExecute:
         table = {"rows": [{"algorithm": "gtkmeans", "mean_sse_improvement_pct": float("inf")}], "raw": []}
         monkeypatch.setattr(cli, "build_result_table", lambda invocation: table)
         out = tmp_path / f"o.{fmt}"
-        status, _ = execute(parse_invocation(["run", "--ds1", "--k", "4", "--format", fmt, "--out", str(out)]))
+        status, _ = execute(parse_invocation(["bench", "--ds1", "--k", "4", "--format", fmt, "--out", str(out)]))
         assert status == 2
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
@@ -360,7 +355,7 @@ class TestExecute:
 
     def test_execute_returns_table(self):
         for k in (4, 1):  # k = 1 is one balanced cluster, so no game is played
-            status, table = execute(parse_invocation(f"run --ds1 --k {k} --seed 1".split()))
+            status, table = execute(parse_invocation(f"bench --ds1 --k {k} --algo gtkmeans --seed 1".split()))
             assert status == 0
             assert table is not None and len(table["rows"]) == 1
         assert table["raw"][0]["games_played"] == 0
@@ -371,26 +366,26 @@ class TestExecute:
 
         monkeypatch.setattr(cli, "paired_compare", boom)
         out = tmp_path / "x.json"
-        status = main(["run", "--ds1", "--k", "4", "--out", str(out)])
+        status = main(["bench", "--ds1", "--k", "4", "--out", str(out)])
         assert status == 3
         assert not out.exists()
 
     def test_stdout_when_no_out_path(self, capsys):
-        assert main(["run", "--ds1", "--k", "4", "--seed", "1"]) == 0
+        assert main(["bench", "--ds1", "--k", "4", "--algo", "gtkmeans", "--seed", "1"]) == 0
         printed = capsys.readouterr().out
         assert json.loads(printed)["schema_version"] == 2
 
     def test_module_entry_point_prints_a_table(self, monkeypatch):
         src = Path(__file__).resolve().parent.parent / "src"
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "gameclust", "run", "--ds1", "--k", "4", "--seed", "1"]
+        argv = [sys.executable, "-m", "gameclust", "bench", "--ds1", "--k", "4", "--algo", "gtkmeans", "--seed", "1"]
         result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["schema_version"] == 2
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMECLUST_OUTPUT_DIR", str(tmp_path))
-        assert main(["run", "--ds1", "--k", "4", "--seed", "1"]) == 0
+        assert main(["bench", "--ds1", "--k", "4", "--algo", "gtkmeans", "--seed", "1"]) == 0
         table = json.loads((tmp_path / "results.json").read_text())
         assert table["schema_version"] == 2
 

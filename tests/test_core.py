@@ -169,6 +169,19 @@ class TestImprovementPct:
     def test_can_be_negative(self):
         assert _pcts((10.0, 4.0), (15.0, 5.0)) == (-50.0, -25.0)
 
+    @pytest.mark.parametrize(
+        "initial, final, pct",
+        [
+            # ds1 scaled by 4e151, k = 4, run seed 1
+            (3.560439229741902e306, 1.6792092183288978e306, 52.8370206602115),
+            (1e306, 1.5e308, -14900.0),
+        ],
+        ids=["drop-above-1.8e306", "rise-to-1.5e308"],
+    )
+    def test_finite_where_the_scaled_difference_overflows(self, initial, final, pct):
+        # 100 * (initial - final) is beyond the float range here
+        assert _pcts((initial, 1.0), (final, 1.0)) == (pytest.approx(pct, rel=1e-12), 0.0)
+
 
 class TestObjectives:
     def test_bundles_both_metrics(self):

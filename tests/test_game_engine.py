@@ -150,6 +150,11 @@ class TestRouteRequests:
         with pytest.raises(ConfigError, match=match):
             route_requests(RoleAssignment(players=players, resources=resources), c)
 
+    def test_no_players_routes_nothing(self):
+        _, c = clustering_with_loads([4, 1, 8])
+        assert route_requests(RoleAssignment(players=(), resources=((2, 1),)), c) == {2: []}
+        assert route_requests(RoleAssignment(players=(), resources=()), c) == {}
+
     def test_players_without_resources_is_inconsistent(self):
         _, c = clustering_with_loads([4, 1, 8])
         roles = RoleAssignment(players=((0, 3),), resources=())

@@ -570,7 +570,7 @@ class TestSizeGuard:
     def test_cli_exits_2_on_a_game_above_the_limit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(game_engine, "MAX_TENSOR_BYTES", 100)
         out = tmp_path / "r.json"
-        status = main(["run", "--ds1", "--k", "8", "--seed", "1", "--out", str(out)])
+        status = main(["bench", "--ds1", "--k", "8", "--algo", "gtkmeans", "--seed", "1", "--out", str(out)])
         assert status == 2
         assert "payoff tensor" in capsys.readouterr().err
         assert not out.exists()
