@@ -145,8 +145,10 @@ class PayoffTensor:
 
     ``costs`` has one axis per participant, over its strategies, and a
     trailing axis of length n_participants; ``feasible`` marks joints
-    whose transfers fit the resource.  Infeasible joints carry a sentinel
-    cost strictly above every feasible entry.
+    whose transfers fit the resource.  Costs are nonnegative and never
+    NaN; feasible joints' costs are finite, and infeasible joints cost
+    ``+inf``, so each ranks above every feasible joint and ties with the
+    others.
     """
 
     costs: np.ndarray
@@ -160,8 +162,8 @@ class PayoffTensor:
                 "costs must have shape (*joint_shape, n_participants), one joint axis per participant, none empty"
             )
         # two reductions, no temporary per cost; NaN fails the first comparison
-        if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0))):
-            raise StructuralError("costs must be finite and nonnegative")
+        if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0, where=f[..., None]))):
+            raise StructuralError("costs must be nonnegative, and finite at feasible joints")
         c.flags.writeable = False
         f.flags.writeable = False
         object.__setattr__(self, "costs", c)
@@ -347,7 +349,11 @@ def _square_sum(v: np.ndarray) -> np.ndarray:
 
 
 def _sse(sums: np.ndarray) -> np.ndarray:
-    """SSE from running sums [sum per dim, sum of squares, count] on the last axis: squares - |sum|^2 / count."""
+    """SSE from running sums [sum per dim, sum of squares, count] on the last axis: squares - |sum|^2 / count.
+
+    The two terms nearly cancel for points far from the origin of their
+    coordinates, so the build takes its sums about the resource's center.
+    """
     dim = sums.shape[-1] - 2
     return sums[..., dim] - _square_sum(sums[..., :dim]) / sums[..., dim + 1]
 
@@ -363,8 +369,10 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
     outlives the call, so the limit bounds all the memory a game keeps
     once built.  The resource's load is read from ``clustering``.  A
-    one-player game has no rival, so every cost is 0 and only the
-    resource's ``load - 1`` cap decides feasibility.
+    one-player game has no rival, so every feasible cost is 0 and only
+    the resource's ``load - 1`` cap decides feasibility.  Every
+    infeasible joint costs ``+inf``: the costs start at ``+inf``, and
+    only feasible joints are written.
 
     Other games are built breadth-first, one participant per level, over
     a frontier of feasible prefixes; a prefix that already overdraws the
@@ -400,11 +408,12 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     ``moves[0]`` points to take, the most taken before it from a running
     total, its stride in the flat joint index and its own-balance term
     per strategy.  The size guard reads ``LocalGame.joint_count``.  Every
-    cluster SSE comes from running sums by one rule, ``_sse``, and every
-    joint's floats are formed in one fixed order: points added nearest
-    first, squares added one dimension at a time, and the after-SSEs of
-    the resource and then each participant summed in turn.  Infeasible
-    joints get a sentinel cost of 1 + the maximum feasible cost.
+    cluster SSE comes from running sums by one rule, ``_sse``, over
+    coordinates taken relative to the resource's center, so no cost moves
+    with the origin; the nearest-first orders read raw coordinates.
+    Every joint's floats are formed in one fixed order: points added
+    nearest first, squares added one dimension at a time, and the
+    after-SSEs of the resource and then each participant summed in turn.
     """
     parts = game.participants
     rid = game.resource_id
@@ -422,14 +431,18 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     m = loads[rid]
     if n_p == 1:
         feasible = np.array(parts[0].moves) < m
-        return PayoffTensor(costs=np.where(feasible, 0.0, 1.0)[:, None], feasible=feasible)
+        return PayoffTensor(costs=np.where(feasible, 0.0, np.inf)[:, None], feasible=feasible)
 
     # [sum per dim, sum of squares, count] of the resource, then of each
-    # participant, over each cluster's points in ascending index order
+    # participant, over each cluster's points in ascending index order, all
+    # taken about the resource's center so the sums do not cancel far from
+    # the origin; the nearest-first orders are read on raw coordinates
     dim = dataset.dim
     width = dim + 2
+    origin = clustering.centers[rid]
     _, x, orders = _read_resource(dataset, clustering, rid, pids)
-    clusters = [(rid, x)] + [(pid, dataset.points[clustering.members(pid)]) for pid in pids]
+    x = x - origin
+    clusters = [(rid, x)] + [(pid, dataset.points[clustering.members(pid)] - origin) for pid in pids]
     sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), loads[cid]] for cid, pts in clusters])
     before = _sse(sums)
     before_total = before[0] + sum(before[1:])
@@ -466,7 +479,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     a_col = width
     f_col = a_col + n_p
     b_col = f_col + 1
-    costs = np.zeros((joint_count, n_p))
+    costs = np.full((joint_count, n_p), np.inf)  # only feasible joints are written
     feasible = np.zeros(joint_count, dtype=bool)
 
     root = np.zeros((1, b_col + n_p))
@@ -506,8 +519,6 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         costs[flat] = np.sqrt(dsse * child[:, b_col:])
         feasible[flat] = True
 
-    if not feasible.all():
-        costs[~feasible] = costs.max(initial=0.0, where=feasible[:, None]) + 1.0
     return PayoffTensor(costs=costs.reshape(sizes + (n_p,)), feasible=feasible.reshape(sizes))
 
 
@@ -516,7 +527,9 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
 
     One pick codes "minimum social cost, ties by lexicographic joint
     index".  It runs over the pure equilibria or, when there is none,
-    over every joint, and that result is flagged as a fallback.
+    over every joint, and that result is flagged as a fallback.  An
+    infeasible joint's social cost is ``+inf``; when every candidate's
+    is, the first candidate is picked, by the same tie rule.
 
     Beside the tensor the search keeps one equilibrium flag per joint,
     started from the first participant's best-response test, and one
@@ -537,8 +550,8 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     kind = PURE_NASH if ne.size else FALLBACK_MIN_SOCIAL_COST
     candidates = ne if ne.size else np.arange(tensor.joint_count)
     # only a strictly lower social cost replaces the pick, so among equal
-    # minima the first, in lexicographic order, wins
-    best = math.inf
+    # minima the first, in lexicographic order, wins, all-inf ones included
+    best, flat = math.inf, int(candidates[0])
     for lo in range(0, candidates.size, BLOCK):
         block = candidates[lo : lo + BLOCK]
         social = costs[np.unravel_index(block, sizes)].sum(axis=-1)

@@ -222,6 +222,9 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
     cluster sums with numpy's ``sum(axis=0)`` and ``(p * p).sum()``, squares
     added one dimension at a time, transfers accumulated point by point
     nearest first, and each leaf's SSE totals summed in participant order.
+    Sums and transfers are taken on coordinates relative to the resource's
+    center, and the nearest-first orders on raw ones.  Infeasible joints
+    cost ``+inf``.
     """
     pts = np.asarray(points, dtype=np.float64)
     assign = np.asarray(assignment)
@@ -237,14 +240,14 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
         return np.lexsort((member, d2)).tolist()
 
     def stats(cluster_id):
-        p = pts[assign == cluster_id]
+        p = pts[assign == cluster_id] - centers[resource_id]
         return [float(v) for v in p.sum(axis=0)], float((p * p).sum()), int(p.shape[0])
 
     def sse_of(s, q, n):
         return q - sum(v * v for v in s) / n
 
     orders = [nearest_first(pid) for pid, _, _ in participants]
-    x_rows = [tuple(float(v) for v in row) for row in pts[member]]
+    x_rows = [tuple(float(v) for v in row) for row in pts[member] - centers[resource_id]]
     x_sq = [sum(v * v for v in row) for row in x_rows]
     base_r = stats(resource_id)
     base_p = [stats(pid) for pid, _, _ in participants]
@@ -300,8 +303,7 @@ def payoff_tensor_dfs(points, assignment, centers, resource_id, participants):
                 taken[pos] = False
 
     descend(0, 0, list(base_r[0]), base_r[1], base_r[2])
-    if not feasible.all():
-        costs[~feasible] = (float(costs[feasible].max()) if feasible.any() else 0.0) + 1.0
+    costs[~feasible] = np.inf  # after the descent: a one-player leaf writes no cost
     return costs, feasible
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -285,6 +286,94 @@ class TestAgainstReference:
             assert report.trace[9].accepted and not report.trace[10].accepted
             assert report.trace[10].loads_end == report.trace[9].loads_end
             assert_same_run(report, run_gtkmeans_reference(ds1, config))
+
+
+@st.composite
+def ds1_configs(draw):
+    """A run of either engine on ds1, k at most 8 so every game stays small; ds1 itself is the fixture's."""
+    return None, RunConfig(
+        k=draw(st.integers(2, 8)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        ns=draw(st.sampled_from([None, 1, 2, 3])),
+        max_outer_iterations=draw(st.sampled_from([1, 3, 100])),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+    )
+
+
+def assert_scaled_run(report, base, p, signs):
+    """``report`` is ``base`` rerun on its data times 2**p with axis signs ``signs``, outside wall time.
+
+    Every SSE scales by exactly 4**p and every equilibrium cost by exactly
+    2**p (``inf`` stays ``inf``); the final centers scale by 2**p and take
+    the signs; everything else is equal.
+    """
+
+    def state(s):
+        return dataclasses.replace(s, sse=math.ldexp(s.sse, 2 * p))
+
+    def game(g):
+        costs = tuple(math.ldexp(c, p) for c in g.equilibrium.costs)
+        return dataclasses.replace(g, equilibrium=dataclasses.replace(g.equilibrium, costs=costs))
+
+    def record(r):
+        return dataclasses.replace(
+            r,
+            sse_before_games=math.ldexp(r.sse_before_games, 2 * p),
+            sse_end=math.ldexp(r.sse_end, 2 * p),
+            games=tuple(game(g) for g in r.games),
+        )
+
+    assert np.array_equal(report.final_clustering.assignment, base.final_clustering.assignment)
+    assert np.array_equal(report.final_clustering.loads, base.final_clustering.loads)
+    assert np.array_equal(report.final_clustering.centers, np.ldexp(base.final_clustering.centers, p) * signs)
+    assert (report.config, report.termination, report.kmeans_iterations) == (
+        base.config,
+        base.termination,
+        base.kmeans_iterations,
+    )
+    assert (report.initial, report.final, report.improvement) == (state(base.initial), state(base.final), base.improvement)
+    assert report.trace == tuple(record(r) for r in base.trace)
+
+
+# Two runs on which an infeasible joint's cost of 1 + the largest feasible
+# cost broke the symmetry: past 2**53 the + 1 rounds away, the infeasible
+# joints tie with the costliest feasible one, and the equilibrium moved
+# from (1, 1) to (0, 0).  In the second the final assignment moved too.
+SENTINEL_ROUNDS_FLIPPED = (
+    Dataset(points=[[0, 2], [0, -1], [-1, -1], [-1, -1], [-2, 2], [1, -3], [0, 1], [2, 2], [-2, 0], [0, -1], [0, 2], [1, -3], [-2, 0]]),
+    RunConfig(k=5, seed=2292975616, max_outer_iterations=1, algorithm="pkgame"),
+)
+SENTINEL_ROUNDS_NS1 = (
+    Dataset(
+        points=[[2, 2], [1, 1], [-2, 0], [-2, 1], [0, -3], [3, 1], [3, 1], [1, -3], [1, -3], [0, -1], [2, 2], [-2, -1], [-3, -1], [3, -3]]
+    ),
+    RunConfig(k=6, seed=2145645819, ns=1, algorithm="pkgame"),
+)
+
+
+class TestExactSymmetries:
+    """Scaling every coordinate by a power of two and flipping axes are exact in binary floating point.
+
+    Every sum, square, distance, SSE and payoff then scales by an exact
+    power of two, so every comparison a run makes, and so the run, is
+    unchanged.  Translation is not exact and is not pinned here.
+    """
+
+    @given(
+        st.one_of(integer_grid_runs(), ds1_configs()),
+        st.integers(-60, 60),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    @example(SENTINEL_ROUNDS_FLIPPED, 56, [True, True, False])
+    @example(SENTINEL_ROUNDS_NS1, 54, [False, False, False])
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scale_and_axis_flips(self, ds1, run, p, flips):
+        dataset, config = run
+        dataset = ds1 if dataset is None else dataset
+        signs = np.where(flips[: dataset.dim], -1.0, 1.0)
+        base = run_algorithm(dataset, config)
+        report = run_algorithm(Dataset(points=np.ldexp(dataset.points, p) * signs), config)
+        assert_scaled_run(report, base, p, signs)
 
 
 class TestRunPkgame:

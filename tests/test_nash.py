@@ -112,7 +112,7 @@ class TestOracleEquivalence:
 
 @st.composite
 def tied_tensors(draw):
-    """Integer costs, so ties abound, with some joints on the build's infeasible plateau."""
+    """Integer costs, so ties abound, with some joints on the build's infeasible plateau of ``inf``."""
     sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
     mode = draw(st.sampled_from(["ties", "spread", "constant-sum"]))
     if mode == "ties":  # few cost levels: many equilibria of equal social cost
@@ -125,8 +125,7 @@ def tied_tensors(draw):
     if mode == "constant-sum":  # every joint has the same social cost, so the pick is lexicographic
         costs[..., -1] = top * (len(sizes) - 1) - costs[..., :-1].sum(axis=-1)
     feasible = rng.random(sizes) < share_feasible
-    # as build_payoff_tensor does: every infeasible joint costs 1 + the largest feasible cost
-    costs[~feasible] = costs.max(initial=0.0, where=feasible[..., None]) + 1.0
+    costs[~feasible] = np.inf  # as build_payoff_tensor does
     return PayoffTensor(costs=costs, feasible=feasible)
 
 

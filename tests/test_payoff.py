@@ -178,6 +178,14 @@ class TestSingleParticipant:
         first = next(i for i, v in enumerate(strategies) if requested - v <= load - 1)
         assert find_pure_nash(build_payoff_tensor(ds, c, game)) == EquilibriumResult((first,), PURE_NASH, (0.0,))
 
+    def test_infeasible_strategies_cost_inf(self):
+        # a 4-point resource spares at most 3 units: moving 5 or 4 of a 5-unit request overdraws it
+        ds = Dataset(points=[[0.0], [1.0], [2.0], [3.0], [1000.0]])
+        c = Clustering.from_assignment(ds, [0, 0, 0, 0, 1], 2)
+        tensor = build_payoff_tensor(ds, c, LocalGame(resource_id=0, participants=(Participant(1, 5),)))
+        assert tensor.feasible.tolist() == [False, False, True, True, True]
+        assert tensor.costs[:, 0].tolist() == [np.inf, np.inf, 0.0, 0.0, 0.0]
+
 
 class TestTakersRule:
     """A game's players are other clusters of the clustering, each listed once, in ascending id."""
@@ -243,6 +251,32 @@ class TestPayoffTensorValidation:
         tensor = PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
         assert tensor.shape == (3, 2)
 
+    @staticmethod
+    def one_infeasible_joint(cost):
+        """Costs of 1 over (3, 2) joints, with ``cost`` for player 1 at the infeasible joint (1, 0)."""
+        costs = np.ones((3, 2, 2))
+        costs[1, 0, 1] = cost
+        feasible = np.ones((3, 2), dtype=bool)
+        feasible[1, 0] = False
+        return costs, feasible
+
+    def test_inf_at_an_infeasible_joint_accepted(self):
+        costs, feasible = self.one_infeasible_joint(np.inf)
+        tensor = PayoffTensor(costs=costs, feasible=feasible)
+        assert tensor.costs[1, 0, 1] == np.inf
+
+    def test_inf_at_a_feasible_joint_rejected(self):
+        costs, feasible = self.one_infeasible_joint(1.0)
+        costs[2, 1, 0] = np.inf
+        with pytest.raises(StructuralError, match="finite at feasible joints"):
+            PayoffTensor(costs=costs, feasible=feasible)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
+    def test_nan_or_negative_cost_at_an_infeasible_joint_rejected(self, bad):
+        costs, feasible = self.one_infeasible_joint(bad)
+        with pytest.raises(StructuralError, match="nonnegative"):
+            PayoffTensor(costs=costs, feasible=feasible)
+
 
 class TestTensorShape:
     def test_full_sets_shape(self, line20):
@@ -296,7 +330,7 @@ class TestInfeasibleJoints:
         ds, c, game = self.make_overdrawn()
         tensor = build_payoff_tensor(ds, c, game)
         assert not tensor.feasible.any()
-        assert tensor.costs[0, 0].tolist() == [1.0, 1.0]  # 1 + max over no feasible costs
+        assert tensor.costs[0, 0].tolist() == [np.inf, np.inf]
 
     def test_point_payoff_raises_on_infeasible(self):
         ds, c, game = self.make_overdrawn()
@@ -317,9 +351,8 @@ class TestInfeasibleJoints:
         )
         tensor = build_payoff_tensor(ds, c, game)
         assert tensor.feasible.any() and not tensor.feasible.all()
-        sentinel = tensor.costs[~tensor.feasible].min()
-        assert (tensor.costs[~tensor.feasible] == sentinel).all()
-        assert sentinel == pytest.approx(1.0 + tensor.costs[tensor.feasible].max())
+        assert (tensor.costs[~tensor.feasible] == np.inf).all()
+        assert tensor.costs[~tensor.feasible].min() > tensor.costs[tensor.feasible].max()
 
     def test_feasibility_boundary_matches_capacity(self):
         ds = Dataset(points=[[float(i)] for i in range(12)])
@@ -469,7 +502,7 @@ class TestTensorMatchesDepthFirstReference:
 
 
 class TestOriginShift:
-    """Moving every point and start center by one vector moves no cost of a game."""
+    """Moving every point and start center by one vector moves no game's costs beyond rounding, nor a run's outcome."""
 
     @staticmethod
     def resource_7_tensor(dataset, centers):
@@ -479,20 +512,30 @@ class TestOriginShift:
         games = conflicted_games(roles, route_requests(roles, clustering), None)
         return build_payoff_tensor(dataset, clustering, next(g for g in games if g.resource_id == 7))
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        reason="ROADMAP item 13: the build forms each SSE as sum |x|^2 - |sum x|^2 / count on raw "
-        "coordinates, which cancels far from the origin (worst relative change 0.28 at +1e5)",
-    )
     def test_feasible_costs_do_not_move_with_the_origin(self, ds1):
         # ds1, k = 8, run seed 12: a (17, 11, 10, 3, 6) game whose worst
-        # relative cost change is 1e-5 at a shift of 1e3 and 0.0028 at 1e4
+        # relative cost change was 1e-5 at a shift of 1e3, 0.0028 at 1e4 and
+        # 0.28 at 1e5 while the build took its sums on raw coordinates
         centers = init_centers(ds1, KMeansConfig(k=8, seed=12))
         base = self.resource_7_tensor(ds1, centers)
         shifted = self.resource_7_tensor(Dataset(ds1.points + 1e5), centers + 1e5)
         if base.shape != (17, 11, 10, 3, 6) or not np.array_equal(base.feasible, shifted.feasible):
             pytest.fail("the shift changed the game or its feasible joints, not only its costs")
         np.testing.assert_allclose(shifted.costs[shifted.feasible], base.costs[base.feasible], rtol=1e-6)
+
+    @pytest.mark.parametrize("seed, ns", [(2, None), (4, 3)])
+    def test_whole_run_far_from_the_origin(self, ds1, seed, ns):
+        # two of the 35 gtkmeans runs (k in {4, 8}, run seeds 1-25, ns off
+        # or 3) that ended on another assignment at +1e7 with raw-coordinate sums
+        config = RunConfig(k=4, seed=seed, ns=ns)
+        base = run_algorithm(ds1, config)
+        shifted = run_algorithm(Dataset(ds1.points + 1e7), config)
+
+        def joints(report):
+            return [g.equilibrium.joint for rec in report.trace for g in rec.games]
+
+        assert np.array_equal(shifted.final_clustering.assignment, base.final_clustering.assignment)
+        assert joints(shifted) == joints(base) and joints(base)
 
 
 class TestWorkingMemory:
