@@ -174,7 +174,7 @@ def _play_games(
             tensor = build_payoff_tensor(dataset, clustering, game)
             eq = find_pure_nash(tensor)
             plan[game.resource_id] = game.transfers(eq.joint)
-            records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.feasible.size))
+            records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.joint_count))
             del tensor  # so the next game's build never overlaps this tensor
         end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
     score = end.score(pre) if accepted and pre.sse > 0 and pre.load_metric > 0 else None

@@ -71,8 +71,8 @@ from .errors import ConfigError, StructuralError, TensorTooLargeError
 PURE_NASH = "pure-nash"
 FALLBACK_MIN_SOCIAL_COST = "fallback-min-social-cost"
 
-# Largest payoff tensor a game may ask for, in bytes: 8 per cost and 1 per
-# feasibility flag, for each joint.
+# Largest payoff tensor a game may ask for, in bytes: 8 per cost, and 1 per
+# joint for the flags that reading ``PayoffTensor.feasible`` allocates.
 MAX_TENSOR_BYTES = 256 * 2**20
 
 # The tensor build expands at most this many children at once, and the Nash
@@ -144,30 +144,37 @@ class PayoffTensor:
     """Per-participant costs over the joint strategy space of one local game.
 
     ``costs`` has one axis per participant, over its strategies, and a
-    trailing axis of length n_participants; ``feasible`` marks joints
-    whose transfers fit the resource.  Costs are nonnegative and never
-    NaN; feasible joints' costs are finite, and infeasible joints cost
-    ``+inf``, so each ranks above every feasible joint and ties with the
-    others.
+    trailing axis of length n_participants.  Costs are nonnegative and
+    never NaN, and each joint's costs are all finite or all ``+inf``: a
+    joint is feasible, its transfers fitting the resource, iff its costs
+    are finite.  An infeasible joint thus ranks above every feasible joint
+    and ties with the others.
     """
 
     costs: np.ndarray
-    feasible: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=np.float64)
-        f = np.asarray(self.feasible, dtype=bool)
-        if c.ndim < 2 or c.shape[-1] != c.ndim - 1 or c.shape[:-1] != f.shape or c.size == 0:
+        if c.ndim < 2 or c.shape[-1] != c.ndim - 1 or c.size == 0:
             raise StructuralError(
                 "costs must have shape (*joint_shape, n_participants), one joint axis per participant, none empty"
             )
-        # two reductions, no temporary per cost; NaN fails the first comparison
-        if not (c.min(initial=0.0) >= 0 and np.isfinite(c.max(initial=0.0, where=f[..., None]))):
-            raise StructuralError("costs must be nonnegative, and finite at feasible joints")
+        # two flags per joint and three reductions, no temporary per cost;
+        # NaN fails the first comparison
+        f = np.isfinite(c[..., 0])
+        if not (
+            c.min(initial=0.0) >= 0
+            and np.isfinite(c.max(initial=0.0, where=f[..., None]))
+            and c.min(initial=np.inf, where=~f[..., None]) == np.inf
+        ):
+            raise StructuralError("costs must be nonnegative, and each joint's all finite or all +inf")
         c.flags.writeable = False
-        f.flags.writeable = False
         object.__setattr__(self, "costs", c)
-        object.__setattr__(self, "feasible", f)
+
+    @property
+    def feasible(self) -> np.ndarray:
+        """One flag per joint, True where its costs are finite; a new array on each read."""
+        return np.isfinite(self.costs[..., 0])
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -365,14 +372,17 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     players break the takers rule (``_check_takers``): each a cluster of
     ``clustering``, the players other clusters in strictly ascending id.
     Raises ``TensorTooLargeError`` before allocating anything when the
-    tensor (8 bytes per cost and 1 per feasibility flag, for each joint)
+    tensor (8 bytes per cost, and 1 per joint for its feasibility flags)
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
     outlives the call, so the limit bounds all the memory a game keeps
     once built.  The resource's load is read from ``clustering``.  A
     one-player game has no rival, so every feasible cost is 0 and only
     the resource's ``load - 1`` cap decides feasibility.  Every
     infeasible joint costs ``+inf``: the costs start at ``+inf``, and
-    only feasible joints are written.
+    only feasible joints are written, so the costs alone record which
+    joints are feasible.  Raises ``StructuralError`` when a cost written
+    is not finite (the data's scale overflows the payoff), since a
+    feasible joint must not read as infeasible.
 
     Other games are built breadth-first, one participant per level, over
     a frontier of feasible prefixes; a prefix that already overdraws the
@@ -430,8 +440,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     loads = clustering.loads.tolist()
     m = loads[rid]
     if n_p == 1:
-        feasible = np.array(parts[0].moves) < m
-        return PayoffTensor(costs=np.where(feasible, 0.0, np.inf)[:, None], feasible=feasible)
+        return PayoffTensor(np.where(np.array(parts[0].moves) < m, 0.0, np.inf)[:, None])
 
     # [sum per dim, sum of squares, count] of the resource, then of each
     # participant, over each cluster's points in ascending index order, all
@@ -480,7 +489,6 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     f_col = a_col + n_p
     b_col = f_col + 1
     costs = np.full((joint_count, n_p), np.inf)  # only feasible joints are written
-    feasible = np.zeros(joint_count, dtype=bool)
 
     root = np.zeros((1, b_col + n_p))
     root[0, :width] = sums[0]
@@ -515,11 +523,15 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
         for i in range(a_col, f_col):
             after_total = after_total + child[:, i]
         dsse = abs((after_total[:, None] - child[:, a_col:f_col]) - before_rest)
-        flat = child[:, f_col].astype(np.intp)
-        costs[flat] = np.sqrt(dsse * child[:, b_col:])
-        feasible[flat] = True
+        leaf = np.sqrt(dsse * child[:, b_col:])
+        if not np.isfinite(leaf.max(initial=0.0)):  # max propagates NaN
+            raise StructuralError(
+                f"the payoff of the game on resource {rid} is not finite at a feasible joint: "
+                "the data's scale overflows the costs"
+            )
+        costs[child[:, f_col].astype(np.intp)] = leaf
 
-    return PayoffTensor(costs=costs.reshape(sizes + (n_p,)), feasible=feasible.reshape(sizes))
+    return PayoffTensor(costs.reshape(sizes + (n_p,)))
 
 
 def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
@@ -527,9 +539,11 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
 
     One pick codes "minimum social cost, ties by lexicographic joint
     index".  It runs over the pure equilibria or, when there is none,
-    over every joint, and that result is flagged as a fallback.  An
-    infeasible joint's social cost is ``+inf``; when every candidate's
-    is, the first candidate is picked, by the same tie rule.
+    over every joint, and that result is flagged as a fallback.  It reads
+    the costs alone, which also say which joints are feasible: an
+    infeasible joint's costs, and so its social cost, are ``+inf``; when
+    every candidate's social cost is, the first candidate is picked, by
+    the same tie rule.
 
     Beside the tensor the search keeps one equilibrium flag per joint,
     started from the first participant's best-response test, and one

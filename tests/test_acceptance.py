@@ -104,7 +104,7 @@ def test_criterion_3_nash_oracle_equivalence():
         n_p = int(rng.integers(2, 4))
         sizes = tuple(int(rng.integers(1, 6)) for _ in range(n_p))
         costs = np.round(rng.random(sizes + (n_p,)), 2)
-        tensor = PayoffTensor(costs=costs, feasible=np.ones(sizes, dtype=bool))
+        tensor = PayoffTensor(costs)
         result = find_pure_nash(tensor)
         equilibria = pure_nash_set(tensor_as_dict(costs))
         if equilibria:

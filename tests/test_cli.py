@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gameclust import Ds1Config, cli, drivers, generate_ds1, load_csv
+from gameclust import Dataset, Ds1Config, cli, drivers, generate_ds1, load_csv, save_csv
 from gameclust.cli import execute, main, parse_invocation
 
 
@@ -315,6 +315,17 @@ class TestExecute:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+
+    def test_overflowing_payoff_exits_2_without_output(self, ds1, tmp_path, capsys):
+        # ds1 scaled by 8e151: the objectives are finite, but a game's costs overflow
+        data = tmp_path / "scaled.csv"
+        save_csv(Dataset(ds1.points * 8e151), str(data))
+        out = tmp_path / "o.json"
+        status = main(["bench", "--data", str(data), "--k", "4", "--seed", "1", "--algo", "gtkmeans", "--out", str(out)])
+        assert status == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite at a feasible joint" in err[0]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_table_holding_inf_is_a_dataset_failure(self, tmp_path, capsys, monkeypatch, fmt):

@@ -18,7 +18,7 @@ from oracles import pure_nash_pick, pure_nash_set, tensor_as_dict
 
 def tensor_from(costs):
     costs = np.asarray(costs, dtype=np.float64)
-    return PayoffTensor(costs=costs, feasible=np.ones(costs.shape[:-1], dtype=bool))
+    return PayoffTensor(costs)
 
 
 class TestSmallGames:
@@ -126,7 +126,7 @@ def tied_tensors(draw):
         costs[..., -1] = top * (len(sizes) - 1) - costs[..., :-1].sum(axis=-1)
     feasible = rng.random(sizes) < share_feasible
     costs[~feasible] = np.inf  # as build_payoff_tensor does
-    return PayoffTensor(costs=costs, feasible=feasible)
+    return PayoffTensor(costs)
 
 
 class TestPickMatchesBruteForce:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -227,55 +228,73 @@ class TestPayoffTensorValidation:
         costs = np.ones((3, 2, 2))
         costs[1, 0, 1] = bad
         with pytest.raises(StructuralError):
-            PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
+            PayoffTensor(costs)
 
     def test_no_participant_rejected(self):
         with pytest.raises(StructuralError):
-            PayoffTensor(costs=np.zeros((3, 0)), feasible=np.ones(3, dtype=bool))
+            PayoffTensor(np.zeros((3, 0)))
 
     @pytest.mark.parametrize("shape", [(3, 3, 5), (2, 2, 1)])
     def test_cost_axis_not_one_per_joint_axis_rejected(self, shape):
         # 5 costs over 2 joint axes, or 1 cost over 2: the trailing axis must count the joint axes
         with pytest.raises(StructuralError, match="one joint axis per participant"):
-            PayoffTensor(costs=np.zeros(shape), feasible=np.ones(shape[:-1], dtype=bool))
+            PayoffTensor(np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(0, 1), (2, 0, 2)])
     def test_empty_joint_axis_rejected(self, shape):
         # a participant without strategies leaves no joint for the Nash search to pick
         with pytest.raises(StructuralError, match="none empty"):
-            PayoffTensor(costs=np.zeros(shape), feasible=np.ones(shape[:-1], dtype=bool))
+            PayoffTensor(np.zeros(shape))
 
     def test_zero_and_finite_costs_accepted(self):
         costs = np.zeros((3, 2, 2))
         costs[2, 1, 0] = np.finfo(float).max
-        tensor = PayoffTensor(costs=costs, feasible=np.ones((3, 2), dtype=bool))
+        tensor = PayoffTensor(costs)
         assert tensor.shape == (3, 2)
+        assert tensor.feasible.all()
+
+    def test_costs_are_the_only_field(self):
+        # the feasible flags are read from the costs, never held beside them
+        assert [f.name for f in dataclasses.fields(PayoffTensor)] == ["costs"]
 
     @staticmethod
     def one_infeasible_joint(cost):
-        """Costs of 1 over (3, 2) joints, with ``cost`` for player 1 at the infeasible joint (1, 0)."""
+        """Costs of 1 over (3, 2) joints; joint (1, 0) costs +inf to player 0 and ``cost`` to player 1."""
         costs = np.ones((3, 2, 2))
-        costs[1, 0, 1] = cost
-        feasible = np.ones((3, 2), dtype=bool)
-        feasible[1, 0] = False
-        return costs, feasible
+        costs[1, 0] = [np.inf, cost]
+        return costs
 
     def test_inf_at_an_infeasible_joint_accepted(self):
-        costs, feasible = self.one_infeasible_joint(np.inf)
-        tensor = PayoffTensor(costs=costs, feasible=feasible)
-        assert tensor.costs[1, 0, 1] == np.inf
+        tensor = PayoffTensor(self.one_infeasible_joint(np.inf))
+        assert tensor.costs[1, 0].tolist() == [np.inf, np.inf]
+        assert tensor.feasible.tolist() == [[True, True], [False, True], [True, True]]
 
     def test_inf_at_a_feasible_joint_rejected(self):
-        costs, feasible = self.one_infeasible_joint(1.0)
-        costs[2, 1, 0] = np.inf
-        with pytest.raises(StructuralError, match="finite at feasible joints"):
-            PayoffTensor(costs=costs, feasible=feasible)
+        # a joint that mixes a finite cost and +inf is neither feasible nor infeasible
+        costs = np.ones((3, 2, 2))
+        costs[2, 1] = [1.0, np.inf]
+        with pytest.raises(StructuralError, match="all finite or all [+]inf"):
+            PayoffTensor(costs)
+
+    def test_finite_cost_at_an_infeasible_joint_rejected(self):
+        # the same mix, +inf first: the joint reads infeasible, yet costs 1.0 to player 1
+        with pytest.raises(StructuralError, match="all finite or all [+]inf"):
+            PayoffTensor(self.one_infeasible_joint(1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
     def test_nan_or_negative_cost_at_an_infeasible_joint_rejected(self, bad):
-        costs, feasible = self.one_infeasible_joint(bad)
         with pytest.raises(StructuralError, match="nonnegative"):
-            PayoffTensor(costs=costs, feasible=feasible)
+            PayoffTensor(self.one_infeasible_joint(bad))
+
+    def test_feasible_and_the_nash_search_read_the_same_costs(self):
+        # a zero cost at joint (0, 0) makes it feasible; no flag can mark it
+        # otherwise while the search picks it as an equilibrium
+        costs = np.ones((2, 2, 2))
+        costs[0, 0] = 0.0
+        tensor = PayoffTensor(costs)
+        assert tensor.feasible[0, 0] and tensor.feasible.all()
+        result = find_pure_nash(tensor)
+        assert (result.joint, result.kind, result.costs) == ((0, 0), PURE_NASH, (0.0, 0.0))
 
 
 class TestTensorShape:
@@ -368,6 +387,31 @@ class TestInfeasibleJoints:
         for i, j in itertools.product(range(4), range(5)):
             total = (4 - i) + (5 - j)
             assert tensor.feasible[i, j] == (total <= 7)
+
+    def test_feasible_joints_whose_costs_all_overflow_refused(self):
+        # every joint of this game is feasible; scaled by 2.5e153 every cost
+        # overflows, and unrefused all four joints would read as infeasible
+        xs = np.array([-4.4, -3.8, -2.9, -5.6, -2.3, -6.6, 0.1, -3.4])[:, None]
+        game = LocalGame(0, (Participant(1, 1), Participant(2, 2)))
+
+        def build(scale):
+            ds = Dataset(points=xs * scale)
+            return build_payoff_tensor(ds, Clustering.from_assignment(ds, [0] * 5 + [1] * 2 + [2], 3), game)
+
+        assert build(1e153).feasible.all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StructuralError, match="not finite at a feasible joint"):
+                build(2.5e153)
+
+    def test_overflowed_feasible_cost_refused(self, ds1):
+        # ds1 scaled by 8e151, k = 4, run seed 1: a feasible joint's costs
+        # overflow, and the build refuses them rather than let the joint read
+        # as infeasible
+        scaled = Dataset(ds1.points * 8e151)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StructuralError, match="not finite at a feasible joint") as err:
+                run_algorithm(scaled, RunConfig(k=4, seed=1, algorithm="gtkmeans"))
+        assert err.traceback[-1].name == "build_payoff_tensor"
 
 
 class TestPurity:
@@ -570,7 +614,7 @@ class TestWorkingMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            beside = peak - tensor.costs.nbytes - tensor.feasible.nbytes
+            beside = peak - tensor.costs.nbytes
             assert beside <= self.bound(ds1, c, game), game.shape
 
 
