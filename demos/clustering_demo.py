@@ -14,9 +14,8 @@ from gameclust import (
     ideal_load,
     init_centers,
     lloyd_full,
-    load_metric,
+    objectives,
     run_algorithm,
-    sse,
 )
 
 K, SEED = 8, 1
@@ -26,8 +25,8 @@ print(f"dataset: {dataset.n} points, {dataset.dim}-d, k={K}, ideal load {float(i
 
 plain, _ = lloyd_full(dataset, init_centers(dataset, KMeansConfig(k=K, seed=SEED)), 100)
 print("\nplain k-means     loads:", plain.loads.tolist())
-print("                  SSE:", round(sse(dataset, plain), 1),
-      " L:", round(load_metric(plain.loads, ideal_load(dataset.n, K)), 1))
+base = objectives(dataset, plain)
+print("                  SSE:", round(base.sse, 1), " L:", round(base.load_metric, 1))
 
 for label, report in [
     ("gtkmeans", run_algorithm(dataset, RunConfig(k=K, seed=SEED))),

@@ -16,7 +16,6 @@ from .core import (
     improvement_report,
     load_metric,
     objectives,
-    sse,
 )
 from .datagen import Ds1Config, generate_ds1, load_csv, save_csv
 from .drivers import (
@@ -50,7 +49,6 @@ from .game_engine import (
     build_payoff_tensor,
     classify_roles,
     conflicted_games,
-    detect_conflict,
     find_pure_nash,
     route_requests,
     select_strategies,
@@ -89,7 +87,6 @@ __all__ = [
     "build_payoff_tensor",
     "classify_roles",
     "conflicted_games",
-    "detect_conflict",
     "find_pure_nash",
     "generate_ds1",
     "geometric_mean_index",
@@ -108,5 +105,4 @@ __all__ = [
     "run_algorithm",
     "save_csv",
     "select_strategies",
-    "sse",
 ]

@@ -164,6 +164,7 @@ def ideal_load(n: int, k: int) -> Fraction:
 
 
 def _check_consistent(dataset: Dataset, clustering: Clustering) -> None:
+    """The one dataset/clustering check: ``clustering`` covers ``dataset``'s n points in its dim, else ``StructuralError``."""
     if clustering.assignment.shape[0] != dataset.n:
         raise StructuralError(
             f"clustering covers {clustering.assignment.shape[0]} points, dataset has {dataset.n}"
@@ -208,17 +209,11 @@ def mean_centers(points: np.ndarray, assignment: np.ndarray, loads: np.ndarray) 
     return centers
 
 
-def sse(dataset: Dataset, clustering: Clustering) -> float:
-    """Sum of squared Euclidean distances from points to their assigned centers."""
-    _check_consistent(dataset, clustering)
-    return assigned_sse(dataset.points, clustering.assignment, clustering.centers)
-
-
 def assigned_sse(points: np.ndarray, assignment: np.ndarray, centers: np.ndarray) -> float:
     """SSE of ``points`` against ``centers[assignment]``, on plain arrays.
 
-    The one SSE rule: ``sse`` reads it through a ``Clustering``, and
-    ``apply_and_evaluate`` scores its candidate states with it directly.
+    The one SSE rule: ``objectives`` reads it through a ``Clustering``,
+    and ``apply_and_evaluate`` scores its candidate states with it directly.
     """
     diff = points - centers.take(assignment, axis=0)
     diff *= diff
@@ -255,13 +250,15 @@ def load_metric(loads: Sequence[int], ideal: Rational) -> float:
 
 
 def objectives(dataset: Dataset, clustering: Clustering) -> ObjectiveState:
-    """Evaluate both objectives, the load metric against the ideal load n/k.
+    """The one evaluation of a clustering: its SSE and its load metric against the ideal load n/k.
 
-    Raises ``StructuralError`` when the SSE is not finite, which happens
-    when the data's scale overflows the squared distances: no balancer
-    can compare states whose SSE is inf or nan.
+    Raises ``StructuralError`` when ``clustering`` is not one of
+    ``dataset`` (``_check_consistent``), and when the SSE is not finite,
+    which happens when the data's scale overflows the squared distances:
+    no balancer can compare states whose SSE is inf or nan.
     """
-    total = sse(dataset, clustering)
+    _check_consistent(dataset, clustering)
+    total = assigned_sse(dataset.points, clustering.assignment, clustering.centers)
     if not math.isfinite(total):
         raise StructuralError("results are not finite (inf or nan): the data's scale overflows the objectives")
     ideal = ideal_load(dataset.n, clustering.k)

@@ -94,25 +94,29 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one run produced: objectives, improvements, iterations, timing.
+    """Everything one run produced: objectives, iterations, timing.
 
-    ``config`` is the config that ran, naming its engine.  ``termination``
-    is one of ``TERMINATIONS``: why the run stopped.  Iteration and game
-    counts are read from ``trace``, one record per outer iteration.
-    ``kmeans_iterations`` counts the Lloyd steps run; a gtkmeans run that
-    stopped on a repeated post-Lloyd assignment ran one more Lloyd step
-    than it has records.
+    ``config`` is the config that ran, naming its engine.  ``improvement``
+    is read from ``initial`` and ``final``, so it always matches them.
+    ``termination`` is one of ``TERMINATIONS``: why the run stopped.
+    Iteration and game counts are read from ``trace``, one record per
+    outer iteration.  ``kmeans_iterations`` counts the Lloyd steps run; a
+    gtkmeans run that stopped on a repeated post-Lloyd assignment ran one
+    more Lloyd step than it has records.
     """
 
     config: RunConfig
     initial: ObjectiveState
     final: ObjectiveState
-    improvement: ImprovementReport
     kmeans_iterations: int
     termination: str
     wall_time_s: float
     trace: Tuple[IterationRecord, ...]
     final_clustering: Clustering
+
+    @property
+    def improvement(self) -> ImprovementReport:
+        return improvement_report(self.initial, self.final)
 
     @property
     def outer_iterations(self) -> int:
@@ -278,7 +282,6 @@ def run_algorithm(dataset: Dataset, config: RunConfig) -> RunReport:
         config=config,
         initial=initial,
         final=final,
-        improvement=improvement_report(initial, final),
         kmeans_iterations=kmeans_iterations,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,

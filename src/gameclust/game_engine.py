@@ -58,6 +58,7 @@ from .core import (
     Dataset,
     ObjectiveState,
     Rational,
+    _check_consistent,
     assigned_sse,
     ideal_load,
     load_excess,
@@ -275,11 +276,6 @@ def route_requests(roles: RoleAssignment, clustering: Clustering) -> Dict[int, L
     return routing
 
 
-def detect_conflict(resource_overhead: int, requests: Sequence[int]) -> bool:
-    """True when the requested units exceed the resource's spare units."""
-    return sum(whole(r, "request") for r in requests) > whole(resource_overhead, "overhead", least=0)
-
-
 def select_strategies(request: int, ns: Optional[int] = None) -> Tuple[int, ...]:
     """A request's strategy set: the multiples of ns below ``request``, plus the largest strategy ``request - 1``.
 
@@ -302,16 +298,18 @@ def conflicted_games(
 ) -> List[LocalGame]:
     """One local game per conflicted resource, in ascending resource id.
 
-    Participants are ordered by ascending player id, each built as
-    ``Participant(pid, request, ns)``.  Resources whose spare units cover
-    all routed requests produce no game.  A game holds no load: the
-    clustering it is built and applied against supplies it.
+    The one rule for which resources play: a resource is conflicted when
+    the units routed to it exceed its spare units, both read by
+    ``core.whole``; resources whose spare units cover all routed requests
+    produce no game.  Participants are ordered by ascending player id,
+    each built as ``Participant(pid, request, ns)``.  A game holds no
+    load: the clustering it is built and applied against supplies it.
     """
     overhead = dict(roles.resources)
     games: List[LocalGame] = []
     for rid in sorted(routing):
         routed = sorted(routing[rid])
-        if not detect_conflict(overhead[rid], [req for _, req in routed]):
+        if sum(whole(req, "request") for _, req in routed) <= whole(overhead[rid], "overhead", least=0):
             continue
         participants = tuple(Participant(pid, request, ns) for pid, request in routed)
         games.append(LocalGame(resource_id=rid, participants=participants))
@@ -368,6 +366,8 @@ def _sse(sums: np.ndarray) -> np.ndarray:
 def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGame) -> PayoffTensor:
     """Evaluate every joint strategy of a local game.
 
+    Raises ``StructuralError`` when ``clustering`` is not one of
+    ``dataset`` (``core._check_consistent``, as in ``objectives``).
     Raises ``ConfigError``, naming the id, when the game's resource and
     players break the takers rule (``_check_takers``): each a cluster of
     ``clustering``, the players other clusters in strictly ascending id.
@@ -425,6 +425,7 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     nearest first, squares added one dimension at a time, and the
     after-SSEs of the resource and then each participant summed in turn.
     """
+    _check_consistent(dataset, clustering)
     parts = game.participants
     rid = game.resource_id
     pids = _check_takers(clustering.k, rid, [p.player_id for p in parts])
@@ -584,26 +585,27 @@ def apply_and_evaluate(
 ) -> Tuple[Clustering, bool, ObjectiveState]:
     """Execute each resource's planned transfers on a copy and keep those that pay.
 
-    ``pre`` holds the objectives of ``clustering``, the pre-game state.
+    ``pre`` holds the objectives of ``clustering``, the pre-game state;
+    a ``clustering`` that is not one of ``dataset`` raises
+    ``StructuralError`` (``core._check_consistent``, as in ``objectives``).
     ``plan`` maps a resource id to its transfers, (player id, units)
     pairs: the equilibrium of its local game (``LocalGame.transfers``)
     or its covered requests in full.  Each entry, sorted, must obey the
     takers rule (``_check_takers``) and move whole units, at least 1
     (``core.whole``), else ``ConfigError`` names the offending id or count
-    before anything is indexed with it.  The transfers are
-    executed in ascending player id and simulated as in
-    ``build_payoff_tensor``: each player takes the resource's points
-    nearest its input center that no earlier player took.  Resources are
-    taken in ascending id, and one's
+    before anything is indexed with it.  The transfers are executed in
+    ascending player id and simulated as in ``build_payoff_tensor``: each
+    player takes the resource's points nearest its input center that no
+    earlier player took.  Resources are taken in ascending id, and one's
     transfers are kept only when they lower the ``score`` relative to
     ``pre``, SSE/SSE_pre + L/L_pre, below the score of the transfers
     already kept, which starts at 2 for the pre-game state; so every
     accepted reallocation scores below 2.  When a pre-game term is zero,
     the new term must stay zero and the other objective must not worsen
-    against the transfers already kept.
-    Transfers that would empty their resource are dropped.  Returns the
-    kept state, whether anything was kept (the input clustering itself is
-    returned when not), and the kept state's objectives.
+    against the transfers already kept.  Transfers that would empty
+    their resource are dropped.  Returns the kept state, whether anything
+    was kept (the input clustering itself is returned when not), and the
+    kept state's objectives.
 
     Each candidate is scored on plain arrays: the kept assignment with
     the resource's transfers applied, the kept loads moved in integers,
@@ -612,6 +614,7 @@ def apply_and_evaluate(
     and ``objectives`` make, so every bit matches.  One ``Clustering``
     is built at the end, for the kept state only.
     """
+    _check_consistent(dataset, clustering)
     points = dataset.points
     ideal = ideal_load(dataset.n, clustering.k)
     input_loads = clustering.loads.tolist()

@@ -152,9 +152,7 @@ def _nearest(d2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if empties.size:
         own_d2 = d2.take(_own_flat(d2, assignment))
     for empty in empties:
-        donors = np.flatnonzero(loads[assignment] >= 2)
-        if donors.size == 0:
-            raise StructuralError("cannot repair empty cluster: no cluster can spare a point")
+        donors = np.flatnonzero(loads[assignment] >= 2)  # never empty: k <= n (``_as_centers``)
         move = donors[np.argmax(own_d2[donors])]  # first max == lowest point index
         loads[assignment[move]] -= 1
         assignment[move] = empty

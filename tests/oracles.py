@@ -35,7 +35,6 @@ from gameclust import (
     LocalGame,
     Participant,
     RunReport,
-    improvement_report,
     objectives,
 )
 
@@ -529,7 +528,6 @@ def run_gtkmeans_reference(dataset, config):
         config=config,
         initial=initial,
         final=final,
-        improvement=improvement_report(initial, final),
         kmeans_iterations=it,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,
@@ -568,7 +566,6 @@ def run_pkgame_reference(dataset, config):
         config=config,
         initial=initial,
         final=final,
-        improvement=improvement_report(initial, final),
         kmeans_iterations=kmeans_iterations,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,

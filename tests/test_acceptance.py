@@ -24,7 +24,7 @@ from gameclust import (
     KMeansConfig,
     PayoffTensor,
     classify_roles,
-    detect_conflict,
+    conflicted_games,
     find_pure_nash,
     generate_ds1,
     geometric_mean_index,
@@ -35,6 +35,7 @@ from gameclust import (
     lloyd_full,
     load_metric,
     paired_compare,
+    route_requests,
     select_strategies,
 )
 from gameclust.cli import main as cli_main
@@ -86,7 +87,7 @@ def test_criterion_2_role_assignment_fidelity():
             assignment.append(cid)
     clustering = Clustering.from_assignment(Dataset(points=points), assignment, 3)
     roles = classify_roles(clustering, 7)
-    conflicted = detect_conflict(roles.resources[0][1], [r for _, r in roles.players])
+    conflicted = len(conflicted_games(roles, route_requests(roles, clustering))) == 1
     ok = (
         roles.players == ((0, 3), (1, 6))
         and roles.resources == ((2, 1),)

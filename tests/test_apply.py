@@ -11,15 +11,14 @@ from gameclust import (
     LocalGame,
     PURE_NASH,
     Participant,
+    StructuralError,
     apply_and_evaluate,
     build_payoff_tensor,
     classify_roles,
     find_pure_nash,
     ideal_load,
-    load_metric,
     objectives,
     route_requests,
-    sse,
 )
 
 from oracles import apply_per_candidate, simulate_transfers
@@ -42,6 +41,16 @@ class TestApplyAndEvaluate:
         assert accepted is False
         assert new is c
 
+    def test_clustering_of_another_dataset_rejected(self, ds1, line20):
+        # line20's 20 points in 1-d against ds1's 150 in 2-d: the build gave a
+        # (3, 6) tensor of the wrong points and the apply a numpy ValueError
+        ds, c = line20
+        game = LocalGame(resource_id=2, participants=(Participant(0, 3), Participant(1, 6)))
+        with pytest.raises(StructuralError, match="^clustering covers 20 points, dataset has 150$"):
+            build_payoff_tensor(ds1, c, game)
+        with pytest.raises(StructuralError, match="^clustering covers 20 points, dataset has 150$"):
+            apply_and_evaluate(ds1, c, objectives(ds, c), {2: [(0, 3), (1, 6)]})
+
     def test_balancing_transfer_accepted(self):
         # moving the stray point at 5 balances loads and shrinks SSE
         ds = Dataset(points=[[0.0], [1.0], [5.0], [10.0]])
@@ -50,13 +59,14 @@ class TestApplyAndEvaluate:
             resource_id=0,
             participants=(Participant(1, 1),),
         )
-        before_sse, before_l = sse(ds, c), load_metric(c.loads, 2)
-        new, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((game, forced_eq(game))))
+        before = objectives(ds, c)
+        new, accepted, _ = apply_and_evaluate(ds, c, before, plan((game, forced_eq(game))))
         assert accepted is True
         assert new.loads.tolist() == [2, 2]
         assert new.assignment.tolist() == [0, 0, 1, 1]
-        assert sse(ds, new) < before_sse
-        assert load_metric(new.loads, 2) < before_l
+        after = objectives(ds, new)
+        assert after.sse < before.sse
+        assert after.load_metric < before.load_metric
         # centers were recomputed as means
         assert new.centers.ravel().tolist() == [0.5, 7.5]
 
@@ -129,11 +139,8 @@ class TestApplyAndEvaluate:
         assert int(new.loads.sum()) == ds.n
         assert new.loads.min() >= 1
         if accepted:
-            ideal = ideal_load(ds.n, 3)
-            score = sse(ds, new) / sse(ds, c) + load_metric(new.loads, ideal) / load_metric(
-                c.loads, ideal
-            )
-            assert score < 2.0
+            before, after = objectives(ds, c), objectives(ds, new)
+            assert after.sse / before.sse + after.load_metric / before.load_metric < 2.0
 
     def test_input_clustering_never_mutated(self, line20):
         ds, c = line20
@@ -164,10 +171,10 @@ class TestApplyAndEvaluate:
         c = Clustering.from_assignment(ds, [0] * 6 + [1] * 2 + [2] * 5 + [3] * 3, 4)
         draining = LocalGame(resource_id=0, participants=(Participant(1, 5, 4),))
         paying = LocalGame(resource_id=2, participants=(Participant(3, 1),))
-        ideal = ideal_load(ds.n, 4)
 
         def score(state):
-            return sse(ds, state) / sse(ds, c) + load_metric(state.loads, ideal) / load_metric(c.loads, ideal)
+            before, after = objectives(ds, c), objectives(ds, state)
+            return after.sse / before.sse + after.load_metric / before.load_metric
 
         alone, accepted, _ = apply_and_evaluate(ds, c, objectives(ds, c), plan((draining, forced_eq(draining))))
         assert accepted is False and alone is c

@@ -140,11 +140,10 @@ class TestParseInvocation:
         assert inv.algo == ("pkgame", "gtkmeans")
 
     def test_gen_invocation(self):
-        inv = parse_invocation("gen --out d.csv --seed 3 --n 60 --blobs 4".split())
+        # every gen flag reaches Ds1Config
+        inv = parse_invocation("gen --out d.csv --seed 3 --n 60 --dim 3 --blobs 4 --std 1.5".split())
         assert inv.subcommand == "gen"
-        assert inv.gen is not None
-        assert inv.gen.n_points == 60
-        assert inv.gen.blob_count == 4
+        assert inv.gen == Ds1Config(n_points=60, dim=3, blob_count=4, std_dev=1.5, seed=3)
 
     def test_gen_defaults_are_the_ds1_defaults(self):
         assert parse_invocation(["gen", "--out", "x.csv"]).gen == Ds1Config()

@@ -13,15 +13,15 @@ from gameclust import (
     StructuralError,
     ObjectiveState,
     Participant,
+    RoleAssignment,
     RunConfig,
-    detect_conflict,
+    conflicted_games,
     ideal_load,
     improvement_report,
     lloyd_full,
     load_metric,
     objectives,
     select_strategies,
-    sse,
 )
 from gameclust.core import load_excess, squared_distances, whole
 
@@ -48,31 +48,31 @@ class TestSse:
     def test_single_point_at_center(self):
         ds = Dataset(points=[[2.0, 3.0]])
         c = Clustering.from_assignment(ds, [0], 1)
-        assert sse(ds, c) == 0.0
+        assert objectives(ds, c).sse == 0.0
 
     def test_two_points_one_cluster(self):
         ds = Dataset(points=[[0.0], [2.0]])
         c = Clustering.from_assignment(ds, [0, 0], 1)
-        assert sse(ds, c) == pytest.approx(2.0)
+        assert objectives(ds, c).sse == pytest.approx(2.0)
 
     def test_singleton_clusters(self):
         ds = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
         c = Clustering.from_assignment(ds, [0, 1], 2)
-        assert sse(ds, c) == 0.0
+        assert objectives(ds, c).sse == 0.0
 
     def test_clustering_of_another_dataset_rejected(self):
         ds = Dataset(points=[[0.0, 0.0], [1.0, 1.0]])
         c = Clustering.from_assignment(ds, [0, 1], 2)
         other = Dataset(points=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(StructuralError, match="clustering covers 2 points, dataset has 3"):
-            sse(other, c)
+            objectives(other, c)
 
     def test_dimension_mismatch(self):
         ds = Dataset(points=[[0.0, 0.0], [1.0, 1.0]])
         c = Clustering.from_assignment(ds, [0, 1], 2)
         other = Dataset(points=[[0.0], [1.0]])
         with pytest.raises(StructuralError):
-            sse(other, c)
+            objectives(other, c)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -84,7 +84,7 @@ class TestSse:
         ds = Dataset(points=pts)
         c = Clustering.from_assignment(ds, assignment, k)
         alternative = rng.normal(size=(k, 2)).tolist()
-        assert sse(ds, c) <= sse_with_centers(pts.tolist(), assignment.tolist(), alternative) + 1e-12
+        assert objectives(ds, c).sse <= sse_with_centers(pts.tolist(), assignment.tolist(), alternative) + 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -96,7 +96,7 @@ class TestSse:
         ds_p = Dataset(points=pts[perm])
         c = Clustering.from_assignment(ds, assignment, 2)
         c_p = Clustering.from_assignment(ds_p, assignment[perm], 2)
-        assert sse(ds, c) == pytest.approx(sse(ds_p, c_p), rel=1e-12)
+        assert objectives(ds, c).sse == pytest.approx(objectives(ds_p, c_p).sse, rel=1e-12)
 
 
 class TestLoadMetric:
@@ -300,7 +300,7 @@ class TestWhole:
             lambda: Clustering.from_assignment(_four_points(), [0, 0, 1, 1], 2.0),
             lambda: ideal_load(10, 2.0),
             lambda: select_strategies(3.0, 2),
-            lambda: detect_conflict(2.9, [1.5, 1.5]),
+            lambda: conflicted_games(RoleAssignment(((0, 1.5), (1, 1.5)), ((2, 2.9),)), {2: [(0, 1.5), (1, 1.5)]}),
             lambda: Participant(0, 3, 2.0),
             # a bool is not a count: True would run as ns = 1, k = True would fail inside numpy
             lambda: RunConfig(k=4, seed=1, ns=True),
@@ -322,7 +322,8 @@ class TestWhole:
         assert select_strategies(i(11), i(3)) == (0, 3, 6, 9, 10)
         assert Participant(0, i(3), np.int32(1)).moves == (3, 2, 1)
         assert select_strategies(np.uint8(3), 2) == (0, 2)
-        assert detect_conflict(i(2), [i(1), np.int32(2)]) is True
+        routed = [(0, i(1)), (1, np.int32(2))]
+        assert len(conflicted_games(RoleAssignment(tuple(routed), ((2, i(2)),)), {2: routed})) == 1
         assert select_strategies(np.uint8(3)) == (0, 1, 2)
         assert Ds1Config(n_points=i(20), blob_count=i(4), seed=i(0)).n_points == 20
         clustering, iterations = lloyd_full(_four_points(), [[0.0], [10.0]], i(3))

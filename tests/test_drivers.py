@@ -15,6 +15,7 @@ from gameclust import (
     Dataset,
     ImprovementReport,
     KMeansConfig,
+    ObjectiveState,
     RunConfig,
     TensorTooLargeError,
     VariantSummary,
@@ -23,6 +24,7 @@ from gameclust import (
     conflicted_games,
     find_pure_nash,
     ideal_load,
+    improvement_report,
     init_centers,
     lloyd_full,
     lloyd_iteration,
@@ -102,6 +104,13 @@ class TestRunGtkmeans:
         assert first.games_played == 2
         assert first.payoff_entry_counts == (6 * 19, 17)
         assert first.avg_strategies_per_player == (6 + 19 + 17) / 3
+
+    def test_improvement_follows_initial_and_final(self, ds1):
+        report = run_algorithm(ds1, RunConfig(k=6, seed=2))
+        assert "improvement" not in {f.name for f in dataclasses.fields(report)}
+        assert report.improvement == improvement_report(report.initial, report.final)
+        unchanged = dataclasses.replace(report, final=report.initial)
+        assert unchanged.improvement == ImprovementReport(0.0, 0.0)
 
     def test_point_count_conserved_every_iteration(self, ds1):
         report = run_algorithm(ds1, RunConfig(k=7, seed=5))
@@ -507,9 +516,10 @@ class TestPairedCompare:
         )
 
     def test_means_skip_missing_improvements(self, ds1):
-        # an improvement percent is None when its initial objective is 0
+        # an improvement percent is None when its initial objective is 0 and its final one is not
         report = run_algorithm(ds1, RunConfig(k=4, seed=1))
-        reports = [dataclasses.replace(report, improvement=ImprovementReport(None, l)) for l in (3.0, None, 5.0)]
+        states = [((0.0, 100.0), (1.0, 97.0)), ((0.0, 0.0), (1.0, 1.0)), ((0.0, 100.0), (1.0, 95.0))]
+        reports = [dataclasses.replace(report, initial=ObjectiveState(*a), final=ObjectiveState(*b)) for a, b in states]
         summary = VariantSummary(tuple(reports))
         assert summary.mean_sse_improvement_pct is None
         assert summary.mean_l_improvement_pct == 4.0

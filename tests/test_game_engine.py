@@ -15,7 +15,6 @@ from gameclust import (
     build_payoff_tensor,
     classify_roles,
     conflicted_games,
-    detect_conflict,
     ideal_load,
     route_requests,
     select_strategies,
@@ -162,17 +161,6 @@ class TestRouteRequests:
             route_requests(roles, c)
 
 
-class TestDetectConflict:
-    def test_worked_example_fires(self):
-        assert detect_conflict(1, [3, 6]) is True
-
-    def test_enough_overhead(self):
-        assert detect_conflict(5, [3]) is False
-
-    def test_exactly_satisfiable_is_no_conflict(self):
-        assert detect_conflict(3, [1, 2]) is False
-
-
 class TestGenerateStrategySet:
     """Without a granularity, ``select_strategies(request)`` generates the full set {0, ..., request-1}."""
 
@@ -273,6 +261,17 @@ class TestConflictedGames:
         roles = classify_roles(c, Fraction(7))
         routing = route_requests(roles, c)
         assert conflicted_games(roles, routing) == []
+
+    @pytest.mark.parametrize(
+        "overhead, requests, games",
+        [(1, [3, 6], 1), (5, [3], 0), (3, [1, 2], 0)],
+        ids=["worked-example-fires", "enough-overhead", "exactly-satisfiable"],
+    )
+    def test_conflict_is_requests_above_overhead(self, overhead, requests, games):
+        # resource id len(requests), after the players 0, 1, ...
+        routed = list(enumerate(requests))
+        roles = RoleAssignment(players=tuple(routed), resources=((len(requests), overhead),))
+        assert len(conflicted_games(roles, {len(requests): routed})) == games
 
 
 class TestPlanTransfer:

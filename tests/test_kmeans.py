@@ -14,7 +14,6 @@ from gameclust import (
     lloyd_full,
     lloyd_iteration,
     objectives,
-    sse,
 )
 from oracles import lloyd_full_stepwise
 
@@ -112,7 +111,7 @@ class TestLloydIteration:
         previous = None
         for _ in range(8):
             clustering = lloyd_iteration(ds1, centers)
-            value = sse(ds1, clustering)
+            value = objectives(ds1, clustering).sse
             if previous is not None:
                 assert value <= previous + 1e-9
             previous = value
