@@ -75,10 +75,10 @@ class Dataset:
 class Clustering:
     """A full assignment of points to k clusters.
 
-    ``centers[c]`` is always the arithmetic mean of cluster c's points;
-    ``loads[c]`` is the number of points assigned to c.  Empty clusters
-    are rejected: every algorithm in this package keeps all k clusters
-    populated.
+    ``centers[c]`` is the mean of cluster c's points and ``loads[c]`` their
+    count.  The constructor checks shapes only; ``from_assignment`` computes
+    both and rejects an empty cluster: every algorithm in this package
+    keeps all k clusters populated.
     """
 
     assignment: np.ndarray
@@ -133,10 +133,14 @@ class ObjectiveState:
     load_metric: float
 
     def score(self, reference: "ObjectiveState") -> float:
-        """The combined score SSE/SSE_ref + L/L_ref; a zero reference term counts unscaled."""
-        s = self.sse / reference.sse if reference.sse > 0 else self.sse
-        l = self.load_metric / reference.load_metric if reference.load_metric > 0 else self.load_metric
-        return s + l
+        """The combined score SSE/SSE_ref + L/L_ref: the one test of which of two states is better.
+
+        A term over a zero reference is 0 when the term is 0 and +inf
+        otherwise (nan included): an objective that is zero in the
+        reference must stay zero, and no term mixes data units with a ratio.
+        """
+        terms = ((self.sse, reference.sse), (self.load_metric, reference.load_metric))
+        return sum(v / r if r > 0 else (0.0 if v == 0 else math.inf) for v, r in terms)
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,11 @@ def load_excess(loads: Sequence[int], ideal: Rational) -> Tuple[List[int], int]:
 
     The one rule for a load's distance from the ideal: q*l - p is
     q * (l - ideal), so its sign, its rounding to whole units and its
-    square are all exact in integers.
+    square are all exact in integers.  The ideal is a ``Fraction`` or an
+    int (``whole``); anything else raises ``ConfigError``.
     """
+    if not isinstance(ideal, Fraction):
+        ideal = Fraction(whole(ideal, "ideal load", least=0))
     p, q = ideal.numerator, ideal.denominator
     return [q * l - p for l in np.asarray(loads, dtype=np.int64).tolist()], q
 

@@ -79,7 +79,7 @@ class GameRecord:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one outer iteration, including any game phase."""
+    """State of one outer iteration, including any game phase; ``reallocation_score`` is None only when nothing was kept."""
 
     index: int
     sse_before_games: float
@@ -165,7 +165,7 @@ def _play_games(
     plan, keeping or dropping each resource's transfers on their own.
     Returns the end state, its objectives and the iteration's record,
     whose reallocation score is the kept state's ``score`` relative to
-    ``pre`` (None when nothing was kept or a pre-game term is zero).
+    ``pre``, None only when nothing was kept.
     """
     end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
@@ -181,7 +181,7 @@ def _play_games(
             records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.joint_count))
             del tensor  # so the next game's build never overlaps this tensor
         end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
-    score = end.score(pre) if accepted and pre.sse > 0 and pre.load_metric > 0 else None
+    score = end.score(pre) if accepted else None
     record = IterationRecord(
         index=index,
         sse_before_games=pre.sse,

@@ -304,10 +304,13 @@ def conflicted_games(
     produce no game.  Participants are ordered by ascending player id,
     each built as ``Participant(pid, request, ns)``.  A game holds no
     load: the clustering it is built and applied against supplies it.
+    Routing to a cluster that is not a resource raises ``ConfigError``.
     """
     overhead = dict(roles.resources)
     games: List[LocalGame] = []
     for rid in sorted(routing):
+        if rid not in overhead:
+            raise ConfigError(f"requests are routed to cluster {rid!r}, which is not a resource")
         routed = sorted(routing[rid])
         if sum(whole(req, "request") for _, req in routed) <= whole(overhead[rid], "overhead", least=0):
             continue
@@ -599,13 +602,12 @@ def apply_and_evaluate(
     earlier player took.  Resources are taken in ascending id, and one's
     transfers are kept only when they lower the ``score`` relative to
     ``pre``, SSE/SSE_pre + L/L_pre, below the score of the transfers
-    already kept, which starts at 2 for the pre-game state; so every
-    accepted reallocation scores below 2.  When a pre-game term is zero,
-    the new term must stay zero and the other objective must not worsen
-    against the transfers already kept.  Transfers that would empty
-    their resource are dropped.  Returns the kept state, whether anything
-    was kept (the input clustering itself is returned when not), and the
-    kept state's objectives.
+    already kept.  That starts at the pre-game state's own score, 2 when
+    both objectives are positive, so every accepted reallocation scores
+    below it.  Transfers that would empty their resource are dropped.
+    Returns the kept state, whether anything was kept (the input
+    clustering itself is returned when not), and the kept state's
+    objectives.
 
     Each candidate is scored on plain arrays: the kept assignment with
     the resource's transfers applied, the kept loads moved in integers,
@@ -641,22 +643,9 @@ def apply_and_evaluate(
             done += count
         centers = mean_centers(points, candidate, candidate_loads)
         state = ObjectiveState(assigned_sse(points, candidate, centers), load_metric(candidate_loads, ideal))
-        if _improves(pre, kept_state, state):
+        if state.score(pre) < kept_state.score(pre):
             assignment, loads, kept_state = candidate, candidate_loads, state
     if kept_state is pre:
         return clustering, False, pre
     return Clustering.from_assignment(dataset, assignment, clustering.k), True, kept_state
 
-
-def _improves(pre: ObjectiveState, kept: ObjectiveState, new: ObjectiveState) -> bool:
-    """True when ``new`` scores below ``kept`` relative to ``pre``.
-
-    A zero pre-game term stays zero in every kept state, so it is compared
-    by convention: the new term must be zero too and the other objective
-    must not worsen.  Both zero is the zero-L case, as ``kept.sse`` is 0.
-    """
-    if pre.sse > 0 and pre.load_metric > 0:
-        return new.score(pre) < kept.score(pre)
-    if pre.load_metric == 0:
-        return new.load_metric == 0 and new.sse <= kept.sse
-    return new.sse == 0 and new.load_metric <= kept.load_metric

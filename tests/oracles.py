@@ -355,6 +355,22 @@ def lloyd_full_stepwise(points, centers, max_iterations):
         current = means
 
 
+def relative_score(state, reference):
+    """Reference ``ObjectiveState.score``: SSE/SSE_ref + L/L_ref.
+
+    A term over a zero reference is 0 when the term is 0 and +inf
+    otherwise, so an objective that is zero in the reference must stay
+    zero for the score to be finite.
+    """
+
+    def ratio(value, ref):
+        if ref > 0:
+            return value / ref
+        return 0.0 if value == 0 else math.inf
+
+    return ratio(state.sse, reference.sse) + ratio(state.load_metric, reference.load_metric)
+
+
 def apply_per_candidate(dataset, clustering, pre, plan):
     """Reference ``apply_and_evaluate``: one full ``Clustering`` and one ``objectives`` per candidate.
 
@@ -363,26 +379,12 @@ def apply_per_candidate(dataset, clustering, pre, plan):
     player's input center (broadcast distances, ties to the lowest point
     index) that no earlier move took.  Moves that would empty the
     resource, or move nothing, are skipped.  The candidate is the kept
-    state with those moves applied; it is kept when it scores below the
-    kept state: SSE/SSE_pre + L/L_pre when both pre-game terms are
-    positive, otherwise a zero pre-game term must stay zero and the
-    other objective must not worsen.  Returns (kept clustering, whether
-    anything was kept, kept objectives); the input clustering itself
-    when nothing was kept.
+    state with those moves applied; it is kept when its ``relative_score``
+    against ``pre`` is below the kept state's.  Returns (kept clustering,
+    whether anything was kept, kept objectives); the input clustering
+    itself when nothing was kept.
     """
     kept, kept_state = clustering, pre
-
-    def better(new):
-        if pre.sse > 0 and pre.load_metric > 0:
-            return new.sse / pre.sse + new.load_metric / pre.load_metric < (
-                kept_state.sse / pre.sse + kept_state.load_metric / pre.load_metric
-            )
-        if pre.sse == 0 and pre.load_metric == 0:
-            return new.sse == 0 and new.load_metric == 0
-        if pre.load_metric == 0:
-            return new.load_metric == 0 and new.sse <= kept_state.sse
-        return new.sse == 0 and new.load_metric <= kept_state.load_metric
-
     input_assignment = clustering.assignment.tolist()
     for rid in sorted(plan):
         moves = sorted(plan[rid])
@@ -400,7 +402,7 @@ def apply_per_candidate(dataset, clustering, pre, plan):
                 assignment[member[j]] = pid
         candidate = Clustering.from_assignment(dataset, assignment, clustering.k)
         state = objectives(dataset, candidate)
-        if better(state):
+        if relative_score(state, pre) < relative_score(kept_state, pre):
             kept, kept_state = candidate, state
     return kept, kept is not clustering, kept_state
 
@@ -450,9 +452,7 @@ def game_phase_reference(dataset, clustering, pre, index, ns):
                 )
             )
         end_clustering, accepted, end = apply_per_candidate(dataset, clustering, pre, plan)
-    score = None
-    if accepted and pre.sse > 0 and pre.load_metric > 0:
-        score = end.sse / pre.sse + end.load_metric / pre.load_metric
+    score = relative_score(end, pre) if accepted else None
     record = IterationRecord(
         index=index,
         sse_before_games=pre.sse,
@@ -483,18 +483,14 @@ def run_gtkmeans_reference(dataset, config):
       after its Lloyd step stops the run before its games.  It is
       converged when ``first`` is the last iteration and kept nothing, a
       cycle otherwise; the final state is the end state from ``first`` on
-      with the least SSE/SSE0 + L/L0 against the first iteration's
-      objectives (a zero initial term unscaled), ties to the earliest;
+      with the least ``relative_score`` against the first iteration's
+      objectives, ties to the earliest;
     * an iteration that kept nothing, after a Lloyd step that left the
       previous end state's assignment unchanged, is converged;
     * otherwise the run stops on its budget of outer iterations.
 
     ``kmeans_iterations`` counts the Lloyd steps run.
     """
-
-    def ratio(value, reference):
-        return value / reference if reference > 0 else value
-
     t0 = time.perf_counter()
     pts = dataset.points
     centers = seeded_start(dataset, config)
@@ -507,7 +503,7 @@ def run_gtkmeans_reference(dataset, config):
         if post_lloyd in seen:
             first = seen[post_lloyd]
             termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
-            scores = [ratio(e.sse, initial.sse) + ratio(e.load_metric, initial.load_metric) for _, e in ends]
+            scores = [relative_score(e, initial) for _, e in ends]
             best = min(range(first, len(ends)), key=lambda i: scores[i])
             clustering, final = ends[best]
             break

@@ -97,12 +97,12 @@ class TestApplyAndEvaluate:
 
     @pytest.mark.parametrize(
         "far, units, kept, final_l",
-        [(0.0, 2, True, 0.0), (0.0, 4, True, 8.0), (10.0, 2, False, 8.0)],
+        [(0.0, 2, True, 0.0), (0.0, 4, False, 8.0), (10.0, 2, False, 8.0)],
         ids=["balancing", "equal-l", "sse-grows"],
     )
     def test_zero_old_sse_convention(self, far, units, kept, final_l):
         # SSE 0 before the games: a transfer is kept only when SSE stays 0
-        # and L does not grow, so an equal L is kept and any SSE is dropped
+        # and L falls, so an equal L is dropped and so is any SSE
         ds = Dataset(points=[[0.0]] * 5 + [[far]])
         c = Clustering.from_assignment(ds, [0, 0, 0, 0, 0, 1], 2)
         pre = objectives(ds, c)

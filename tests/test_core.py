@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,13 @@ class TestLoadMetric:
         with pytest.raises(ConfigError):
             load_metric([], 1)
 
+    def test_ideal_is_an_int_or_a_fraction(self):
+        # (2-5)^2 + (8-5)^2
+        assert load_metric([2, 8], 5) == load_metric([2, 8], np.int64(5)) == load_metric([2, 8], Fraction(5)) == 18.0
+        for ideal in (5.0, True, "5", None):
+            with pytest.raises(ConfigError, match="ideal load must be an integer"):
+                load_metric([2, 8], ideal)
+
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=8), st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
     def test_permutation_invariant_and_zero_iff_balanced(self, loads, ideal):
@@ -196,11 +204,14 @@ class TestObjectives:
         assert state.score(ObjectiveState(sse=2.0, load_metric=4.0)) == 1.5 + 2.5
         assert state.score(state) == 2.0
 
-    def test_score_counts_a_zero_reference_term_unscaled(self):
+    def test_score_holds_a_zero_reference_term_at_zero(self):
+        # a term over a zero reference is 0 for 0/0 and +inf otherwise, nan included
         state = ObjectiveState(sse=3.0, load_metric=10.0)
-        assert state.score(ObjectiveState(sse=0.0, load_metric=4.0)) == 3.0 + 2.5
-        assert state.score(ObjectiveState(sse=2.0, load_metric=0.0)) == 1.5 + 10.0
-        assert state.score(ObjectiveState(sse=0.0, load_metric=0.0)) == 13.0
+        assert state.score(ObjectiveState(sse=0.0, load_metric=4.0)) == math.inf
+        assert state.score(ObjectiveState(sse=2.0, load_metric=0.0)) == math.inf
+        assert ObjectiveState(sse=0.0, load_metric=10.0).score(ObjectiveState(sse=0.0, load_metric=4.0)) == 2.5
+        assert ObjectiveState(sse=0.0, load_metric=0.0).score(ObjectiveState(sse=0.0, load_metric=0.0)) == 0.0
+        assert ObjectiveState(sse=math.nan, load_metric=0.0).score(ObjectiveState(sse=0.0, load_metric=0.0)) == math.inf
 
     def test_improvement_report_conventions(self):
         ds = Dataset(points=[[0.0], [2.0], [10.0], [12.0]])
@@ -234,8 +245,9 @@ class TestDatasetAndClustering:
 
     def test_clustering_rejects_out_of_range(self):
         ds = Dataset(points=[[0.0], [1.0]])
-        with pytest.raises(StructuralError):
-            Clustering.from_assignment(ds, [0, 2], 2)
+        for labels in ([0, 2], [0, -1]):
+            with pytest.raises(StructuralError, match=r"must lie in \[0, k\)"):
+                Clustering.from_assignment(ds, labels, 2)
 
     @pytest.mark.parametrize(
         "call, match",

@@ -122,8 +122,18 @@ class TestRunGtkmeans:
         for seed in range(4):
             report = run_algorithm(ds1, RunConfig(k=8, seed=seed))
             for record in report.trace:
-                if record.accepted and record.reallocation_score is not None:
+                assert (record.reallocation_score is None) is not record.accepted
+                if record.accepted:
                     assert record.reallocation_score < 2.0
+
+    def test_a_move_that_changes_neither_objective_is_not_kept(self):
+        # the first Lloyd step leaves SSE 0 and L 8/3; the one move the games
+        # offer keeps both as they are, so it is dropped and the run converges
+        ds = Dataset(points=[[5.0, 5.0]] * 4 + [[3.0, 2.0]] * 3)
+        report = run_algorithm(ds, RunConfig(k=3, seed=16))
+        assert report.termination == "converged"
+        assert not any(record.accepted for record in report.trace)
+        assert (report.final.sse, report.final.load_metric) == (0.0, 8 / 3)
 
     def test_determinism(self, ds1):
         a = run_algorithm(ds1, RunConfig(k=5, seed=9))

@@ -54,6 +54,13 @@ class TestClassifyRoles:
         assert roles.players == ((0, 2),)
         assert roles.resources == ((1, 2),)
 
+    def test_ideal_is_an_int_or_a_fraction(self):
+        _, c = clustering_with_loads([5, 9])
+        assert classify_roles(c, 7) == classify_roles(c, Fraction(7))
+        for ideal in (7.0, True):
+            with pytest.raises(ConfigError, match="ideal load must be an integer"):
+                classify_roles(c, ideal)
+
     def test_rational_ideal_rounds_outward(self):
         # request rounds up, overhead rounds down
         _, c = clustering_with_loads([4, 1, 15])
@@ -272,6 +279,11 @@ class TestConflictedGames:
         routed = list(enumerate(requests))
         roles = RoleAssignment(players=tuple(routed), resources=((len(requests), overhead),))
         assert len(conflicted_games(roles, {len(requests): routed})) == games
+
+    def test_routing_to_a_cluster_that_is_no_resource_raises(self):
+        roles = RoleAssignment(players=((0, 3),), resources=((1, 3),))
+        with pytest.raises(ConfigError, match="cluster 7, which is not a resource"):
+            conflicted_games(roles, {7: [(0, 3)]})
 
 
 class TestPlanTransfer:
