@@ -30,6 +30,8 @@ data's scale overflows the objectives).  No result is written on status
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -212,18 +214,11 @@ def _format(table: Dict[str, object], out_format: str) -> str:
 
 def _format_csv(table: Dict[str, object]) -> str:
     rows: List[Dict[str, object]] = table["rows"]  # type: ignore[assignment]
-    columns = list(rows[0])  # the keys of _row, in its order
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                cells.append("0" if col == "ns" else "")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")  # the keys of _row, in its order
+    writer.writeheader()
+    writer.writerows({**row, "ns": 0 if row["ns"] is None else row["ns"]} for row in rows)
+    return out.getvalue()
 
 
 def _out_path(invocation: argparse.Namespace) -> Optional[str]:

@@ -4,10 +4,10 @@
 start centers, runs the engine that ``config.algorithm`` names, times
 the whole run and builds its ``RunReport``, whose config is the config
 that ran.  The gtkmeans engine interleaves single Lloyd steps with local
-games.  It stops before the game phase when a post-Lloyd assignment
-repeats, and after it when no reallocation is accepted and the
-assignment is stable; no game phase is played twice.  The pkgame engine
-runs Lloyd to convergence first and then plays one game phase, once.
+games, and stops when the Lloyd step after a game phase repeats an
+earlier post-Lloyd assignment or the budget runs out; no game phase is
+played twice.  The pkgame engine runs Lloyd to convergence first and
+then plays one game phase, once.
 Every report names why its run stopped (``TERMINATIONS``).
 ``paired_compare`` runs a grid of (k, algorithm, ns) variants from
 identical seeded initializations so their results are directly comparable.
@@ -100,9 +100,10 @@ class RunReport:
     is read from ``initial`` and ``final``, so it always matches them.
     ``termination`` is one of ``TERMINATIONS``: why the run stopped.
     Iteration and game counts are read from ``trace``, one record per
-    outer iteration.  ``kmeans_iterations`` counts the Lloyd steps run; a
-    gtkmeans run that stopped on a repeated post-Lloyd assignment ran one
-    more Lloyd step than it has records.
+    outer iteration.  ``kmeans_iterations`` counts the Lloyd steps run: a
+    gtkmeans run always ran one more than it has records, the step after
+    its last game phase that its stop rule reads.  pkgame's fixed-point
+    test, one more step after a budget used in full, is not counted.
     """
 
     config: RunConfig
@@ -199,50 +200,40 @@ def _play_games(
 def _run_gtkmeans(dataset: Dataset, config: RunConfig, centers: np.ndarray) -> _RunFacts:
     """Iterative engine: one Lloyd step, then local games, until stable.
 
-    Stops for one of three reasons:
-
-    * right after a Lloyd step whose assignment an earlier iteration's
-      Lloyd step produced, say iteration ``first``, since the run would
-      replay that iteration's games forever.  The run is ``converged``
-      when ``first`` is the last iteration played and kept nothing,
-      ``cycle`` otherwise.  The reported final state is the end state of
-      the iterations from ``first`` on with the lowest ``score`` relative
-      to the first Lloyd step's objectives, SSE/SSE0 + L/L0, ties to the
-      earliest;
-    * after a game phase, ``converged``: it kept nothing and the Lloyd
-      step left the previous iteration's assignment unchanged;
-    * ``budget``: ``max_outer_iterations`` ran out.
+    Every game phase is followed by a Lloyd step from its end state's
+    centers, and the run stops by one rule, read from that step: when its
+    assignment is one an earlier Lloyd step produced, say the one before
+    iteration ``first``'s games, the run would replay those games forever.
+    It is ``converged`` when ``first`` is the iteration just played and
+    kept nothing, ``cycle`` otherwise, and its final state is the end
+    state of the iterations from ``first`` on with the lowest ``score``
+    relative to the first Lloyd step's objectives, SSE/SSE0 + L/L0, ties
+    to the earliest.  When no repeat follows the last game phase that
+    ``max_outer_iterations`` allows, the run is ``budget`` and its final
+    state is that phase's end state.  So no game phase is played twice,
+    and every run takes one more Lloyd step than it plays game phases.
     """
     trace: List[IterationRecord] = []
     ends: List[Tuple[Clustering, ObjectiveState]] = []  # end state of every iteration, in order
     seen: Dict[bytes, int] = {}  # post-Lloyd assignment -> index of its iteration in ends
-    initial: Optional[ObjectiveState] = None
-    clustering: Optional[Clustering] = None
-    final: Optional[ObjectiveState] = None
+    post_lloyd = lloyd_iteration(dataset, centers)
     termination = "budget"
     for it in range(1, config.max_outer_iterations + 1):
-        clustering = lloyd_iteration(dataset, centers)
-        post_lloyd = clustering.assignment.tobytes()
-        if post_lloyd in seen:
-            first = seen[post_lloyd]
-            termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
-            best = min(range(first, len(ends)), key=lambda i: ends[i][1].score(initial))
-            clustering, final = ends[best]
-            break
-        pre = objectives(dataset, clustering)
-        if initial is None:
+        seen[post_lloyd.assignment.tobytes()] = it - 1
+        pre = objectives(dataset, post_lloyd)
+        if it == 1:
             initial = pre
-        lloyd_stable = bool(ends) and np.array_equal(clustering.assignment, ends[-1][0].assignment)
-        clustering, final, record = _play_games(dataset, clustering, pre, it, config.ns)
+        clustering, final, record = _play_games(dataset, post_lloyd, pre, it, config.ns)
         trace.append(record)
         ends.append((clustering, final))
-        if not record.accepted and lloyd_stable:
-            termination = "converged"
+        post_lloyd = lloyd_iteration(dataset, clustering.centers)
+        first = seen.get(post_lloyd.assignment.tobytes())
+        if first is not None:
+            termination = "converged" if first == it - 1 and not record.accepted else "cycle"
+            best = min(range(first, it), key=lambda i: ends[i][1].score(initial))
+            clustering, final = ends[best]
             break
-        seen[post_lloyd] = len(ends) - 1
-        centers = clustering.centers
-    assert clustering is not None and initial is not None and final is not None
-    return initial, final, it, termination, tuple(trace), clustering
+    return initial, final, len(trace) + 1, termination, tuple(trace), clustering
 
 
 def _run_pkgame(dataset: Dataset, config: RunConfig, centers: np.ndarray) -> _RunFacts:

@@ -475,56 +475,52 @@ def seeded_start(dataset, config):
 def run_gtkmeans_reference(dataset, config):
     """Reference gtkmeans run, end to end, from the oracles above.
 
-    Centers start at ``seeded_start``.  Each iteration runs one
-    ``lloyd_full_stepwise`` step from the previous end state's centers
-    and then ``game_phase_reference``.  The stop rules:
+    Centers start at ``seeded_start``, and one ``lloyd_full_stepwise``
+    step from them gives iteration 1's post-Lloyd state.  Each iteration
+    runs ``game_phase_reference`` on its post-Lloyd state and then one
+    more step from its end state's centers.  The one stop rule: a step
+    whose assignment an earlier step gave, the one before iteration
+    ``first``'s games, stops the run.  It is converged when ``first`` is
+    the iteration just played and kept nothing, a cycle otherwise; the
+    final state is the end state from ``first`` on with the least
+    ``relative_score`` against the first iteration's objectives, ties to
+    the earliest.  A run without a repeat after its last allowed game
+    phase stops on its budget, that phase's end state final.
 
-    * a post-Lloyd assignment that an earlier iteration, ``first``, had
-      after its Lloyd step stops the run before its games.  It is
-      converged when ``first`` is the last iteration and kept nothing, a
-      cycle otherwise; the final state is the end state from ``first`` on
-      with the least ``relative_score`` against the first iteration's
-      objectives, ties to the earliest;
-    * an iteration that kept nothing, after a Lloyd step that left the
-      previous end state's assignment unchanged, is converged;
-    * otherwise the run stops on its budget of outer iterations.
-
-    ``kmeans_iterations`` counts the Lloyd steps run.
+    ``kmeans_iterations`` counts the Lloyd steps run: one more than the
+    iterations.
     """
     t0 = time.perf_counter()
     pts = dataset.points
-    centers = seeded_start(dataset, config)
+
+    def lloyd_step(centers):
+        assignment, means, loads, _ = lloyd_full_stepwise(pts, centers, 1)
+        return Clustering(assignment=assignment, k=config.k, centers=means, loads=loads)
+
+    post_lloyd = lloyd_step(seeded_start(dataset, config))
     trace, ends, seen = [], [], {}
-    initial = clustering = final = None
     termination = "budget"
     for it in range(1, config.max_outer_iterations + 1):
-        assignment, means, loads, _ = lloyd_full_stepwise(pts, centers, 1)
-        post_lloyd = tuple(assignment.tolist())
-        if post_lloyd in seen:
-            first = seen[post_lloyd]
-            termination = "converged" if first == len(ends) - 1 and not trace[first].accepted else "cycle"
-            scores = [relative_score(e, initial) for _, e in ends]
-            best = min(range(first, len(ends)), key=lambda i: scores[i])
-            clustering, final = ends[best]
-            break
-        clustering = Clustering(assignment=assignment, k=config.k, centers=means, loads=loads)
-        pre = objectives(dataset, clustering)
-        if initial is None:
+        seen[tuple(post_lloyd.assignment.tolist())] = it - 1
+        pre = objectives(dataset, post_lloyd)
+        if it == 1:
             initial = pre
-        lloyd_stable = bool(ends) and post_lloyd == tuple(ends[-1][0].assignment.tolist())
-        clustering, final, record = game_phase_reference(dataset, clustering, pre, it, config.ns)
+        clustering, final, record = game_phase_reference(dataset, post_lloyd, pre, it, config.ns)
         trace.append(record)
         ends.append((clustering, final))
-        if lloyd_stable and not record.accepted:
-            termination = "converged"
+        post_lloyd = lloyd_step(clustering.centers)
+        first = seen.get(tuple(post_lloyd.assignment.tolist()))
+        if first is not None:
+            termination = "converged" if first == it - 1 and not record.accepted else "cycle"
+            scores = [relative_score(e, initial) for _, e in ends]
+            best = min(range(first, it), key=lambda i: scores[i])
+            clustering, final = ends[best]
             break
-        seen[post_lloyd] = len(ends) - 1
-        centers = clustering.centers
     return RunReport(
         config=config,
         initial=initial,
         final=final,
-        kmeans_iterations=it,
+        kmeans_iterations=len(trace) + 1,
         termination=termination,
         wall_time_s=time.perf_counter() - t0,
         trace=tuple(trace),

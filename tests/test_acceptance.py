@@ -182,20 +182,13 @@ def test_criterion_8_objective_improvement(grid):
     for (k, ns), summary in grid["rows"].items():
         for run in summary.reports:
             for record in run.trace:
-                if not record.accepted:
-                    continue
-                if record.reallocation_score is not None:
-                    if not record.reallocation_score < 2.0:
-                        bad_accepts += 1
-                elif record.l_end > record.l_before_games or (
-                    record.l_end == record.l_before_games
-                    and record.sse_end > record.sse_before_games
-                ):
+                # a kept reallocation always carries its score, and it lies below the pre-game state's 2
+                if record.accepted and (record.reallocation_score is None or not record.reallocation_score < 2.0):
                     bad_accepts += 1
     ok = rate >= 0.90 and bad_accepts == 0
     report(8, ok, f"final L strictly below plain k-means on {wins}/{total} = {rate:.1%} "
                   f"paired seeds (need >= 90%); {bad_accepts} accepted reallocations "
-                  f"scored >= 2")
+                  f"unscored or scored >= 2")
 
 
 def test_criterion_9_fairness_metric_units():

@@ -205,12 +205,14 @@ REFERENCES = {"gtkmeans": run_gtkmeans_reference, "pkgame": run_pkgame_reference
 
 
 def assert_same_run(report, ref):
-    """A run equals its reference run in everything but wall time."""
+    """A run equals its reference run in everything but wall time; a gtkmeans run has one more Lloyd step than records."""
     assert np.array_equal(report.final_clustering.assignment, ref.final_clustering.assignment)
     assert np.array_equal(report.final_clustering.centers, ref.final_clustering.centers)
     assert (report.initial, report.final) == (ref.initial, ref.final)
     assert (report.termination, report.kmeans_iterations) == (ref.termination, ref.kmeans_iterations)
     assert report.trace == ref.trace
+    if report.config.algorithm == "gtkmeans":
+        assert report.kmeans_iterations == report.outer_iterations + 1
 
 
 @st.composite
@@ -271,8 +273,8 @@ class TestAgainstReference:
             config = RunConfig(k=k, seed=seed, ns=ns, algorithm=algorithm)
             reports.append(run_algorithm(ds1, config))
             assert_same_run(reports[-1], REFERENCES[algorithm](ds1, config))
-        # some gtkmeans run stops on a repeated post-Lloyd state: one Lloyd step more than game phases
-        assert any(r.kmeans_iterations == r.outer_iterations + 1 for r in reports if r.config.algorithm == "gtkmeans")
+        # the grid reaches both of gtkmeans' stops on a repeated post-Lloyd state
+        assert {r.termination for r in reports if r.config.algorithm == "gtkmeans"} == {"converged", "cycle"}
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -295,16 +297,34 @@ class TestAgainstReference:
     def test_converged_after_the_game_phase(self, ds1):
         # k=12 seed 45 ns=3 (pinned): iteration 10 keeps a reallocation,
         # Lloyd step 11 returns that state unchanged and iteration 11 keeps
-        # nothing.  The run is converged after 11 Lloyd steps, not a 12th
-        # that would find the repeat, so a budget of 11 still converges.
+        # nothing.  Lloyd step 12 repeats step 11's assignment, so the run
+        # is converged after 11 records, and a budget of 11 still converges.
         for budget in (11, 100):
             config = RunConfig(k=12, seed=45, ns=3, max_outer_iterations=budget)
             report = run_algorithm(ds1, config)
             assert report.termination == "converged"
-            assert report.kmeans_iterations == report.outer_iterations == 11
+            assert report.kmeans_iterations == 12 and report.outer_iterations == 11
             assert report.trace[9].accepted and not report.trace[10].accepted
             assert report.trace[10].loads_end == report.trace[9].loads_end
             assert_same_run(report, run_gtkmeans_reference(ds1, config))
+
+    @pytest.mark.parametrize(
+        "seed, budget, termination, sse",
+        [
+            (10, 5, "converged", 1054.9685811706427),  # iterations 3 to 5 keep nothing; step 6 repeats step 5
+            (18, 8, "cycle", 1126.2552558891039),
+            (7, 5, "cycle", 1209.615414033853),  # the cycle's best state, below the last one's 1236.70...
+        ],
+    )
+    def test_last_lloyd_step_names_a_budget_run(self, ds1, seed, budget, termination, sse):
+        # gtkmeans k=4 on ds1 (pinned): the Lloyd step after the last game
+        # phase the budget allows repeats an earlier post-Lloyd state, so
+        # the run is named by it rather than by the budget
+        config = RunConfig(k=4, seed=seed, max_outer_iterations=budget)
+        report = run_algorithm(ds1, config)
+        assert (report.termination, report.outer_iterations, report.kmeans_iterations) == (termination, budget, budget + 1)
+        assert report.final.sse == sse
+        assert_same_run(report, run_gtkmeans_reference(ds1, config))
 
 
 @st.composite
