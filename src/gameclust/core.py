@@ -160,8 +160,11 @@ def ideal_load(n: int, k: int) -> Fraction:
     """Exact ideal per-cluster load n/k.
 
     Kept as a rational on purpose: truncating here would distort the
-    load metric and the player/resource split downstream.
+    load metric and the player/resource split downstream.  ``n`` and
+    ``k`` are whole numbers (``whole``) with 1 <= k <= n, else
+    ``ConfigError``.
     """
+    n = whole(n, "n")
     if whole(k, "k") > n:
         raise ConfigError(f"need 1 <= k <= n, got k={k}, n={n}")
     return Fraction(n, k)

@@ -133,11 +133,16 @@ class LocalGame:
         return math.prod(self.shape)
 
     def transfers(self, joint: Sequence[int]) -> List[Tuple[int, int]]:
-        """(player id, units moved) per participant at ``joint``: its ``moves`` at its strategy index."""
+        """(player id, units moved) per participant at ``joint``: its ``moves`` at its strategy index.
+
+        Each index is a whole number (``core.whole``) below its strategy-set size, else ``ConfigError``.
+        """
         shape = self.shape
-        if len(joint) != len(shape) or not all(0 <= si < size for si, size in zip(joint, shape)):
-            raise ConfigError(f"joint {tuple(joint)} does not index the strategy sets, of sizes {shape}")
-        return [(p.player_id, p.moves[si]) for p, si in zip(self.participants, joint)]
+        where = f"joint {tuple(joint)} does not index the strategy sets"
+        indices = [whole(si, f"{where}: strategy index", least=0) for si in joint]
+        if len(indices) != len(shape) or not all(si < size for si, size in zip(indices, shape)):
+            raise ConfigError(f"{where}, of sizes {shape}")
+        return [(p.player_id, p.moves[si]) for p, si in zip(self.participants, indices)]
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,8 @@ class PayoffTensor:
     never NaN, and each joint's costs are all finite or all ``+inf``: a
     joint is feasible, its transfers fitting the resource, iff its costs
     are finite.  An infeasible joint thus ranks above every feasible joint
-    and ties with the others.
+    and ties with the others, and it is never a pure equilibrium
+    (``find_pure_nash``), even where no participant can leave it alone.
     """
 
     costs: np.ndarray
@@ -541,26 +547,28 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
 def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     """Pure Nash equilibrium of a cost tensor, deterministic under multiplicity.
 
-    One pick codes "minimum social cost, ties by lexicographic joint
-    index".  It runs over the pure equilibria or, when there is none,
-    over every joint, and that result is flagged as a fallback.  It reads
-    the costs alone, which also say which joints are feasible: an
-    infeasible joint's costs, and so its social cost, are ``+inf``; when
-    every candidate's social cost is, the first candidate is picked, by
+    A pure equilibrium is a feasible joint that no participant improves
+    on alone: its costs are finite, and each participant's cost is the
+    least along that participant's axis.  One pick codes "minimum social
+    cost, ties by lexicographic joint index".  It runs over the pure
+    equilibria or, when there is none, over every joint, and that result
+    is flagged as a fallback.  It reads the costs alone, which also say
+    which joints are feasible: an infeasible joint's costs, and so its
+    social cost, are ``+inf``.  So the pick is feasible whenever a
+    feasible joint exists; a game with none falls back to joint 0, by
     the same tie rule.
 
     Beside the tensor the search keeps one equilibrium flag per joint,
-    started from the first participant's best-response test, and one
-    more per joint while it tests each later participant: 2 bytes per
-    joint.  The pick keeps the flat index of each equilibrium, or of
-    every joint for the fallback, 8 bytes each, and sums their social
-    costs ``BLOCK`` at a time, reading the tensor in any memory order.
+    started from the feasibility flags, and one more per joint while it
+    tests each participant's best response: 2 bytes per joint.  The pick
+    keeps the flat index of each equilibrium, or of every joint for the
+    fallback, 8 bytes each, and sums their social costs ``BLOCK`` at a
+    time, reading the tensor in any memory order.
     """
     costs = tensor.costs
     sizes = tensor.shape
-    n_p = tensor.n_participants
-    ne_mask = costs[..., 0] <= costs[..., 0].min(axis=0, keepdims=True)
-    for i in range(1, n_p):
+    ne_mask = np.isfinite(costs[..., 0])
+    for i in range(tensor.n_participants):
         ci = costs[..., i]
         ne_mask &= ci <= ci.min(axis=i, keepdims=True)
     ne = np.flatnonzero(ne_mask)
@@ -568,7 +576,7 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     kind = PURE_NASH if ne.size else FALLBACK_MIN_SOCIAL_COST
     candidates = ne if ne.size else np.arange(tensor.joint_count)
     # only a strictly lower social cost replaces the pick, so among equal
-    # minima the first, in lexicographic order, wins, all-inf ones included
+    # minima the first, in lexicographic order, wins: joint 0 when all are inf
     best, flat = math.inf, int(candidates[0])
     for lo in range(0, candidates.size, BLOCK):
         block = candidates[lo : lo + BLOCK]

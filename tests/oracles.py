@@ -162,27 +162,22 @@ def payoff_table(points, assignment, k, resource_id, participants):
 def pure_nash_set(costs):
     """All pure Nash equilibria of a cost tensor, by exhaustive deviation checks.
 
-    ``costs`` maps a joint tuple to a per-participant cost sequence
-    (a numpy array indexed [joint + (i,)] works too via the helper below).
+    An equilibrium is a feasible joint, its costs finite, that no
+    participant improves on alone.  ``costs`` maps a joint tuple to a
+    per-participant cost sequence (a numpy array indexed [joint + (i,)]
+    works too via the helper below).
     """
     joints = list(costs.keys())
     n_p = len(joints[0])
     sizes = [max(column) + 1 for column in zip(*joints)]
     equilibria = []
     for joint in joints:
-        is_ne = True
-        for i in range(n_p):
-            mine = costs[joint][i]
-            for alt in range(sizes[i]):
-                if alt == joint[i]:
-                    continue
-                deviated = joint[:i] + (alt,) + joint[i + 1 :]
-                if costs[deviated][i] < mine:
-                    is_ne = False
-                    break
-            if not is_ne:
-                break
-        if is_ne:
+        mine = costs[joint]
+        if all(math.isfinite(c) for c in mine) and not any(
+            costs[joint[:i] + (alt,) + joint[i + 1 :]][i] < mine[i]
+            for i in range(n_p)
+            for alt in range(sizes[i])
+        ):
             equilibria.append(joint)
     return equilibria
 

@@ -11,6 +11,7 @@ from gameclust import (
     ConfigError,
     Dataset,
     Ds1Config,
+    LocalGame,
     StructuralError,
     ObjectiveState,
     Participant,
@@ -317,11 +318,16 @@ class TestWhole:
             # a bool is not a count: True would run as ns = 1, k = True would fail inside numpy
             lambda: RunConfig(k=4, seed=1, ns=True),
             lambda: RunConfig(k=True, seed=False),
+            lambda: LocalGame(1, (Participant(0, 3),)).transfers((1.0,)),
+            lambda: LocalGame(1, (Participant(0, 3),)).transfers((True,)),
+            lambda: ideal_load(10.0, 2),
+            lambda: ideal_load(True, 1),
         ],
         ids=[
             "run-ns", "run-k", "run-seed", "run-budget", "select-ns", "strategy-set",
             "participant", "ds1-n", "ds1-seed", "lloyd-budget", "from-assignment-k", "ideal-load-k",
             "select-request", "conflict", "participant-strategy", "run-ns-bool", "run-k-bool",
+            "transfers-index", "transfers-index-bool", "ideal-load-n", "ideal-load-n-bool",
         ],
     )
     def test_non_integer_count_rejected(self, call):

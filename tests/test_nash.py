@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from gameclust import (
     FALLBACK_MIN_SOCIAL_COST,
     PURE_NASH,
+    Clustering,
+    Dataset,
+    LocalGame,
+    Participant,
     PayoffTensor,
+    build_payoff_tensor,
     find_pure_nash,
 )
 
@@ -136,6 +141,55 @@ class TestPickMatchesBruteForce:
         joint, kind, costs = pure_nash_pick(tensor_as_dict(tensor.costs))
         result = find_pure_nash(tensor)
         assert (result.joint, result.kind, result.costs) == (joint, kind, costs)
+
+
+@st.composite
+def sparse_tensors(draw):
+    """Small integer costs with a share of ``+inf`` joints, from none to all of them."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    share_feasible = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.integers(0, 4, size=sizes + (len(sizes),)).astype(float)
+    costs[rng.random(sizes) >= share_feasible] = np.inf
+    return PayoffTensor(costs)
+
+
+class TestEquilibriaAreFeasible:
+    """A pure equilibrium is a feasible joint that no participant improves on alone."""
+
+    def test_infeasible_joint_with_infeasible_deviations_is_not_an_equilibrium(self):
+        # 28 points on a 6x6 grid, loads (6, 12, 10): players 0 and 2 ask resource 1
+        # for 11 and 12 units.  Joint (0, 0) moves all 23 and every single deviation
+        # from it still moves more than 11, so each participant's cost is +inf along
+        # its own axis; it is still no equilibrium, and the game has none
+        dataset = Dataset([
+            [4, 3], [2, 3], [2, 5], [2, 4], [3, 2], [3, 5], [0, 2], [2, 1], [0, 2], [2, 0],
+            [5, 4], [1, 1], [2, 4], [3, 1], [1, 1], [5, 3], [5, 4], [3, 0], [0, 0], [5, 3],
+            [2, 3], [0, 0], [2, 3], [3, 2], [3, 5], [4, 1], [4, 3], [1, 0],
+        ])
+        assignment = [2, 0, 0, 0, 1, 1, 0, 2, 2, 0, 1, 0, 2, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 1, 1, 1]
+        clustering = Clustering.from_assignment(dataset, assignment, 3)
+        assert clustering.loads.tolist() == [6, 12, 10]
+        game = LocalGame(1, (Participant(0, 11, 2), Participant(2, 12, 2)))
+        tensor = build_payoff_tensor(dataset, clustering, game)
+        assert tensor.shape == (6, 7) and np.count_nonzero(tensor.feasible) == 20
+        assert np.isinf(tensor.costs[0, 0]).all()
+        assert pure_nash_set(tensor_as_dict(tensor.costs)) == []
+        result = find_pure_nash(tensor)
+        assert (result.joint, result.kind) == ((4, 6), FALLBACK_MIN_SOCIAL_COST)
+        assert np.isfinite(result.costs).all()
+        assert game.transfers(result.joint) == [(0, 3), (2, 1)]
+
+    @given(sparse_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_pick_is_feasible_whenever_a_feasible_joint_exists(self, tensor):
+        result = find_pure_nash(tensor)
+        feasible = np.isfinite(result.costs).all()
+        if tensor.feasible.any():
+            assert feasible
+        else:  # nothing fits: the fallback keeps the first joint
+            assert (result.joint, result.kind) == ((0,) * tensor.n_participants, FALLBACK_MIN_SOCIAL_COST)
+        assert feasible or result.kind != PURE_NASH
 
 
 class TestMemory:
