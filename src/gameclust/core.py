@@ -52,7 +52,10 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64)
+        try:
+            pts = np.array(self.points, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
+            raise StructuralError(f"points must be a 2-d array of numbers: {exc}") from None
         if pts.ndim != 2:
             raise StructuralError(f"points must be a 2-d array, got ndim={pts.ndim}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -233,18 +236,14 @@ def load_excess(loads: Sequence[int], ideal: Rational) -> Tuple[List[int], int]:
     The one rule for a load's distance from the ideal: q*l - p is
     q * (l - ideal), so its sign, its rounding to whole units and its
     square are all exact in integers.  The ideal is a ``Fraction`` or an
-    int (``whole``); anything else raises ``ConfigError``.
+    int (``whole``), at least 0; anything else raises ``ConfigError``.
     """
     if not isinstance(ideal, Fraction):
         ideal = Fraction(whole(ideal, "ideal load", least=0))
+    elif ideal < 0:
+        raise ConfigError(f"ideal load must be >= 0, got {ideal}")
     p, q = ideal.numerator, ideal.denominator
     return [q * l - p for l in np.asarray(loads, dtype=np.int64).tolist()], q
-
-
-def balanced(loads: Sequence[int], ideal: Rational) -> bool:
-    """Integer-feasible balance: every load within one unit of the ideal, exact in integers."""
-    excesses, q = load_excess(loads, ideal)
-    return all(abs(e) < q for e in excesses)
 
 
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:

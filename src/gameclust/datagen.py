@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,9 @@ class Ds1Config:
             raise ConfigError(
                 f"n_points={self.n_points} must be at least blob_count={self.blob_count}"
             )
-        if not (self.std_dev > 0 and math.isfinite(self.std_dev)):
-            raise ConfigError(f"std_dev must be positive and finite, got {self.std_dev}")
+        std = self.std_dev
+        if isinstance(std, bool) or not isinstance(std, numbers.Real) or not (std > 0 and math.isfinite(std)):
+            raise ConfigError(f"std_dev must be a positive and finite number, got {std!r}")
 
 
 def generate_ds1(config: Ds1Config) -> Dataset:

@@ -26,7 +26,6 @@ from .core import (
     Dataset,
     ImprovementReport,
     ObjectiveState,
-    balanced,
     ideal_load,
     improvement_report,
     objectives,
@@ -154,34 +153,32 @@ def _play_games(
     """Formulate, solve and apply the game phase of one iteration.
 
     ``pre`` holds the objectives of ``clustering``, the post-Lloyd state.
-    The ideal load n/k is worked out here, for the balance test and the
-    roles.  A balanced clustering plays no games.  Otherwise (it then has
-    both players and resources, as the loads' excesses over the ideal sum
-    to zero) one transfer plan starts from the routing, every request
-    served in full, and takes each conflicted resource's transfers from
-    its game's equilibrium.  Each game is recorded with its equilibrium and
-    its tensor's feasible share; the tensor itself is dropped before the
-    next game's build starts, so at most one is alive at a time: the one
-    that ``MAX_TENSOR_BYTES`` bounds.  ``apply_and_evaluate`` executes the
-    plan, keeping or dropping each resource's transfers on their own.
-    Returns the end state, its objectives and the iteration's record,
-    whose reallocation score is the kept state's ``score`` relative to
-    ``pre``, None only when nothing was kept.
+    Every phase takes one path: roles, routing, games, apply.  The roles
+    against the ideal load n/k are the one rule for whether anything is
+    played: a clustering whose every load is the ideal has none, and
+    keeps its state.  One transfer plan starts from the routing, every
+    request served in full, and takes each conflicted resource's
+    transfers from its game's equilibrium.  Each game is recorded with
+    its equilibrium and its tensor's feasible share; the tensor itself is
+    dropped before the next game's build starts, so at most one is alive
+    at a time: the one that ``MAX_TENSOR_BYTES`` bounds.
+    ``apply_and_evaluate`` executes the plan, keeping or dropping each
+    resource's transfers on their own.  Returns the end state, its
+    objectives and the iteration's record, whose reallocation score is
+    the kept state's ``score`` relative to ``pre``, None only when
+    nothing was kept.
     """
-    end_clustering, end, accepted = clustering, pre, False
     records: List[GameRecord] = []
-    ideal = ideal_load(dataset.n, clustering.k)
-    if not balanced(clustering.loads, ideal):
-        roles = classify_roles(clustering, ideal)
-        routing = route_requests(roles, clustering)
-        plan = dict(routing)
-        for game in conflicted_games(roles, routing, ns):
-            tensor = build_payoff_tensor(dataset, clustering, game)
-            eq = find_pure_nash(tensor)
-            plan[game.resource_id] = game.transfers(eq.joint)
-            records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.joint_count))
-            del tensor  # so the next game's build never overlaps this tensor
-        end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
+    roles = classify_roles(clustering, ideal_load(dataset.n, clustering.k))
+    routing = route_requests(roles, clustering)
+    plan = dict(routing)
+    for game in conflicted_games(roles, routing, ns):
+        tensor = build_payoff_tensor(dataset, clustering, game)
+        eq = find_pure_nash(tensor)
+        plan[game.resource_id] = game.transfers(eq.joint)
+        records.append(GameRecord(game, eq, np.count_nonzero(tensor.feasible) / tensor.joint_count))
+        del tensor  # so the next game's build never overlaps this tensor
+    end_clustering, accepted, end = apply_and_evaluate(dataset, clustering, pre, plan)
     score = end.score(pre) if accepted else None
     record = IterationRecord(
         index=index,

@@ -85,11 +85,6 @@ def roles_fraction(loads, ideal):
     return tuple(players), tuple(resources)
 
 
-def balanced_fraction(loads, ideal):
-    """True when every load lies within one unit of the ideal, in Fraction arithmetic."""
-    return all(abs(Fraction(load) - Fraction(ideal)) < 1 for load in loads)
-
-
 def simulate_transfers(points, assignment, resource_id, moves):
     """Reference simulation of (player_id, count) moves out of one resource.
 
@@ -405,48 +400,47 @@ def apply_per_candidate(dataset, clustering, pre, plan):
 def game_phase_reference(dataset, clustering, pre, index, ns):
     """Reference game phase of one iteration: (end clustering, end objectives, record).
 
-    Balance and roles in Fraction arithmetic; each player routed to the
-    resource whose center is nearest its own (broadcast distances, ties to
-    the lowest resource id); a game for each resource whose spare units
-    cannot cover its requests, its participants in ascending player id with
-    the multiples of ns plus the largest strategy; the depth-first tensor
-    and the brute-force pick; and the per-candidate apply of the plan.
+    Roles in Fraction arithmetic, the one rule for whether anything is
+    played; each player routed to the resource whose center is nearest
+    its own (broadcast distances, ties to the lowest resource id); a game
+    for each resource whose spare units cannot cover its requests, its
+    participants in ascending player id with the multiples of ns plus the
+    largest strategy; the depth-first tensor and the brute-force pick; and
+    the per-candidate apply of the plan.
     """
     points, assignment, centers = dataset.points, clustering.assignment, clustering.centers
     loads = clustering.loads.tolist()
     ideal = Fraction(dataset.n, clustering.k)
     games = []
-    end_clustering, accepted, end = clustering, False, pre
-    if not balanced_fraction(loads, ideal):
-        players, resources = roles_fraction(loads, ideal)
-        plan = {rid: [] for rid, _ in resources}
-        d2 = squared_distances_broadcast(centers[[pid for pid, _ in players]], centers[[rid for rid, _ in resources]])
-        for (pid, request), row in zip(players, d2):
-            plan[resources[int(np.argmin(row))][0]].append((pid, request))
-        for rid, spare in resources:
-            routed = sorted(plan[rid])
-            if sum(request for _, request in routed) <= spare:
-                continue
-            participants = []
-            for pid, request in routed:
-                strategies = [v for v in range(request) if ns is None or v % ns == 0]
-                if strategies[-1] != request - 1:
-                    strategies.append(request - 1)
-                participants.append((pid, request, tuple(strategies)))
-            # the engine's participants derive their sets by its own rule, which must agree
-            game = LocalGame(rid, tuple(Participant(pid, request, ns) for pid, request in routed))
-            assert [p.strategies for p in game.participants] == [kept for _, _, kept in participants]
-            costs, feasible = payoff_tensor_dfs(points, assignment, centers, rid, participants)
-            joint, kind, joint_costs = pure_nash_pick(tensor_as_dict(costs))
-            plan[rid] = [(pid, request - kept[si]) for (pid, request, kept), si in zip(participants, joint)]
-            games.append(
-                GameRecord(
-                    game,
-                    EquilibriumResult(joint, kind, joint_costs),
-                    np.count_nonzero(feasible) / feasible.size,
-                )
+    players, resources = roles_fraction(loads, ideal)
+    plan = {rid: [] for rid, _ in resources}
+    d2 = squared_distances_broadcast(centers[[pid for pid, _ in players]], centers[[rid for rid, _ in resources]])
+    for (pid, request), row in zip(players, d2):
+        plan[resources[int(np.argmin(row))][0]].append((pid, request))
+    for rid, spare in resources:
+        routed = sorted(plan[rid])
+        if sum(request for _, request in routed) <= spare:
+            continue
+        participants = []
+        for pid, request in routed:
+            strategies = [v for v in range(request) if ns is None or v % ns == 0]
+            if strategies[-1] != request - 1:
+                strategies.append(request - 1)
+            participants.append((pid, request, tuple(strategies)))
+        # the engine's participants derive their sets by its own rule, which must agree
+        game = LocalGame(rid, tuple(Participant(pid, request, ns) for pid, request in routed))
+        assert [p.strategies for p in game.participants] == [kept for _, _, kept in participants]
+        costs, feasible = payoff_tensor_dfs(points, assignment, centers, rid, participants)
+        joint, kind, joint_costs = pure_nash_pick(tensor_as_dict(costs))
+        plan[rid] = [(pid, request - kept[si]) for (pid, request, kept), si in zip(participants, joint)]
+        games.append(
+            GameRecord(
+                game,
+                EquilibriumResult(joint, kind, joint_costs),
+                np.count_nonzero(feasible) / feasible.size,
             )
-        end_clustering, accepted, end = apply_per_candidate(dataset, clustering, pre, plan)
+        )
+    end_clustering, accepted, end = apply_per_candidate(dataset, clustering, pre, plan)
     score = relative_score(end, pre) if accepted else None
     record = IterationRecord(
         index=index,

@@ -124,6 +124,9 @@ class TestLoadMetric:
         for ideal in (5.0, True, "5", None):
             with pytest.raises(ConfigError, match="ideal load must be an integer"):
                 load_metric([2, 8], ideal)
+        for ideal in (-1, Fraction(-1)):
+            with pytest.raises(ConfigError, match="ideal load must be >= 0"):
+                load_metric([2, 8], ideal)
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=8), st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
@@ -232,6 +235,11 @@ class TestDatasetAndClustering:
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(StructuralError):
             Dataset(points=[[np.nan, 1.0]])
+
+    @pytest.mark.parametrize("points", [[["a", "b"]], [[1.0, 2.0], [3.0]]], ids=["strings", "ragged"])
+    def test_dataset_rejects_what_is_not_a_2d_array_of_numbers(self, points):
+        with pytest.raises(StructuralError, match="points must be a 2-d array of numbers"):
+            Dataset(points=points)
 
     def test_clustering_loads_and_centers(self):
         ds = Dataset(points=[[0.0], [1.0], [10.0]])

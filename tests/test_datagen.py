@@ -49,7 +49,7 @@ class TestGenerateDs1:
         with pytest.raises(ConfigError):
             Ds1Config(std_dev=0.0)
 
-    @pytest.mark.parametrize("std_dev", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("std_dev", [float("inf"), float("nan"), True, "2"])
     def test_non_finite_std_dev_rejected(self, std_dev):
         with pytest.raises(ConfigError):
             Ds1Config(std_dev=std_dev)

@@ -257,7 +257,28 @@ ROUTE_TIE = (
 )
 
 
+# Start loads [3, 2] against the ideal 5/2: every load is within one unit of
+# it, yet the roles give one player requesting a point and one resource with
+# none spare, so the phase plays a one-joint game that moves point 2 (at 3.0)
+# to the cluster of 6.0 and 4.0.  It lowers the SSE from 20/3 to 31/6 at the
+# same L, so it is kept; gtkmeans' next phase plays again and keeps nothing.
+WITHIN_ONE_UNIT = Dataset(points=[[6.0], [4.0], [3.0], [0.0], [1.0]])
+
+
 class TestAgainstReference:
+    @pytest.mark.parametrize("algorithm, accepted", [("gtkmeans", [True, False]), ("pkgame", [True])])
+    def test_loads_within_one_unit_of_a_fractional_ideal_still_play(self, algorithm, accepted):
+        config = RunConfig(k=2, seed=1, algorithm=algorithm)
+        report = run_algorithm(WITHIN_ONE_UNIT, config)
+        assert report.initial == ObjectiveState(sse=pytest.approx(20 / 3), load_metric=0.5)
+        assert [record.accepted for record in report.trace] == accepted
+        assert report.games_played == len(accepted)
+        assert all(g.game.joint_count == 1 for record in report.trace for g in record.games)
+        assert report.final_clustering.assignment.tolist() == [0, 0, 0, 1, 1]
+        assert report.final == ObjectiveState(sse=pytest.approx(31 / 6), load_metric=0.5)
+        assert report.termination == "converged"
+        assert_same_run(report, REFERENCES[algorithm](WITHIN_ONE_UNIT, config))
+
     @given(integer_grid_runs())
     @example(SCORE_TIE)
     @example(CYCLE_TIE)
