@@ -78,17 +78,27 @@ class GameRecord:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one outer iteration, including any game phase; ``reallocation_score`` is None only when nothing was kept."""
+    """State of one outer iteration, including any game phase.
+
+    ``reallocation_score`` is the kept state's ``score`` against the
+    post-Lloyd state, None when nothing was kept; ``accepted`` is read
+    from it, so a record cannot say it kept a reallocation without
+    scoring it.
+    """
 
     index: int
     sse_before_games: float
     l_before_games: float
     games: Tuple[GameRecord, ...]
-    accepted: bool
     reallocation_score: Optional[float]
     sse_end: float
     l_end: float
     loads_end: Tuple[int, ...]
+
+    @property
+    def accepted(self) -> bool:
+        """Whether the game phase kept a reallocation: it did iff it has a score."""
+        return self.reallocation_score is not None
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,6 @@ def _play_games(
         sse_before_games=pre.sse,
         l_before_games=pre.load_metric,
         games=tuple(records),
-        accepted=accepted,
         reallocation_score=score,
         sse_end=end.sse,
         l_end=end.load_metric,

@@ -156,6 +156,8 @@ class PayoffTensor:
     are finite.  An infeasible joint thus ranks above every feasible joint
     and ties with the others, and it is never a pure equilibrium
     (``find_pure_nash``), even where no participant can leave it alone.
+    ``feasible`` is the one reader of that fact: the constructor's own
+    validation, ``find_pure_nash`` and the drivers take their flags from it.
     """
 
     costs: np.ndarray
@@ -166,17 +168,17 @@ class PayoffTensor:
             raise StructuralError(
                 "costs must have shape (*joint_shape, n_participants), one joint axis per participant, none empty"
             )
+        c.flags.writeable = False
+        object.__setattr__(self, "costs", c)
         # two flags per joint and three reductions, no temporary per cost;
         # NaN fails the first comparison
-        f = np.isfinite(c[..., 0])
+        f = self.feasible
         if not (
             c.min(initial=0.0) >= 0
             and np.isfinite(c.max(initial=0.0, where=f[..., None]))
             and c.min(initial=np.inf, where=~f[..., None]) == np.inf
         ):
             raise StructuralError("costs must be nonnegative, and each joint's all finite or all +inf")
-        c.flags.writeable = False
-        object.__setattr__(self, "costs", c)
 
     @property
     def feasible(self) -> np.ndarray:
@@ -325,16 +327,28 @@ def conflicted_games(
     return games
 
 
+def _members(clustering: Clustering, cid: int) -> np.ndarray:
+    """Cluster ``cid``'s member indices, ascending; ``StructuralError`` naming it when it is empty or its load is not its point count."""
+    member = clustering.members(cid)
+    if member.size == 0:
+        raise StructuralError(f"cluster {cid} is empty")
+    if member.size != clustering.loads[cid]:
+        raise StructuralError(f"cluster {cid} holds {member.size} points, but its load is {clustering.loads[cid]}")
+    return member
+
+
 def _read_resource(
     dataset: Dataset, clustering: Clustering, rid: int, pids: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resource ``rid``'s member indices, its points, and each taker's nearest-first order over them.
 
-    The order is a (takers, m) array of positions, sorted by (squared
+    The members are read by ``_members``, so a resource that is empty or
+    whose load is not its point count raises ``StructuralError``.  The
+    order is a (takers, m) array of positions, sorted by (squared
     distance to the taker's center, position); members ascend, so ties go
     to the lowest point index.  The ids are those ``_check_takers`` passed.
     """
-    member = clustering.members(rid)
+    member = _members(clustering, rid)
     points = dataset.points.take(member, axis=0)
     order = squared_distances(clustering.centers.take(pids, axis=0), points).argsort(axis=-1, kind="stable")
     return member, points, order
@@ -384,9 +398,11 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     tensor (8 bytes per cost, and 1 per joint for its feasibility flags)
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
     outlives the call, so the limit bounds all the memory a game keeps
-    once built.  The resource's load is read from ``clustering``.  A
-    one-player game has no rival, so every feasible cost is 0 and only
-    the resource's ``load - 1`` cap decides feasibility.  Every
+    once built.  Each cluster of the game is read by ``_members``: one
+    that is empty, or whose load in ``clustering`` is not its point
+    count, raises ``StructuralError`` naming it before any cost is
+    formed.  A one-player game has no rival, so every feasible cost is 0
+    and only the resource's ``load - 1`` cap decides feasibility.  Every
     infeasible joint costs ``+inf``: the costs start at ``+inf``, and
     only feasible joints are written, so the costs alone record which
     joints are feasible.  Raises ``StructuralError`` when a cost written
@@ -447,22 +463,24 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
             f"the game on resource {rid} has {joint_count} joints for {n_p} players: "
             f"a {tensor_bytes}-byte payoff tensor, above the limit of {MAX_TENSOR_BYTES}"
         )
-    loads = clustering.loads.tolist()
-    m = loads[rid]
     if n_p == 1:
+        m = _members(clustering, rid).size
         return PayoffTensor(np.where(np.array(parts[0].moves) < m, 0.0, np.inf)[:, None])
 
     # [sum per dim, sum of squares, count] of the resource, then of each
     # participant, over each cluster's points in ascending index order, all
     # taken about the resource's center so the sums do not cancel far from
-    # the origin; the nearest-first orders are read on raw coordinates
+    # the origin; the nearest-first orders are read on raw coordinates.
+    # Every cluster's members are checked against its load before any sum.
     dim = dataset.dim
     width = dim + 2
     origin = clustering.centers[rid]
     _, x, orders = _read_resource(dataset, clustering, rid, pids)
+    members = [_members(clustering, pid) for pid in pids]
     x = x - origin
-    clusters = [(rid, x)] + [(pid, dataset.points[clustering.members(pid)] - origin) for pid in pids]
-    sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), loads[cid]] for cid, pts in clusters])
+    m = len(x)
+    clusters = [x] + [dataset.points[member] - origin for member in members]
+    sums = np.array([[*pts.sum(axis=0).tolist(), float((pts * pts).sum()), len(pts)] for pts in clusters])
     before = _sse(sums)
     before_total = before[0] + sum(before[1:])
     before_rest = before_total - before[1:]
@@ -552,11 +570,11 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     least along that participant's axis.  One pick codes "minimum social
     cost, ties by lexicographic joint index".  It runs over the pure
     equilibria or, when there is none, over every joint, and that result
-    is flagged as a fallback.  It reads the costs alone, which also say
-    which joints are feasible: an infeasible joint's costs, and so its
-    social cost, are ``+inf``.  So the pick is feasible whenever a
-    feasible joint exists; a game with none falls back to joint 0, by
-    the same tie rule.
+    is flagged as a fallback.  It reads the costs, and which joints are
+    feasible through ``PayoffTensor.feasible``, the reader the drivers
+    use too: an infeasible joint's costs, and so its social cost, are
+    ``+inf``.  So the pick is feasible whenever a feasible joint exists;
+    a game with none falls back to joint 0, by the same tie rule.
 
     Beside the tensor the search keeps one equilibrium flag per joint,
     started from the feasibility flags, and one more per joint while it
@@ -567,7 +585,7 @@ def find_pure_nash(tensor: PayoffTensor) -> EquilibriumResult:
     """
     costs = tensor.costs
     sizes = tensor.shape
-    ne_mask = np.isfinite(costs[..., 0])
+    ne_mask = tensor.feasible
     for i in range(tensor.n_participants):
         ci = costs[..., i]
         ne_mask &= ci <= ci.min(axis=i, keepdims=True)
@@ -618,17 +636,19 @@ def apply_and_evaluate(
     objectives.
 
     Each candidate is scored on plain arrays: the kept assignment with
-    the resource's transfers applied, the kept loads moved in integers,
+    the resource's transfers applied, its loads counted by ``bincount``,
     centers from ``mean_centers`` and the two objectives from
     ``assigned_sse`` and ``load_metric``, the calls ``from_assignment``
     and ``objectives`` make, so every bit matches.  One ``Clustering``
-    is built at the end, for the kept state only.
+    is built at the end, for the kept state only.  A resource is read by
+    ``_read_resource``, so one that is empty or whose load is not its
+    point count raises ``StructuralError``.
     """
     _check_consistent(dataset, clustering)
     points = dataset.points
     ideal = ideal_load(dataset.n, clustering.k)
     input_loads = clustering.loads.tolist()
-    assignment, loads, kept_state = clustering.assignment, clustering.loads, pre
+    assignment, kept_state = clustering.assignment, pre
     for rid in sorted(plan):
         moves = sorted(plan[rid])
         pids = _check_takers(clustering.k, rid, [pid for pid, _ in moves])
@@ -640,19 +660,18 @@ def apply_and_evaluate(
         # in the kept state as in the input clustering.
         member, _, orders = _read_resource(dataset, clustering, rid, pids)
         taken = np.zeros((1, len(member)), dtype=bool)
-        candidate, candidate_loads = assignment.copy(), loads.copy()
-        candidate_loads[rid] -= total
+        candidate = assignment.copy()
         done = 0
         for pid, count, order in zip(pids, counts, orders):
             chosen = _first_free(taken, order, count, done)[0]
             taken[0, chosen] = True
             candidate[member[chosen]] = pid
-            candidate_loads[pid] += count
             done += count
-        centers = mean_centers(points, candidate, candidate_loads)
-        state = ObjectiveState(assigned_sse(points, candidate, centers), load_metric(candidate_loads, ideal))
+        loads = np.bincount(candidate, minlength=clustering.k)
+        centers = mean_centers(points, candidate, loads)
+        state = ObjectiveState(assigned_sse(points, candidate, centers), load_metric(loads, ideal))
         if state.score(pre) < kept_state.score(pre):
-            assignment, loads, kept_state = candidate, candidate_loads, state
+            assignment, kept_state = candidate, state
     if kept_state is pre:
         return clustering, False, pre
     return Clustering.from_assignment(dataset, assignment, clustering.k), True, kept_state

@@ -447,7 +447,6 @@ def game_phase_reference(dataset, clustering, pre, index, ns):
         sse_before_games=pre.sse,
         l_before_games=pre.load_metric,
         games=tuple(games),
-        accepted=accepted,
         reallocation_score=score,
         sse_end=end.sse,
         l_end=end.load_metric,

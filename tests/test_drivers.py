@@ -112,6 +112,13 @@ class TestRunGtkmeans:
         unchanged = dataclasses.replace(report, final=report.initial)
         assert unchanged.improvement == ImprovementReport(0.0, 0.0)
 
+    def test_accepted_follows_the_reallocation_score(self, ds1):
+        report = run_algorithm(ds1, RunConfig(k=6, seed=2))
+        assert "accepted" not in {f.name for f in dataclasses.fields(drivers.IterationRecord)}
+        record = next(r for r in report.trace if r.reallocation_score is not None)
+        assert record.accepted is True
+        assert dataclasses.replace(record, reallocation_score=None).accepted is False
+
     def test_point_count_conserved_every_iteration(self, ds1):
         report = run_algorithm(ds1, RunConfig(k=7, seed=5))
         for record in report.trace:

@@ -222,6 +222,45 @@ class TestTakersRule:
             build_payoff_tensor(ds1, ds1_k4, game)
 
 
+def six_points_with_loads(loads):
+    """Six points on a line in clusters {0, 1, 2, 3} and {4, 5}, cluster 2 empty, with ``loads`` as given."""
+    ds = Dataset(points=[[0.0], [1.0], [2.0], [3.0], [10.0], [11.0]])
+    c = Clustering(assignment=[0, 0, 0, 0, 1, 1], k=3, centers=[[1.5], [10.5], [5.0]], loads=loads)
+    return ds, c
+
+
+class TestClusterMembersMatchLoads:
+    """A game's clusters must hold their loads' points: the build refuses one that is empty or miscounted."""
+
+    # The behaviour before the check is in the comment above each input;
+    # RuntimeWarning is an error in this suite, so none may be raised.
+    @pytest.mark.parametrize(
+        "loads, participants, match",
+        [
+            # "invalid value encountered in divide", then "the data's scale overflows the costs"
+            ([4, 2, 0], ((1, 1), (2, 2)), "cluster 2 is empty"),
+            # finite, wrong costs
+            ([4, 2, 7], ((1, 1), (2, 2)), "cluster 2 is empty"),
+            # "invalid value encountered in divide", then numpy's broadcast ValueError
+            ([5, 2, 0], ((1, 1), (2, 2)), "cluster 0 holds 4 points, but its load is 5"),
+            # an 8-point move out of a 4-point resource read as feasible
+            ([9, 2, 0], ((1, 9),), "cluster 0 holds 4 points, but its load is 9"),
+        ],
+        ids=["empty-player", "empty-player-with-a-load", "resource-load-too-high", "one-player-resource"],
+    )
+    def test_game_on_a_miscounted_cluster_rejected(self, loads, participants, match):
+        ds, c = six_points_with_loads(loads)
+        game = LocalGame(0, tuple(Participant(pid, request) for pid, request in participants))
+        with pytest.raises(StructuralError, match=match):
+            build_payoff_tensor(ds, c, game)
+
+    def test_apply_reads_the_resource_by_the_same_check(self):
+        # before: "invalid value encountered in divide", then the transfer was dropped
+        ds, c = six_points_with_loads([5, 2, 0])
+        with pytest.raises(StructuralError, match="cluster 0 holds 4 points, but its load is 5"):
+            apply_and_evaluate(ds, c, objectives(ds, c), {0: [(1, 1)]})
+
+
 class TestPayoffTensorValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
     def test_non_finite_or_negative_cost_rejected(self, bad):
