@@ -74,13 +74,40 @@ class Dataset:
         return int(self.points.shape[1])
 
 
+def _counted(assignment: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The one rule for labels: ``assignment`` as 1-d int64 labels in [0, k), and each cluster's count.
+
+    Anything else raises ``StructuralError``; float labels are refused,
+    not truncated.  The largest label is tested before counting, so a huge
+    one never sizes the count array, and ``bincount`` refuses a negative one.
+    """
+    if assignment.ndim != 1:
+        raise StructuralError("assignment must be 1-d")
+    if assignment.dtype.kind not in "iu":  # signed or unsigned integers
+        raise StructuralError(f"assignment labels must be integers, got dtype {assignment.dtype}")
+    a = assignment.astype(np.int64, copy=False)
+    if a.size and a.max() >= k:
+        raise StructuralError("assignment values must lie in [0, k)")
+    try:
+        counts = np.bincount(a, minlength=k)
+    except ValueError:  # a negative label
+        raise StructuralError("assignment values must lie in [0, k)") from None
+    return a, counts
+
+
 @dataclass(frozen=True)
 class Clustering:
     """A full assignment of points to k clusters.
 
     ``centers[c]`` is the mean of cluster c's points and ``loads[c]`` their
-    count.  The constructor checks shapes only; ``from_assignment`` computes
-    both and rejects an empty cluster: every algorithm in this package
+    count.  The constructor owns what a clustering is: ``k`` is whole
+    (``whole``, else ``ConfigError``), the assignment is 1-d integer
+    labels in [0, k), ``centers`` has shape (k, dim), and ``loads`` are
+    integers equal to ``bincount(assignment)``; anything else raises
+    ``StructuralError``, a miscounted cluster named ("cluster 0 holds 4
+    points, but its load is 5").  An empty cluster and centers that are
+    not the means stay constructible; ``from_assignment`` computes the
+    means and rejects an empty cluster: every algorithm in this package
     keeps all k clusters populated.
     """
 
@@ -90,37 +117,36 @@ class Clustering:
     loads: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.assignment, dtype=np.int64)
+        k = whole(self.k, "k")
+        a, counts = _counted(np.array(self.assignment), k)  # a copy: the clustering owns its labels
         c = np.array(self.centers, dtype=np.float64)
-        l = np.array(self.loads, dtype=np.int64)
-        if a.ndim != 1:
-            raise StructuralError("assignment must be 1-d")
-        if c.ndim != 2 or c.shape[0] != self.k:
+        l = np.asarray(self.loads)
+        if c.ndim != 2 or c.shape[0] != k:
             raise StructuralError("centers must have shape (k, dim)")
-        if l.shape != (self.k,):
+        if l.shape != (k,):
             raise StructuralError("loads must have shape (k,)")
-        for arr, name in ((a, "assignment"), (c, "centers"), (l, "loads")):
+        if l.dtype.kind not in "iu":
+            raise StructuralError(f"loads must be integers, got dtype {l.dtype}")
+        if l.tolist() != counts.tolist():
+            cid = int(np.flatnonzero(l != counts)[0])
+            raise StructuralError(f"cluster {cid} holds {counts[cid]} points, but its load is {l[cid]}")
+        for arr in (a, c, counts):
             arr.flags.writeable = False
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "loads", l)
+        object.__setattr__(self, "loads", counts)
 
     @staticmethod
     def from_assignment(dataset: Dataset, assignment: Sequence[int], k: int) -> "Clustering":
-        """Build a clustering from integer labels, recomputing loads and mean centers; float labels raise."""
+        """Build a clustering from labels (``_counted``'s rule), with mean centers; an empty cluster raises."""
         a = np.asarray(assignment)
         if a.shape != (dataset.n,):
             raise StructuralError(f"assignment length {a.shape} does not match n={dataset.n}")
-        if a.dtype.kind not in "iu":  # signed or unsigned integers
-            raise StructuralError(f"assignment labels must be integers, got dtype {a.dtype}")
-        a = a.astype(np.int64, copy=False)
         k = whole(k, "k")
-        if a.min() < 0 or a.max() >= k:
-            raise StructuralError("assignment values must lie in [0, k)")
-        loads = np.bincount(a, minlength=k)
-        if np.any(loads == 0):
-            empty = int(np.flatnonzero(loads == 0)[0])
-            raise StructuralError(f"cluster {empty} is empty")
+        a, loads = _counted(a, k)
+        if not loads.all():
+            raise StructuralError(f"cluster {int(np.flatnonzero(loads == 0)[0])} is empty")
         return Clustering(assignment=a, k=k, centers=mean_centers(dataset.points, a, loads), loads=loads)
 
     def members(self, cluster_id: int) -> np.ndarray:
@@ -236,14 +262,21 @@ def load_excess(loads: Sequence[int], ideal: Rational) -> Tuple[List[int], int]:
     The one rule for a load's distance from the ideal: q*l - p is
     q * (l - ideal), so its sign, its rounding to whole units and its
     square are all exact in integers.  The ideal is a ``Fraction`` or an
-    int (``whole``), at least 0; anything else raises ``ConfigError``.
+    int (``whole``), at least 0, and the loads are integer counts, at
+    least 0; anything else raises ``ConfigError``.
     """
     if not isinstance(ideal, Fraction):
         ideal = Fraction(whole(ideal, "ideal load", least=0))
     elif ideal < 0:
         raise ConfigError(f"ideal load must be >= 0, got {ideal}")
+    array = np.asarray(loads)
+    if array.ndim != 1 or array.dtype.kind not in "iu":  # floats are refused, not truncated
+        raise ConfigError(f"loads must be a 1-d sequence of integers, got {loads!r}")
+    counts = array.tolist()
+    if counts and min(counts) < 0:
+        raise ConfigError(f"loads must be >= 0, got {counts}")
     p, q = ideal.numerator, ideal.denominator
-    return [q * l - p for l in np.asarray(loads, dtype=np.int64).tolist()], q
+    return [q * l - p for l in counts], q
 
 
 def load_metric(loads: Sequence[int], ideal: Rational) -> float:

@@ -14,6 +14,7 @@ all zeros, where ``jain_index`` raises ``ConfigError``.
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -50,9 +51,24 @@ def jain_index(values: Sequence[float]) -> float:
 
 
 def geometric_mean_index(values: Sequence[float]) -> float:
-    """n-th root of the product of the values."""
+    """n-th root of the product of the values; finite and, when every value is positive, nonzero.
+
+    Where the plain product leaves the normal float range (it overflows,
+    or every value is positive and it falls below the smallest normal
+    float), the product is kept as a mantissa times a power of two, as
+    ``jain_index`` scales, and the root is taken in that form.  Every
+    product in range keeps the plain form's bits.
+    """
     xs = _validated(values)
     product = math.prod(xs)
+    if math.isinf(product) or (product < sys.float_info.min and min(xs) > 0):
+        mantissa, exponent = 1.0, 0
+        for x in xs:
+            m, e = math.frexp(x)
+            mantissa, carry = math.frexp(mantissa * m)
+            exponent += e + carry
+        whole_part, rest = divmod(exponent, len(xs))
+        return math.ldexp(mantissa ** (1.0 / len(xs)) * 2.0 ** (rest / len(xs)), whole_part)
     return product ** (1.0 / len(xs))
 
 

@@ -328,12 +328,13 @@ def conflicted_games(
 
 
 def _members(clustering: Clustering, cid: int) -> np.ndarray:
-    """Cluster ``cid``'s member indices, ascending; ``StructuralError`` naming it when it is empty or its load is not its point count."""
+    """Cluster ``cid``'s member indices, ascending; ``StructuralError`` naming it when it is empty.
+
+    A cluster's load equals its point count by construction (``Clustering``).
+    """
     member = clustering.members(cid)
     if member.size == 0:
         raise StructuralError(f"cluster {cid} is empty")
-    if member.size != clustering.loads[cid]:
-        raise StructuralError(f"cluster {cid} holds {member.size} points, but its load is {clustering.loads[cid]}")
     return member
 
 
@@ -342,11 +343,11 @@ def _read_resource(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resource ``rid``'s member indices, its points, and each taker's nearest-first order over them.
 
-    The members are read by ``_members``, so a resource that is empty or
-    whose load is not its point count raises ``StructuralError``.  The
-    order is a (takers, m) array of positions, sorted by (squared
-    distance to the taker's center, position); members ascend, so ties go
-    to the lowest point index.  The ids are those ``_check_takers`` passed.
+    The members are read by ``_members``, so an empty resource raises
+    ``StructuralError``.  The order is a (takers, m) array of positions,
+    sorted by (squared distance to the taker's center, position); members
+    ascend, so ties go to the lowest point index.  The ids are those
+    ``_check_takers`` passed.
     """
     member = _members(clustering, rid)
     points = dataset.points.take(member, axis=0)
@@ -398,14 +399,15 @@ def build_payoff_tensor(dataset: Dataset, clustering: Clustering, game: LocalGam
     tensor (8 bytes per cost, and 1 per joint for its feasibility flags)
     would exceed ``MAX_TENSOR_BYTES``.  Nothing else the build allocates
     outlives the call, so the limit bounds all the memory a game keeps
-    once built.  Each cluster of the game is read by ``_members``: one
-    that is empty, or whose load in ``clustering`` is not its point
-    count, raises ``StructuralError`` naming it before any cost is
-    formed.  A one-player game has no rival, so every feasible cost is 0
-    and only the resource's ``load - 1`` cap decides feasibility.  Every
-    infeasible joint costs ``+inf``: the costs start at ``+inf``, and
-    only feasible joints are written, so the costs alone record which
-    joints are feasible.  Raises ``StructuralError`` when a cost written
+    once built.  Each cluster of the game is read by ``_members``: an
+    empty one raises ``StructuralError`` naming it before any cost is
+    formed; a load other than the cluster's point count never reaches the
+    build, since the ``Clustering`` constructor refuses it.  A one-player
+    game has no rival, so every feasible cost is 0 and only the
+    resource's ``load - 1`` cap decides feasibility.  Every infeasible
+    joint costs ``+inf``: the costs start at ``+inf``, and only feasible
+    joints are written, so the costs alone record which joints are
+    feasible.  Raises ``StructuralError`` when a cost written
     is not finite (the data's scale overflows the payoff), since a
     feasible joint must not read as infeasible.
 
@@ -641,8 +643,9 @@ def apply_and_evaluate(
     ``assigned_sse`` and ``load_metric``, the calls ``from_assignment``
     and ``objectives`` make, so every bit matches.  One ``Clustering``
     is built at the end, for the kept state only.  A resource is read by
-    ``_read_resource``, so one that is empty or whose load is not its
-    point count raises ``StructuralError``.
+    ``_read_resource``, so an empty one raises ``StructuralError``; its
+    load, which the "would empty the resource" test reads, is its point
+    count by ``Clustering``'s construction.
     """
     _check_consistent(dataset, clustering)
     points = dataset.points

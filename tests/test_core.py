@@ -118,6 +118,18 @@ class TestLoadMetric:
         with pytest.raises(ConfigError):
             load_metric([], 1)
 
+    @pytest.mark.parametrize(
+        "loads, match",
+        # before: 1.0 (truncated to [1, 2]) and 18.0
+        [([1.5, 2.5], "loads must be a 1-d sequence of integers"), ([-1, 5], "loads must be >= 0")],
+        ids=["floats", "negative"],
+    )
+    def test_loads_that_are_not_counts_rejected(self, loads, match):
+        with pytest.raises(ConfigError, match=match):
+            load_metric(loads, 2)
+        with pytest.raises(ConfigError, match=match):
+            load_excess(np.array(loads), 2)
+
     def test_ideal_is_an_int_or_a_fraction(self):
         # (2-5)^2 + (8-5)^2
         assert load_metric([2, 8], 5) == load_metric([2, 8], np.int64(5)) == load_metric([2, 8], Fraction(5)) == 18.0
@@ -286,6 +298,37 @@ class TestDatasetAndClustering:
             Clustering.from_assignment(ds, [0, 0.9, 1.7, 1], 2)
         c = Clustering.from_assignment(ds, np.array([0, 0, 1, 1], dtype=np.int32), np.int64(2))
         assert c.loads.tolist() == [2, 2] and c.assignment.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "change, error, match",
+        [
+            # before: stored, and objectives read label -1 as centers[-1] (SSE 57.25)
+            ({"assignment": [0, -1, 1, 1], "loads": [1, 3]}, StructuralError, r"must lie in \[0, k\)"),
+            # before: stored, and objectives read label 2 past the centers (numpy's IndexError)
+            ({"assignment": [0, 0, 1, 2]}, StructuralError, r"must lie in \[0, k\)"),
+            # before: stored as [0, 1, 1, 1]
+            ({"assignment": [0.5, 1.7, 1, 1]}, StructuralError, "labels must be integers"),
+            # before: stored as 2.0
+            ({"k": 2.0}, ConfigError, "k must be an integer"),
+            # before: stored as [2, 1]
+            ({"loads": [2.7, 1.2]}, StructuralError, "loads must be integers"),
+            # before: stored, and objectives reported L = 2.0 where the counts give 0.0
+            ({"loads": [1, 3]}, StructuralError, "cluster 0 holds 2 points, but its load is 1"),
+        ],
+        ids=["label-minus-one", "label-k", "float-labels", "float-k", "float-loads", "miscounted"],
+    )
+    def test_constructor_owns_what_a_clustering_is(self, change, error, match):
+        ds = Dataset(points=[[0.0], [1.0], [2.0], [10.0]])
+        valid = dict(assignment=[0, 0, 1, 1], k=2, centers=[[0.5], [6.0]], loads=[2, 2])
+        assert objectives(ds, Clustering(**valid)) == ObjectiveState(sse=32.5, load_metric=0.0)
+        with pytest.raises(error, match=match):
+            Clustering(**{**valid, **change})
+
+    def test_empty_cluster_and_any_centers_stay_constructible(self):
+        # before: k stayed a numpy integer
+        loads = np.array([2, 0, 1], np.uint8)
+        c = Clustering(assignment=[0, 0, 2], k=np.int64(3), centers=[[7.0], [8.0], [9.0]], loads=loads)
+        assert c.loads.tolist() == [2, 0, 1] and c.loads.dtype == np.int64 and type(c.k) is int
 
 
 def _four_points():

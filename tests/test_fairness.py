@@ -82,6 +82,13 @@ class TestGeometricMeanIndex:
     def test_zero_factor_collapses(self):
         assert geometric_mean_index([0.0, 80.0]) == 0.0
 
+    # before: inf, 0.0 and inf, where the plain product leaves the float range
+    @pytest.mark.parametrize(
+        "values", [[1e200, 1e200], [1e-200, 1e-200], [1e160] * 3], ids=["1e200", "1e-200", "3x1e160"]
+    )
+    def test_finite_where_the_product_leaves_the_float_range(self, values):
+        assert geometric_mean_index(values) == pytest.approx(values[0], rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("values", [[INF, 0.0], [NAN, 4.0]], ids=["inf", "nan"])
     def test_non_finite_rejected(self, values):
         # inf times zero returned nan

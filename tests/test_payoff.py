@@ -230,9 +230,9 @@ def six_points_with_loads(loads):
 
 
 class TestClusterMembersMatchLoads:
-    """A game's clusters must hold their loads' points: the build refuses one that is empty or miscounted."""
+    """A game's clusters must hold their loads' points: ``Clustering`` refuses a miscounted one, the build an empty one."""
 
-    # The behaviour before the check is in the comment above each input;
+    # The behaviour before either check is in the comment above each input;
     # RuntimeWarning is an error in this suite, so none may be raised.
     @pytest.mark.parametrize(
         "loads, participants, match",
@@ -240,7 +240,7 @@ class TestClusterMembersMatchLoads:
             # "invalid value encountered in divide", then "the data's scale overflows the costs"
             ([4, 2, 0], ((1, 1), (2, 2)), "cluster 2 is empty"),
             # finite, wrong costs
-            ([4, 2, 7], ((1, 1), (2, 2)), "cluster 2 is empty"),
+            ([4, 2, 7], ((1, 1), (2, 2)), "cluster 2 holds 0 points, but its load is 7"),
             # "invalid value encountered in divide", then numpy's broadcast ValueError
             ([5, 2, 0], ((1, 1), (2, 2)), "cluster 0 holds 4 points, but its load is 5"),
             # an 8-point move out of a 4-point resource read as feasible
@@ -249,16 +249,19 @@ class TestClusterMembersMatchLoads:
         ids=["empty-player", "empty-player-with-a-load", "resource-load-too-high", "one-player-resource"],
     )
     def test_game_on_a_miscounted_cluster_rejected(self, loads, participants, match):
-        ds, c = six_points_with_loads(loads)
         game = LocalGame(0, tuple(Participant(pid, request) for pid, request in participants))
-        with pytest.raises(StructuralError, match=match):
-            build_payoff_tensor(ds, c, game)
+        if loads == [4, 2, 0]:  # the true counts: the clustering is valid, and the build refuses its empty player
+            ds, c = six_points_with_loads(loads)
+            with pytest.raises(StructuralError, match=match):
+                build_payoff_tensor(ds, c, game)
+        else:
+            with pytest.raises(StructuralError, match=match):
+                six_points_with_loads(loads)
 
     def test_apply_reads_the_resource_by_the_same_check(self):
-        # before: "invalid value encountered in divide", then the transfer was dropped
-        ds, c = six_points_with_loads([5, 2, 0])
+        # before: "invalid value encountered in divide" in the apply, then the transfer was dropped
         with pytest.raises(StructuralError, match="cluster 0 holds 4 points, but its load is 5"):
-            apply_and_evaluate(ds, c, objectives(ds, c), {0: [(1, 1)]})
+            six_points_with_loads([5, 2, 0])
 
 
 class TestPayoffTensorValidation:
